@@ -46,12 +46,6 @@ def _parse_setting(raw: str):
     return key, value
 
 
-def _load_frames(data_dir: str, window: int, stride=None, smooth_window: int = 1):
-    ds = sensors.ingest_csv(data_dir)
-    ds.frames = sensors.segment(ds, window, stride, smooth_window=smooth_window)
-    return ds
-
-
 def cmd_generate(args) -> int:
     spec = json.loads(Path(args.planted).read_text())
     dep = pipeline.deployment_from_json(spec["deployment"])
@@ -66,7 +60,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    ds = _load_frames(args.data, args.window, args.stride, args.smooth_window)
+    ds = sensors.load_frames(args.data, args.window, args.stride, args.smooth_window)
     folds = sensors.meta_segment_partition(ds.frames, args.k, args.meta_len, args.seed)
     Path(args.out).write_text(json.dumps(folds.to_json(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}: {len(folds.assignment)} frames over {args.k} folds")
@@ -91,7 +85,7 @@ def cmd_explore(args) -> int:
         if not (args.data and args.folds):
             raise learner.ConfigError("explore needs --data and --folds "
                                       "(or --objective sphere)")
-        ds = _load_frames(args.data, args.window, args.stride, args.smooth_window)
+        ds = sensors.load_frames(args.data, args.window, args.stride, args.smooth_window)
         folds = sensors.folds_from_json(json.loads(Path(args.folds).read_text()))
         base = (pipeline.model_config_from_json(json.loads(Path(args.model).read_text()))
                 if args.model else learner.ModelConfig())
@@ -113,8 +107,7 @@ def cmd_analyze(args) -> int:
     full_trials = [t for t in trials if t.budget == full]
     fr = forest.fit_forest(full_trials, space, response=args.response,
                            n_trees=args.n_trees, max_depth=args.max_depth,
-                           min_leaf=args.min_leaf, seed=args.seed,
-                           workers=args.workers)
+                           min_leaf=args.min_leaf, seed=args.seed)
     rep = fanova.decompose(fr)
     if args.out:
         fanova.save_report(rep, args.out)
@@ -173,7 +166,7 @@ def cmd_dgp(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _load_frames(args.data, args.window, args.stride, args.smooth_window)
+    ds = sensors.load_frames(args.data, args.window, args.stride, args.smooth_window)
     folds = sensors.folds_from_json(json.loads(Path(args.folds).read_text()))
     cfg = (pipeline.model_config_from_json(json.loads(Path(args.config).read_text()))
            if args.config else learner.ModelConfig())
@@ -277,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=10)
     p.add_argument("--min-leaf", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("dgp", help="derive a data-source model, or compare two")
@@ -319,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", metavar="DIR",
                    help="materialize the bundled demo manifest into DIR and run it")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel evaluator calls in the explore stage")
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

@@ -209,6 +209,9 @@ def dgp_to_json(model: DgpModel) -> dict:
 
 
 def dgp_from_json(doc: Mapping) -> DgpModel:
+    """Parse a derived or hand-authored (human-expertise) model; subsets are
+    required, importances/interactions optional and flagged degenerate when
+    absent."""
     if "activities" not in doc or "per_activity" not in doc:
         raise DgpError("dgp document needs 'activities' and 'per_activity'")
     activities = tuple(doc["activities"])
@@ -241,9 +244,3 @@ def save_dgp(model: DgpModel, path: str | Path) -> None:
 
 def load_dgp(path: str | Path) -> DgpModel:
     return dgp_from_json(json.loads(Path(path).read_text()))
-
-
-def load_hexp(path: str | Path) -> DgpModel:
-    """Load a hand-authored (human-expertise) model; subsets are required,
-    importances/interactions optional and flagged degenerate when absent."""
-    return load_dgp(path)

@@ -1,22 +1,24 @@
 """Regression forest over trial logs, with exact leaf-box geometry.
 
 Trees are fitted in feature space: numeric params (continuous/integer) use
-their unit-cube coordinate, categorical params their choice index. Every
-leaf stores its axis-aligned box (interval per numeric dim, choice subset per
-categorical dim), so marginal predictions and variance decompositions can be
-computed exactly under the uniform measure instead of by sampling.
+their unit-cube coordinate, categorical params their choice index. Each tree
+is flattened into its leaf boxes (interval per numeric dim, choice subset per
+categorical dim). Those leaf arrays are the one exact-marginal engine: both
+:func:`marginal_predict` here and the variance decomposition in
+:mod:`harvana.fanova` integrate them under the uniform measure instead of
+sampling (the leaf-partition fANOVA of Hutter, Hoos & Leyton-Brown, 2014).
+The tree walk in :func:`predict` is kept as the independent point reference.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .hyperspace import Configuration, SearchSpace, Trial, derive_rng, validate_space
+from .hyperspace import Configuration, SearchSpace, Trial, derive_rng, to_unit, validate_space
 
 
 class ForestError(ValueError):
@@ -32,7 +34,6 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     prediction: float | None = None
-    box: tuple | None = None                    # filled on leaves: per dim (lo, hi) or frozenset
 
     @property
     def is_leaf(self) -> bool:
@@ -80,16 +81,7 @@ def response_value(trial: Trial, response: str) -> float:
 
 def encode_config(space: SearchSpace, config: Configuration) -> np.ndarray:
     """Feature vector: unit coordinate for numeric dims, choice index for categorical."""
-    z = np.empty(space.dim)
-    for i, p in enumerate(space.params):
-        v = config[p.name]
-        if p.kind == "categorical":
-            z[i] = p.choices.index(v)
-        elif p.prior == "log":
-            z[i] = math.log(v / p.lower) / math.log(p.upper / p.lower)
-        else:
-            z[i] = (v - p.lower) / (p.upper - p.lower)
-    return z
+    return np.array([unit_to_feature(space, i, u) for i, u in enumerate(to_unit(space, config))])
 
 
 def unit_to_feature(space: SearchSpace, dim: int, u: float) -> float:
@@ -193,12 +185,11 @@ def _build_tree(Z: np.ndarray, y: np.ndarray, cat_dims: dict[int, int],
 def _collect_leaves(root: TreeNode, space: SearchSpace) -> TreeData:
     d = space.dim
     cat_sizes = {i: p.n_choices for i, p in enumerate(space.params) if p.kind == "categorical"}
-    leaves: list[tuple[TreeNode, list]] = []
+    leaves: list[tuple[float, list]] = []  # (prediction, per dim (lo, hi) or choice set)
 
     def rec(node: TreeNode, box: list):
         if node.is_leaf:
-            node.box = tuple(frozenset(b) if isinstance(b, set) else tuple(b) for b in box)
-            leaves.append((node, [frozenset(b) if isinstance(b, set) else tuple(b) for b in box]))
+            leaves.append((node.prediction, list(box)))
             return
         dim = node.split_dim
         saved = box[dim]
@@ -220,7 +211,7 @@ def _collect_leaves(root: TreeNode, space: SearchSpace) -> TreeData:
     rec(root, init)
 
     L = len(leaves)
-    preds = np.array([node.prediction for node, _ in leaves])
+    preds = np.array([pred for pred, _ in leaves])
     lo = np.zeros((L, d))
     hi = np.ones((L, d))
     extents = np.ones((L, d))
@@ -249,11 +240,11 @@ def forest_from_roots(space: SearchSpace, roots: Sequence[TreeNode],
 def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu",
                n_trees: int = 64, max_depth: int = 10, min_leaf: int = 3,
                feature_frac: float = 5 / 6, seed: int = 0,
-               bootstrap: bool = True, workers: int = 1) -> Forest:
+               bootstrap: bool = True) -> Forest:
     """Fit a regression forest of axis-aligned trees by variance reduction.
 
     Bootstrap per tree, random feature subset of size ceil(d*feature_frac)
-    per node. Deterministic for a fixed seed regardless of worker count.
+    per node. Deterministic for a fixed seed.
     """
     validate_space(space)
     if len({t.config.key() for t in trials}) < 2:
@@ -270,11 +261,7 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
         root = _build_tree(Z[rows], y[rows], cat_dims, max_depth, min_leaf, n_features, rng)
         return _collect_leaves(root, space)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(one_tree, range(n_trees)))
-    else:
-        trees = [one_tree(t) for t in range(n_trees)]
+    trees = [one_tree(t) for t in range(n_trees)]
     return Forest(trees=trees, space=space, response=response,
                   n_trials=len(trials), seed=seed)
 
@@ -301,60 +288,23 @@ def predict(forest: Forest, Z: np.ndarray) -> np.ndarray:
     return out / forest.n_trees
 
 
-def _tree_marginal(tree: TreeData, space: SearchSpace, fixed: dict[int, float]) -> float:
-    """Exact average of the tree over all completions of the fixed dims.
+def _leaves_containing(tree: TreeData, dim: int, z: float) -> np.ndarray:
+    """Leaves whose box holds feature value z on dim.
 
-    Linear in node count: descends fixed dims, splits weight across both
-    children (proportionally to sub-box extent) for marginalized dims.
-    """
-    cat_sizes = {i: p.n_choices for i, p in enumerate(space.params) if p.kind == "categorical"}
-    lo = np.zeros(space.dim)
-    hi = np.ones(space.dim)
-    cat_cur = {dim: set(range(n)) for dim, n in cat_sizes.items()}
-    total = 0.0
-
-    def rec(node: TreeNode, w: float):
-        nonlocal total
-        if w == 0.0:
-            return
-        if node.is_leaf:
-            total += w * node.prediction
-            return
-        dim = node.split_dim
-        if dim in fixed:
-            if node.split_subset is not None:
-                child = node.left if int(fixed[dim]) in node.split_subset else node.right
-            else:
-                child = node.left if fixed[dim] < node.split_value else node.right
-            rec(child, w)
-            return
-        if node.split_subset is not None:
-            cur = cat_cur[dim]
-            left_set = cur & node.split_subset
-            right_set = cur - node.split_subset
-            if cur:
-                cat_cur[dim] = left_set
-                rec(node.left, w * len(left_set) / len(cur))
-                cat_cur[dim] = right_set
-                rec(node.right, w * len(right_set) / len(cur))
-                cat_cur[dim] = cur
-        else:
-            span = hi[dim] - lo[dim]
-            frac = (node.split_value - lo[dim]) / span
-            saved_hi, saved_lo = hi[dim], lo[dim]
-            hi[dim] = node.split_value
-            rec(node.left, w * frac)
-            hi[dim] = saved_hi
-            lo[dim] = node.split_value
-            rec(node.right, w * (1.0 - frac))
-            lo[dim] = saved_lo
-
-    rec(tree.root, 1.0)
-    return total
+    Numeric boxes are half-open [lo, hi) like the walk's z < split_value,
+    with the cube's top edge hi == 1.0 closed."""
+    if dim in tree.cat_masks:
+        return tree.cat_masks[dim][:, int(z)]
+    lo, hi = tree.lo[:, dim], tree.hi[:, dim]
+    return (lo <= z) & ((z < hi) | (hi == 1.0))
 
 
 def marginal_predict(forest: Forest, subset: Sequence[str], theta: Sequence[float]) -> float:
-    """Forest marginal at unit-space values `theta` for the params in `subset`."""
+    """Forest marginal at unit-space values `theta` for the params in `subset`.
+
+    Exact average over all completions of the free params: per tree, the sum
+    over the leaves whose box contains the fixed point of prediction times
+    the box's extent along every free dim."""
     if not subset:
         raise ForestError("subset must be non-empty")
     names = list(forest.space.names)
@@ -366,4 +316,13 @@ def marginal_predict(forest: Forest, subset: Sequence[str], theta: Sequence[floa
         if not (0.0 <= u <= 1.0):
             raise ForestError(f"theta for {name!r} outside unit bounds: {u}")
         fixed[dim] = unit_to_feature(forest.space, dim, u)
-    return sum(_tree_marginal(t, forest.space, fixed) for t in forest.trees) / forest.n_trees
+    free = [dim for dim in range(forest.space.dim) if dim not in fixed]
+    total = 0.0
+    for tree in forest.trees:
+        inside = np.ones(len(tree.predictions), dtype=bool)
+        for dim, z in fixed.items():
+            inside &= _leaves_containing(tree, dim, z)
+        # extent product over the free dims, not volume / fixed extents: a
+        # zero-width box then weighs 0 instead of 0/0
+        total += float(tree.predictions[inside] @ tree.extents[inside][:, free].prod(axis=1))
+    return total / forest.n_trees

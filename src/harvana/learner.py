@@ -338,22 +338,7 @@ class Network:
                        training: bool = False,
                        rng: np.random.Generator | None = None) -> float:
         """Cross-entropy on a batch; leaves d(loss)/d(param) in every layer."""
-        Xs = X * self.gain_vector[None, :, None]
-        if self.config.n_conv_blocks == 0:
-            feats = stat_features(Xs)
-            shapes, widths = [], []
-        else:
-            outs, shapes, widths = [], [], []
-            for g, stack in zip(self.groups, self.stacks):
-                h = Xs[:, g, :]
-                for layer in stack:
-                    h = layer.forward(h)
-                shapes.append(h.shape)
-                widths.append(h[0].size)
-                outs.append(h.reshape(len(h), -1))
-            feats = np.concatenate(outs, axis=1)
-
-        h = feats
+        h = self.features(X)
         drop_mask = None
         for i, layer in enumerate(self.head):
             if i == len(self.head) - 1 and training and self.config.dropout > 0.0:
@@ -372,11 +357,11 @@ class Network:
             g = self.head[i].backward(g)
             if i == len(self.head) - 1 and drop_mask is not None:
                 g = g * drop_mask
-        if self.config.n_conv_blocks > 0:
-            offset = 0
+        if self.stacks:
+            # every stack ends in (n_filters, L), concatenated group-major
+            g = g.reshape(n, len(self.stacks), self.config.n_filters, -1)
             for gi, stack in enumerate(self.stacks):
-                gg = g[:, offset:offset + widths[gi]].reshape(shapes[gi])
-                offset += widths[gi]
+                gg = g[:, gi]
                 for layer in reversed(stack):
                     gg = layer.backward(gg)
         return loss

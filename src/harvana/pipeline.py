@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -85,18 +85,6 @@ def model_config_from_json(doc: Mapping) -> learner.ModelConfig:
     return learner.ModelConfig(**kw)
 
 
-def model_config_to_json(cfg: learner.ModelConfig) -> dict:
-    return {
-        "conv_mode": cfg.conv_mode, "n_conv_blocks": cfg.n_conv_blocks,
-        "kernel_sizes": list(cfg.kernel_sizes), "n_filters": cfg.n_filters,
-        "stride_fraction": cfg.stride_fraction, "dropout": cfg.dropout,
-        "dense_units": cfg.dense_units, "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-        "activation": cfg.activation, "classifier_head": cfg.classifier_head,
-        "source_gains": dict(cfg.source_gains), "mask_sigma": cfg.mask_sigma,
-    }
-
-
 def gain_space(deployment: sensors.Deployment,
                lr_bounds: tuple[float, float] = (0.005, 0.5)) -> hyperspace.SearchSpace:
     """Per-source input-gain space plus a global log-uniform learning rate."""
@@ -126,10 +114,8 @@ class LearnerEvaluator:
 
     def __call__(self, config: hyperspace.Configuration, budget: float,
                  seed: int) -> hyperspace.Trial:
-        cfg = learner.config_from_values(config, self.base_config)
-        epochs = max(1, round(budget))
-        cfg = learner.ModelConfig(**{**model_config_to_json(cfg), "epochs": epochs,
-                                     "recurrent": dict(cfg.recurrent)})
+        cfg = replace(learner.config_from_values(config, self.base_config),
+                      epochs=max(1, round(budget)))
         net = learner.build(cfg, self.dataset.deployment, self.activities,
                             self.window_len, seed=seed)
         try:
@@ -235,13 +221,28 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------------------
 # stages
 
-def _load_frames(manifest: Manifest) -> tuple[sensors.Dataset, sensors.FoldAssignment]:
-    ds = sensors.ingest_csv(manifest.path("data"))
+def _dataset(manifest: Manifest) -> sensors.Dataset:
     gen = manifest.doc["generate"]
-    ds.frames = sensors.segment(ds, int(gen["window_len"]), gen.get("stride"),
-                                smooth_window=int(gen.get("smooth_window", 1)))
+    return sensors.load_frames(manifest.path("data"), int(gen["window_len"]),
+                               gen.get("stride"), int(gen.get("smooth_window", 1)))
+
+
+def _load_frames(manifest: Manifest) -> tuple[sensors.Dataset, sensors.FoldAssignment]:
     folds = sensors.folds_from_json(json.loads(manifest.path("folds").read_text()))
-    return ds, folds
+    return _dataset(manifest), folds
+
+
+def _analysis_forest(manifest: Manifest, trials: list[hyperspace.Trial],
+                     space: hyperspace.SearchSpace, response: str) -> forest.Forest:
+    """The forest fANOVA reads: full-budget trials only (mixed fidelities
+    corrupt the surface), fitted with the manifest's analyze arguments."""
+    full = max(t.budget for t in trials)
+    ana = manifest.doc["analyze"]
+    return forest.fit_forest([t for t in trials if t.budget == full], space,
+                             response=response, n_trees=int(ana["n_trees"]),
+                             max_depth=int(ana["max_depth"]),
+                             min_leaf=int(ana["min_leaf"]),
+                             seed=manifest.stage_seed("analyze"))
 
 
 def stage_generate(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
@@ -272,10 +273,7 @@ def stage_partition(manifest: Manifest, force: bool = False, workers: int = 1) -
     if out.exists() and not force:
         logger.info("partition: %s up-to-date", out)
         return out
-    ds = sensors.ingest_csv(manifest.path("data"))
-    gen = manifest.doc["generate"]
-    frames = sensors.segment(ds, int(gen["window_len"]), gen.get("stride"),
-                             smooth_window=int(gen.get("smooth_window", 1)))
+    frames = _dataset(manifest).frames
     part = manifest.doc["partition"]
     folds = sensors.meta_segment_partition(frames, int(part["k"]),
                                            int(part["meta_len"]),
@@ -319,21 +317,11 @@ def stage_analyze(manifest: Manifest, force: bool = False, workers: int = 1) -> 
     out_dir.mkdir(parents=True, exist_ok=True)
     trials = hyperspace.read_trials(manifest.path("trials"))
     space = hyperspace.load_space(manifest.path("space"))
-    ana = manifest.doc["analyze"]
     prov = manifest.provenance("analyze")
     responses = ["nu"] + [f"per_activity_nu[{a}]"
                           for a in sorted(trials[0].per_activity_nu)]
-    # fANOVA over full-budget trials only: mixed fidelities corrupt the surface
-    full = max(t.budget for t in trials)
-    full_trials = [t for t in trials if t.budget == full]
     for resp in responses:
-        fr = forest.fit_forest(full_trials, space, response=resp,
-                               n_trees=int(ana["n_trees"]),
-                               max_depth=int(ana["max_depth"]),
-                               min_leaf=int(ana["min_leaf"]),
-                               seed=manifest.stage_seed("analyze"),
-                               workers=workers)
-        rep = fanova.decompose(fr)
+        rep = fanova.decompose(_analysis_forest(manifest, trials, space, resp))
         name = "nu" if resp == "nu" else resp[len("per_activity_nu["):-1]
         doc = fanova.report_to_json(rep)
         doc["provenance"] = prov
@@ -386,7 +374,7 @@ def stage_protocol(manifest: Manifest, force: bool = False, workers: int = 1) ->
         elif mode == "w-HExp":
             if not proto.get("hexp"):
                 raise ManifestError("w-HExp mode needs a 'hexp' path")
-            model = dgp_mod.load_hexp(manifest.root / proto["hexp"])
+            model = dgp_mod.load_dgp(manifest.root / proto["hexp"])
         res = learner.run_protocol(ds, folds, cfg, dgp=model, mode=mode, seed=seed,
                                    include_null=bool(proto.get("include_null")),
                                    supplement=bool(proto.get("supplement")))
@@ -422,13 +410,7 @@ def stage_report(manifest: Manifest, force: bool = False, workers: int = 1) -> P
         ranked = sorted(overall.pairwise.items(), key=lambda kv: -kv[1])
         pairs = [k for k, w in ranked[:2] if w > 0]
     if pairs:
-        full = max(t.budget for t in trials)
-        fr = forest.fit_forest([t for t in trials if t.budget == full], space,
-                               response="nu",
-                               n_trees=int(manifest.doc["analyze"]["n_trees"]),
-                               max_depth=int(manifest.doc["analyze"]["max_depth"]),
-                               min_leaf=int(manifest.doc["analyze"]["min_leaf"]),
-                               seed=manifest.stage_seed("analyze"))
+        fr = _analysis_forest(manifest, trials, space, "nu")
         for u, v in pairs:
             tu, tv, vals = fanova.pairwise_marginal_table(
                 fr, u, v, int(rep_cfg.get("resolution", 20)))

@@ -34,8 +34,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence],
 def importance_csv(report: ImportanceReport, path: str | Path,
                    provenance: Mapping[str, object] | None = None) -> None:
     """Machine-readable importance table: (param, F) rows, then pair rows."""
-    rows: list[list] = [[p, float(report.individual[p])] for p in report.params]
-    rows += [[u, v, float(w)] for (u, v), w in report.pairwise.items()]
     lines = []
     if provenance:
         lines.append("# " + _prov_line(provenance))

@@ -197,10 +197,18 @@ class FoldAssignment:
     seed: int
     assignment: dict[int, int]  # frame_id -> fold
 
+    def _check_covers(self, frames: Sequence[Frame]) -> None:
+        missing = [f.frame_id for f in frames if f.frame_id not in self.assignment]
+        if missing:
+            raise SensorError(f"fold assignment does not cover {len(missing)} frame(s): "
+                              f"frame ids {missing[:10]}{' ...' if len(missing) > 10 else ''}")
+
     def fold_of(self, frame: Frame) -> int:
+        self._check_covers([frame])
         return self.assignment[frame.frame_id]
 
     def split(self, frames: Sequence[Frame], fold: int) -> tuple[list[Frame], list[Frame]]:
+        self._check_covers(frames)
         train = [f for f in frames if self.assignment[f.frame_id] != fold]
         val = [f for f in frames if self.assignment[f.frame_id] == fold]
         return train, val
@@ -380,6 +388,15 @@ def segment(dataset: Dataset, window_len: int, stride: int | float | None = None
                 gap_fraction=gap,
             ))
     return frames
+
+
+def load_frames(path: str | Path, window_len: int, stride: int | float | None = None,
+                smooth_window: int = 1) -> Dataset:
+    """Ingest a dataset directory and segment it; the frames land in
+    ``dataset.frames``."""
+    ds = ingest_csv(path)
+    ds.frames = segment(ds, window_len, stride, smooth_window=smooth_window)
+    return ds
 
 
 def segment_count(n_samples: int, window_len: int, stride: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -235,3 +236,24 @@ def test_demo_pipeline_byte_deterministic(tmp_path):
     assert [p.name for p in svgs_a] == [p.name for p in svgs_b]
     for pa, pb in zip(svgs_a, svgs_b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_folds_not_covering_frames_names_stage_and_exits_2(tmp_path):
+    from harvana.pipeline import Manifest, StageError, demo_manifest, run_pipeline
+    path = demo_manifest(tmp_path / "demo")
+    doc = json.loads(path.read_text())
+    doc["stages"] = ["generate", "partition"]
+    path.write_text(json.dumps(doc))
+    run_pipeline(path)
+    folds_path = Manifest.load(path).path("folds")
+    folds = json.loads(folds_path.read_text())
+    dropped = sorted(int(i) for i in folds["assignment"])[:2]
+    for i in dropped:
+        del folds["assignment"][str(i)]
+    folds_path.write_text(json.dumps(folds))
+    doc["stages"] = ["explore"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=r"stage 'explore' failed: .*frame ids "
+                       + re.escape(str(dropped))):
+        run_pipeline(path)
+    assert run_cli("pipeline", "--manifest", path) == 2

@@ -13,7 +13,6 @@ from harvana.dgp import (
     dgp_from_json,
     dgp_to_json,
     load_dgp,
-    load_hexp,
     save_dgp,
     select_subsets,
     source_importance,
@@ -276,7 +275,7 @@ def test_hexp_subsets_only_round_trip(tmp_path):
     }
     path = tmp_path / "hexp.json"
     path.write_text(json.dumps(doc))
-    model = load_hexp(path)
+    model = load_dgp(path)
     assert model.subsets["walking"] == frozenset(("hips_acc", "torso_acc"))
     assert model.importances["walking"].degenerate
     save_dgp(model, tmp_path / "back.json")
@@ -287,7 +286,7 @@ def test_hexp_missing_subset_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"activities": ["a"], "per_activity": {"a": {"mu": {}}}}))
     with pytest.raises(DgpError, match="subset"):
-        load_hexp(path)
+        load_dgp(path)
 
 
 def test_bundled_hexp_fixture_parses():

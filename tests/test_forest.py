@@ -102,13 +102,25 @@ def test_fewer_than_two_distinct_configs():
 
 
 def test_marginal_all_dims_is_point_prediction():
-    space = unit_space(3)
     rng = np.random.default_rng(11)
-    forest = forest_from_roots(space, [random_planted_root(rng, 3) for _ in range(5)])
-    theta = [0.31, 0.62, 0.93]
-    m = marginal_predict(forest, ["x0", "x1", "x2"], theta)
-    z = np.array([theta])
-    assert m == pytest.approx(float(predict(forest, z)[0]), abs=1e-12)
+    numeric = forest_from_roots(unit_space(3), [random_planted_root(rng, 3) for _ in range(5)])
+    # interior points, and the cube's closed edges 0.0 and 1.0
+    cases = [(numeric, theta, theta) for theta in (
+        [0.31, 0.62, 0.93], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.5])]
+    # every choice of a categorical dim (theta = index / (n - 1))
+    mixed_space = SearchSpace(params=(
+        ParamSpec("mode", "categorical", choices=("a", "b", "c", "d")),
+        ParamSpec("x", "continuous", 0.0, 1.0),
+    ))
+    weight = {"a": 0.1, "b": 0.9, "c": 0.4, "d": 0.6}
+    xs = np.random.default_rng(8).uniform(size=120)
+    trials = [make_trial(Configuration({"mode": "abcd"[i % 4], "x": float(x)}),
+                         weight["abcd"[i % 4]] * x, trial_id=i) for i, x in enumerate(xs)]
+    mixed = fit_forest(trials, mixed_space, n_trees=6, min_leaf=2, seed=1)
+    cases += [(mixed, [ci / 3, x], [ci, x]) for ci in range(4) for x in (0.0, 0.37, 1.0)]
+    for forest, theta, z in cases:
+        m = marginal_predict(forest, list(forest.space.names), theta)
+        assert m == pytest.approx(float(predict(forest, np.array([z]))[0]), abs=1e-12), theta
 
 
 def test_marginal_single_leaf_tree():
@@ -147,12 +159,10 @@ def test_fit_deterministic_and_worker_invariant():
     trials = trials_from_function(space, lambda u: u[0] * u[1], 120, seed=9)
     f1 = fit_forest(trials, space, n_trees=12, seed=3)
     f2 = fit_forest(trials, space, n_trees=12, seed=3)
-    f4 = fit_forest(trials, space, n_trees=12, seed=3, workers=4)
-    for a, b in [(f1, f2), (f1, f4)]:
-        for ta, tb in zip(a.trees, b.trees):
-            np.testing.assert_array_equal(ta.predictions, tb.predictions)
-            np.testing.assert_array_equal(ta.lo, tb.lo)
-            np.testing.assert_array_equal(ta.hi, tb.hi)
+    for ta, tb in zip(f1.trees, f2.trees):
+        np.testing.assert_array_equal(ta.predictions, tb.predictions)
+        np.testing.assert_array_equal(ta.lo, tb.lo)
+        np.testing.assert_array_equal(ta.hi, tb.hi)
     # fit + decompose reproducible bit-for-bit
     from harvana.fanova import decompose
     r1, r2 = decompose(f1), decompose(f2)
