@@ -46,6 +46,23 @@ def _parse_setting(raw: str):
     return key, value
 
 
+def _stride_arg(text: str) -> int | float:
+    """--stride: an integer literal is samples, a decimal literal a fraction
+    of the window in (0, 1]; `1` is one sample and `1.0` the whole window."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        try:
+            if 0.0 < float(text) <= 1.0:
+                return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is neither a sample count (integer >= 1) nor a fraction of the "
+        "window (decimal in (0, 1])")
+
+
 def cmd_generate(args) -> int:
     spec = json.loads(Path(args.planted).read_text())
     dep = pipeline.deployment_from_json(spec["deployment"])
@@ -217,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planted", required=True, help="JSON with deployment/planted/sensor")
     p.add_argument("--frames", type=int, default=20, help="frames per activity recording")
     p.add_argument("--window", type=int, default=600)
-    p.add_argument("--stride", type=float, default=None)
+    p.add_argument("--stride", type=_stride_arg, default=None)
     p.add_argument("--recordings", type=int, default=1, help="recordings per activity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -226,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="meta-segmented fold assignment")
     p.add_argument("--data", required=True)
     p.add_argument("--window", type=int, default=600)
-    p.add_argument("--stride", type=float, default=None)
+    p.add_argument("--stride", type=_stride_arg, default=None)
     p.add_argument("--smooth-window", type=int, default=1,
                    help="moving-average preprocessing window (1 = off)")
     p.add_argument("--k", type=int, default=10)
@@ -248,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="base model config JSON")
     p.add_argument("--val-fold", type=int, default=0)
     p.add_argument("--window", type=int, default=600)
-    p.add_argument("--stride", type=float, default=None)
+    p.add_argument("--stride", type=_stride_arg, default=None)
     p.add_argument("--smooth-window", type=int, default=1)
     p.add_argument("--objective", choices=["sphere"],
                    help="built-in synthetic objective instead of the learner")
@@ -293,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dgp", help="dgp.json (required for w-DGP / w-HExp)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", type=int, default=600)
-    p.add_argument("--stride", type=float, default=None)
+    p.add_argument("--stride", type=_stride_arg, default=None)
     p.add_argument("--smooth-window", type=int, default=1)
     p.add_argument("--include-null", action="store_true")
     p.add_argument("--augment-supplement", action="store_true",

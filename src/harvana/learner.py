@@ -139,6 +139,18 @@ def config_from_values(values: Mapping[str, float | int | str] | Configuration,
 # layers
 
 class _Conv1d:
+    """Strided 1-D convolution, W shaped (F, C, K), computed as K per-tap GEMMs.
+
+    Tap k multiplies the strided view ``x_k = x[:, :, k:k+span:stride]``,
+    where ``span = (O - 1) * stride + 1`` reaches the O window starts. Forward
+    is ``y = sum_k W[:, :, k] @ x_k`` and dW[:, :, k] is ``dy @ x_k^T`` summed
+    over the batch; every product is a BLAS matmul. col2im is K strided
+    slice-adds ``dx[:, :, k:k+span:stride] += W[:, :, k].T @ dy``; input
+    samples past the last window get zero gradient. Between forward and
+    backward the layer keeps only a reference to its input: no im2col
+    (N, O, C*K) buffer is built or kept.
+    """
+
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
                  rng: np.random.Generator):
         a = math.sqrt(6.0 / (c_in * kernel + c_out))
@@ -153,23 +165,25 @@ class _Conv1d:
         return (L - self.kernel) // self.stride + 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._in_len = x.shape[2]
-        win = np.lib.stride_tricks.sliding_window_view(x, self.kernel, axis=2)
-        self._win = win[:, :, ::self.stride, :]
-        return np.einsum("ncok,fck->nfo", self._win, self.W) + self.b[None, :, None]
+        self._x = x
+        s = self.stride
+        span = (self.out_len(x.shape[2]) - 1) * s + 1
+        y = self.W[:, :, 0] @ x[:, :, 0:span:s]
+        for k in range(1, self.kernel):
+            y += self.W[:, :, k] @ x[:, :, k:k + span:s]
+        y += self.b[None, :, None]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.dW = np.einsum("nfo,ncok->fck", dy, self._win)
+        x = self._x
+        s = self.stride
+        span = (self.out_len(x.shape[2]) - 1) * s + 1
         self.db = dy.sum(axis=(0, 2))
-        dwin = np.einsum("nfo,fck->ncok", dy, self.W)
-        N, C, O, K = dwin.shape
-        # full input length, not just the covered span: samples past the last
-        # window get zero gradient
-        dx = np.zeros((N, C, self._in_len))
-        dxt = dx.transpose(2, 0, 1)
-        for k in range(K):
-            pos = np.arange(O) * self.stride + k
-            np.add.at(dxt, pos, dwin[:, :, :, k].transpose(2, 0, 1))
+        self.dW = np.empty_like(self.W)
+        dx = np.zeros(x.shape)
+        for k in range(self.kernel):
+            self.dW[:, :, k] = (dy @ x[:, :, k:k + span:s].transpose(0, 2, 1)).sum(axis=0)
+            dx[:, :, k:k + span:s] += self.W[:, :, k].T @ dy
         return dx
 
     def params(self):

@@ -433,11 +433,17 @@ def stage_report(manifest: Manifest, force: bool = False, workers: int = 1) -> P
     seed = manifest.stage_seed("report")
     taus = [float(t) for t in rep_cfg["tau_sweep"]]
     rows = []
+    # seed and config are fixed, so taus that derive the same subset family
+    # train identical models: run the protocol once per family
+    by_family: dict[tuple, learner.ProtocolResult] = {}
     for tau in taus:
         model = dgp_mod.derive_dgp(reports, space, tau, tau_int)
         sizes = [len(model.subsets[y]) for y in model.activities]
-        res = learner.run_protocol(ds, folds, proto_cfg, dgp=model, mode="w-DGP",
-                                   seed=seed)
+        family = tuple(sorted((y, tuple(sorted(s))) for y, s in model.subsets.items()))
+        if family not in by_family:
+            by_family[family] = learner.run_protocol(ds, folds, proto_cfg, dgp=model,
+                                                     mode="w-DGP", seed=seed)
+        res = by_family[family]
         rows.append([tau, res.mean_f1, res.std_f1, float(np.mean(sizes))])
     report.write_csv(out_dir / "tau_sweep.csv",
                      ["tau_imp", "mean_f1", "std_f1", "mean_subset_size"],

@@ -192,6 +192,22 @@ def test_tau_sweep_csv_format_and_leftmost_all_sources(demo_run):
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
+def test_tau_sweep_trains_each_subset_family_once(demo_run, monkeypatch):
+    from harvana import learner
+    from harvana.pipeline import Manifest, stage_report
+    families = []
+    run_protocol = learner.run_protocol
+
+    def counting(*args, **kwargs):
+        families.append(frozenset(kwargs["dgp"].subsets.items()))
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "run_protocol", counting)
+    stage_report(Manifest.load(demo_run / "manifest.json"), force=True)
+    # the demo's 4 taus derive 3 distinct families (0.4 and 0.6 coincide)
+    assert len(families) == len(set(families)) == 3
+
+
 def test_artifacts_embed_provenance(demo_run):
     for rel in ["folds.json", "dgp.json", "metrics.json", "reports/report_nu.json"]:
         doc = json.loads((demo_run / rel).read_text())
@@ -257,3 +273,23 @@ def test_folds_not_covering_frames_names_stage_and_exits_2(tmp_path):
                        + re.escape(str(dropped))):
         run_pipeline(path)
     assert run_cli("pipeline", "--manifest", path) == 2
+
+
+def test_stride_integer_is_samples_decimal_is_fraction(workdir):
+    data = workdir / "data"
+    # 2 activities x 4 non-overlapping windows of 10 samples: 40 samples each
+    assert run_cli("generate", "--planted", workdir / "planted.json",
+                   "--frames", 4, "--window", 10, "--seed", 3, "--out", data) == 0
+    counts = {}
+    for stride in ("1", "1.0", "0.5", "5"):
+        folds = workdir / f"folds_{stride}.json"
+        assert run_cli("partition", "--data", data, "--window", 10, "--stride", stride,
+                       "--k", 2, "--meta-len", 1, "--out", folds) == 0
+        counts[stride] = len(json.loads(folds.read_text())["assignment"])
+    # `1` is one frame per sample offset; `1.0` is the whole window
+    assert counts == {"1": 2 * 31, "1.0": 2 * 4, "0.5": 2 * 7, "5": 2 * 7}
+    for bad in ("2.5", "0", "-1", "1.5", "half"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("partition", "--data", data, "--window", 10, "--stride", bad,
+                    "--out", workdir / "bad.json")
+        assert exc.value.code == 2

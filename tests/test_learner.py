@@ -15,6 +15,7 @@ from harvana.learner import (
     run_protocol,
     softmax,
     train,
+    _Conv1d,
 )
 from harvana.dgp import DgpModel, InteractionDegrees, SourceImportance
 from harvana.sensors import (
@@ -258,6 +259,69 @@ def test_gradient_check_split_modalities_two_blocks():
     X = rng.normal(size=(6, 4, 80))
     y = np.array([0, 1, 0, 1, 0, 1])
     assert gradient_check(net, X, y, n_probes=12) <= 1e-4
+
+
+def naive_conv(x, W, b, stride, dy):
+    """Direct loops over (n, f, o, c, k): y, dW, db and dx of a strided conv."""
+    N, C, L = x.shape
+    F, _, K = W.shape
+    O = (L - K) // stride + 1
+    y = np.zeros((N, F, O))
+    dW = np.zeros_like(W)
+    dx = np.zeros_like(x)
+    for n in range(N):
+        for f in range(F):
+            for o in range(O):
+                y[n, f, o] = b[f]
+                for c in range(C):
+                    for k in range(K):
+                        t = o * stride + k
+                        y[n, f, o] += W[f, c, k] * x[n, c, t]
+                        dW[f, c, k] += dy[n, f, o] * x[n, c, t]
+                        dx[n, c, t] += dy[n, f, o] * W[f, c, k]
+    return y, dW, dy.sum(axis=(0, 2)), dx
+
+
+CONV_CASES = {
+    # (N, C, L, F, K, stride)
+    "stride_1": (2, 3, 12, 4, 3, 1),
+    "stride_eq_kernel": (2, 3, 12, 4, 3, 3),
+    "uncovered_tail": (2, 2, 14, 3, 4, 3),
+    "single_channel": (3, 1, 10, 4, 3, 2),
+    "kernel_eq_length": (2, 3, 5, 4, 5, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv_kernel_matches_naive_loops(case):
+    N, C, L, F, K, s = CONV_CASES[case]
+    rng = np.random.default_rng(0)
+    conv = _Conv1d(C, F, K, s, rng)
+    conv.b = rng.normal(size=F)
+    x = rng.normal(size=(N, C, L))
+    y = conv.forward(x)
+    dy = rng.normal(size=y.shape)
+    dx = conv.backward(dy)
+    ry, rdW, rdb, rdx = naive_conv(x, conv.W, conv.b, s, dy)
+    assert y.shape == ry.shape and dx.shape == x.shape
+    for got, want in ((y, ry), (conv.dW, rdW), (conv.db, rdb), (dx, rdx)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    covered = (conv.out_len(L) - 1) * s + K
+    if case == "uncovered_tail":
+        assert covered < L
+    assert not dx[:, :, covered:].any()
+
+
+def test_conv_keeps_no_buffer_beyond_its_input():
+    rng = np.random.default_rng(0)
+    conv = _Conv1d(4, 6, 5, 2, rng)
+    x = rng.normal(size=(8, 4, 60))
+    conv.forward(x)
+    held = {name: v for name, v in vars(conv).items()
+            if isinstance(v, np.ndarray) and name not in ("W", "b", "dW", "db")}
+    assert held, "the layer must keep its input for the backward pass"
+    for name, arr in held.items():
+        assert np.shares_memory(arr, x), f"{name} is a buffer of its own"
 
 
 def test_relu_masks_gradient():

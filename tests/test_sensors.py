@@ -196,6 +196,10 @@ def test_segment_fraction_stride():
     strides = {frames[i + 1].time_index - frames[i].time_index
                for i in range(len(frames) - 1)}
     assert strides == {round(0.55 * 100)}
+    # an integral float > 1 is samples; any other float > 1 is not truncated
+    assert segment(ds, 100, 2.0)[1].time_index == 2
+    with pytest.raises(SensorError, match="2.5"):
+        segment(ds, 100, 2.5)
 
 
 def test_moving_average_identity_and_smoothing():
