@@ -114,8 +114,16 @@ def hyperband_schedule(R: float, eta: int) -> list[Bracket]:
 # ---------------------------------------------------------------------------
 # proposal rules
 
-def _unit_history(history: Sequence[Trial], space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([to_unit(space, t.config) for t in history])
+def _unit_history(history: Sequence[Trial], space: SearchSpace,
+                  units: dict[int, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """History as unit rows and losses. `units` caches trial_id -> to_unit row
+    across calls, so a run encodes each trial once; trial_ids in `history`
+    must be distinct, as run() numbers them."""
+    units = {} if units is None else units
+    for t in history:
+        if t.trial_id not in units:
+            units[t.trial_id] = to_unit(space, t.config)
+    X = np.stack([units[t.trial_id] for t in history])
     y = np.array([t.nu for t in history])
     return X, y
 
@@ -126,13 +134,16 @@ def _incumbent(history: Sequence[Trial]) -> Trial:
 
 def tpe_propose(history: Sequence[Trial], space: SearchSpace, gamma: float,
                 n_candidates: int, rng: np.random.Generator,
-                n_startup: int = 10) -> Configuration:
+                n_startup: int = 10,
+                units: dict[int, np.ndarray] | None = None) -> Configuration:
     """Density-ratio proposal: split history at the gamma-quantile of nu,
-    draw candidates from the good-set KDE, return the best l(x)/g(x)."""
+    draw candidates from the good-set KDE, return the best l(x)/g(x).
+
+    `units` is the run's trial_id -> to_unit row cache (see _unit_history)."""
     n = len(history)
     if n < max(2, n_startup):
         return sample(space, rng)
-    X, y = _unit_history(history, space)
+    X, y = _unit_history(history, space, units)
     order = np.argsort(y, kind="stable")
     n_good = min(tpe_good_count(n, gamma), n - 1)
     good, bad = X[order[:n_good]], X[order[n_good:]]
@@ -195,13 +206,16 @@ def expected_improvement(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.n
 def gp_propose(history: Sequence[Trial], space: SearchSpace, rng: np.random.Generator,
                length_scale: float = 0.2, n_pool: int = 500,
                jitter: float = 1e-8, max_jitter: float = 1e-4,
-               n_startup: int = 2) -> Configuration:
+               n_startup: int = 2,
+               units: dict[int, np.ndarray] | None = None) -> Configuration:
     """GP regression on (unit vector -> nu) with an SE kernel; proposes the
-    pool candidate maximizing expected improvement over the incumbent."""
+    pool candidate maximizing expected improvement over the incumbent.
+
+    `units` is the run's trial_id -> to_unit row cache (see _unit_history)."""
     distinct = {t.config.key() for t in history}
     if len(distinct) < max(2, n_startup):
         return sample(space, rng)
-    X, y = _unit_history(history, space)
+    X, y = _unit_history(history, space, units)
     y_mean, y_std = float(y.mean()), float(y.std())
     ys = (y - y_mean) / y_std if y_std > 0 else y - y_mean
 
@@ -379,17 +393,19 @@ def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
         return
 
     history: list[Trial] = []
+    units: dict[int, np.ndarray] = {}  # trial_id -> to_unit row (tpe, gp)
     for t in range(budget_B):
         rng = proposal_rng(seed, t)
         if strategy.kind == "random":
             config = sample(space, rng)
         elif strategy.kind == "tpe":
             config = tpe_propose(history, space, s["gamma"], s["n_candidates"],
-                                 rng, n_startup=s["n_startup"])
+                                 rng, n_startup=s["n_startup"], units=units)
         elif strategy.kind == "gp":
             config = gp_propose(history, space, rng, length_scale=s["length_scale"],
                                 n_pool=s["n_pool"], jitter=s["jitter"],
-                                max_jitter=s["max_jitter"], n_startup=s["n_startup"])
+                                max_jitter=s["max_jitter"], n_startup=s["n_startup"],
+                                units=units)
         elif strategy.kind == "anneal":
             config = anneal_propose(history, space, rng, t, p0=s["p0"],
                                     p_min=s["p_min"], sigma0=s["sigma0"], decay=s["decay"])
@@ -408,6 +424,7 @@ def _run_multifidelity(space, strategy, evaluate, budget_B, seed):
     if n_min is None:
         n_min = space.dim + 1
     by_resource: dict[float, list[Trial]] = {}
+    units: dict[int, np.ndarray] = {}  # trial_id -> to_unit row (bohb)
     calls = 0
     sweep = 0
     while calls < budget_B:
@@ -419,7 +436,7 @@ def _run_multifidelity(space, strategy, evaluate, budget_B, seed):
                 if rung_idx == 0:
                     configs = [
                         _propose_mf(strategy, space, by_resource, n_min,
-                                    derive_rng(seed, 2, sweep, bracket.s, c), s)
+                                    derive_rng(seed, 2, sweep, bracket.s, c), s, units)
                         for c in range(n_i)
                     ]
                 else:
@@ -438,12 +455,13 @@ def _run_multifidelity(space, strategy, evaluate, budget_B, seed):
         sweep += 1
 
 
-def _propose_mf(strategy, space, by_resource, n_min, rng, settings):
+def _propose_mf(strategy, space, by_resource, n_min, rng, settings, units=None):
     if strategy.kind == "hyperband":
         return sample(space, rng)
     # BOHB: TPE fitted on the highest-budget rung with enough observations
     for r in sorted(by_resource, reverse=True):
         if len(by_resource[r]) >= n_min:
             return tpe_propose(by_resource[r], space, settings["gamma"],
-                               settings["n_candidates"], rng, n_startup=n_min)
+                               settings["n_candidates"], rng, n_startup=n_min,
+                               units=units)
     return sample(space, rng)

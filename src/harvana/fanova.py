@@ -79,9 +79,9 @@ def _marginal_1d(tree: TreeData, grid: _DimGrid, dim: int) -> np.ndarray:
     if grid.categorical:
         # c = pred * prod of other extents, constant across the covered subset
         return tree.cat_masks[dim].T @ c
-    D = np.zeros(grid.n_segments + 1)
-    np.add.at(D, grid.a, c)
-    np.add.at(D, grid.b, -c)
+    # one bincount adds the +c and -c terms in the order two add.at calls would
+    D = np.bincount(np.concatenate([grid.a, grid.b]), weights=np.concatenate([c, -c]),
+                    minlength=grid.n_segments + 1)
     return np.cumsum(D)[: grid.n_segments]
 
 
@@ -89,11 +89,13 @@ def _marginal_2d(tree: TreeData, gu: _DimGrid, gv: _DimGrid, du: int, dv: int) -
     """E[f | z_u in seg, z_v in seg] on the (gu x gv) segment grid, exact."""
     c = tree.predictions * tree.volumes / (tree.extents[:, du] * tree.extents[:, dv])
     if not gu.categorical and not gv.categorical:
-        D = np.zeros((gu.n_segments + 1, gv.n_segments + 1))
-        np.add.at(D, (gu.a, gv.a), c)
-        np.add.at(D, (gu.b, gv.a), -c)
-        np.add.at(D, (gu.a, gv.b), -c)
-        np.add.at(D, (gu.b, gv.b), c)
+        # corner terms (a,a)+c, (b,a)-c, (a,b)-c, (b,b)+c as raveled indices in
+        # one bincount: same summation order as one add.at per corner
+        shape = (gu.n_segments + 1, gv.n_segments + 1)
+        idx = np.concatenate([gu.a * shape[1] + gv.a, gu.b * shape[1] + gv.a,
+                              gu.a * shape[1] + gv.b, gu.b * shape[1] + gv.b])
+        D = np.bincount(idx, weights=np.concatenate([c, -c, -c, c]),
+                        minlength=shape[0] * shape[1]).reshape(shape)
         return np.cumsum(np.cumsum(D, axis=0), axis=1)[: gu.n_segments, : gv.n_segments]
     if gu.categorical and gv.categorical:
         M = np.zeros((gu.n_segments, gv.n_segments))

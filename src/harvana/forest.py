@@ -8,6 +8,14 @@ categorical dim). Those leaf arrays are the one exact-marginal engine: both
 :mod:`harvana.fanova` integrate them under the uniform measure instead of
 sampling (the leaf-partition fANOVA of Hutter, Hoos & Leyton-Brown, 2014).
 The tree walk in :func:`predict` is kept as the independent point reference.
+
+Split search: a node gathers its numeric candidate dims into one (n, m)
+block and finds every column's best SSE split with one stable argsort, two
+running sums and one argmin along axis 0. Each column's parent SSE is
+computed on scalars, as a one-column search does: an array ``** 2`` can
+round one ulp differently from the scalar one and flip a near-tied choice
+between dims. Gains are then compared in the node's drawn dim order with a
+strict ``>``, and categorical dims keep their own prefix search.
 """
 
 from __future__ import annotations
@@ -95,25 +103,32 @@ def unit_to_feature(space: SearchSpace, dim: int, u: float) -> float:
 # ---------------------------------------------------------------------------
 # fitting
 
-def _best_numeric_split(z: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_numeric_splits(Zb: np.ndarray, y: np.ndarray, min_leaf: int) -> list:
+    """Per column of the (n, m) block: (gain, threshold) of the best SSE split,
+    or None where no threshold between distinct values leaves min_leaf rows
+    on each side."""
     n = len(y)
-    order = np.argsort(z, kind="stable")
-    zs, ys = z[order], y[order]
-    counts = np.arange(1, n)
+    order = np.argsort(Zb, axis=0, kind="stable")
+    zs = np.take_along_axis(Zb, order, axis=0)
+    ys = y[order]
+    counts = np.arange(1, n)[:, None]
     valid = (zs[1:] != zs[:-1]) & (counts >= min_leaf) & ((n - counts) >= min_leaf)
-    if not valid.any():
-        return None
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys * ys)
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
     ls, lq = csum[:-1], csq[:-1]
     rs, rq = csum[-1] - ls, csq[-1] - lq
     sse = (lq - ls * ls / counts) + (rq - rs * rs / (n - counts))
     sse = np.where(valid, sse, np.inf)
-    j = int(np.argmin(sse))
-    parent_sse = csq[-1] - csum[-1] ** 2 / n
-    gain = parent_sse - sse[j]
-    thr = 0.5 * (zs[j] + zs[j + 1])
-    return gain, thr
+    best = np.argmin(sse, axis=0)
+    out: list = []
+    for c, j in enumerate(best.tolist()):
+        if not valid[j, c]:  # argmin lands on an invalid row only if all are
+            out.append(None)
+            continue
+        # parent SSE on scalars: an array ** 2 can round one ulp differently
+        parent_sse = csq[-1, c] - csum[-1, c] ** 2 / n
+        out.append((parent_sse - sse[j, c], 0.5 * (zs[j, c] + zs[j + 1, c])))
+    return out
 
 
 def _best_categorical_split(z: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -155,13 +170,14 @@ def _build_tree(Z: np.ndarray, y: np.ndarray, cat_dims: dict[int, int],
         if depth >= max_depth or len(rows) < 2 * min_leaf or np.ptp(ys) == 0.0:
             return node
         dims = rng.choice(d, size=n_features, replace=False) if n_features < d else np.arange(d)
+        num = [int(dim) for dim in dims if dim not in cat_dims]
+        found = dict(zip(num, _best_numeric_splits(Z[np.ix_(rows, num)], ys, min_leaf)))
         best = (0.0, None, None)  # gain, dim, payload
         for dim in dims:
-            col = Z[rows, dim]
             if dim in cat_dims:
-                res = _best_categorical_split(col, ys, min_leaf)
+                res = _best_categorical_split(Z[rows, dim], ys, min_leaf)
             else:
-                res = _best_numeric_split(col, ys, min_leaf)
+                res = found[int(dim)]
             if res is not None and res[0] > best[0]:
                 best = (res[0], int(dim), res[1])
         if best[1] is None:

@@ -188,10 +188,6 @@ def from_unit(space: SearchSpace, u: Sequence[float]) -> Configuration:
     return Configuration({p.name: _from_unit_one(p, u[i]) for i, p in enumerate(space.params)})
 
 
-def discrete_mask(space: SearchSpace) -> np.ndarray:
-    return np.array([p.kind in ("integer", "categorical") for p in space.params])
-
-
 def sample(space: SearchSpace, rng_seed: int | np.random.Generator) -> Configuration:
     """Draw one configuration: each param independently from its prior."""
     validate_space(space)

@@ -245,7 +245,7 @@ def _analysis_forest(manifest: Manifest, trials: list[hyperspace.Trial],
                              seed=manifest.stage_seed("analyze"))
 
 
-def stage_generate(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
+def stage_generate(manifest: Manifest, force: bool = False) -> Path:
     out = manifest.path("data")
     if (out / "meta.json").exists() and not force:
         logger.info("generate: %s up-to-date", out)
@@ -268,7 +268,7 @@ def stage_generate(manifest: Manifest, force: bool = False, workers: int = 1) ->
     return out
 
 
-def stage_partition(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
+def stage_partition(manifest: Manifest, force: bool = False) -> Path:
     out = manifest.path("folds")
     if out.exists() and not force:
         logger.info("partition: %s up-to-date", out)
@@ -308,7 +308,7 @@ def stage_explore(manifest: Manifest, force: bool = False, workers: int = 1) -> 
     return out
 
 
-def stage_analyze(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
+def stage_analyze(manifest: Manifest, force: bool = False) -> Path:
     out_dir = manifest.path("reports")
     done = out_dir / "report_nu.json"
     if done.exists() and not force:
@@ -332,7 +332,7 @@ def stage_analyze(manifest: Manifest, force: bool = False, workers: int = 1) -> 
     return out_dir
 
 
-def stage_dgp(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
+def stage_dgp(manifest: Manifest, force: bool = False) -> Path:
     out = manifest.path("dgp")
     if out.exists() and not force:
         logger.info("dgp: %s up-to-date", out)
@@ -357,7 +357,7 @@ def stage_dgp(manifest: Manifest, force: bool = False, workers: int = 1) -> Path
     return out
 
 
-def stage_protocol(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
+def stage_protocol(manifest: Manifest, force: bool = False) -> Path:
     out = manifest.path("metrics")
     if out.exists() and not force:
         logger.info("protocol: %s up-to-date", out)
@@ -389,7 +389,7 @@ def stage_protocol(manifest: Manifest, force: bool = False, workers: int = 1) ->
     return out
 
 
-def stage_report(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
+def stage_report(manifest: Manifest, force: bool = False) -> Path:
     out_dir = manifest.path("report")
     done = out_dir / "summary.md"
     if done.exists() and not force:
@@ -500,7 +500,9 @@ def run_pipeline(manifest_path: str | Path, force: bool = False,
             logger.info("%s: toggled off in manifest", name)
             continue
         try:
-            artifacts.append(fn(manifest, force, workers))
+            # only exploration runs trials in parallel
+            extra = {"workers": workers} if name == "explore" else {}
+            artifacts.append(fn(manifest, force, **extra))
         except (ManifestError, hyperspace.SpaceError, learner.ConfigError,
                 dgp_mod.DgpError, sensors.SensorError, sensors.IngestError,
                 explorer.StrategyError, FileNotFoundError) as e:

@@ -376,3 +376,47 @@ def test_evolution_small_history(unit_space_2d):
     history = history_from(unit_space_2d, lambda u: u[0], 2)
     prop = evolution_propose(history, unit_space_2d, np.random.default_rng(0), 20)
     assert set(prop.values) == {"x0", "x1"}
+
+
+# ---------------------------------------------------------------------------
+# encode once: run() keeps one unit row per trial for the model-based rules
+
+def mixed_space():
+    return SearchSpace(params=(
+        ParamSpec("a", "continuous", 0.0, 1.0),
+        ParamSpec("lr", "continuous", 1e-4, 1e-1, prior="log"),
+        ParamSpec("k", "integer", 1, 6),
+        ParamSpec("m", "categorical", choices=("u", "v", "w")),
+    ))
+
+
+@pytest.mark.parametrize("strategy,budget", [
+    (Strategy("tpe"), 60),
+    (Strategy("gp"), 40),
+    (Strategy("bohb", {"R": 9, "eta": 3, "n_min": 5}), 60),
+])
+def test_run_encodes_each_trial_once(strategy, budget, monkeypatch, tmp_path):
+    import harvana.explorer as ex
+    space = mixed_space()
+    ev = sphere_evaluator(space, [0.3, 0.6, 0.5, 0.0])
+
+    calls = []
+    real_to_unit = ex.to_unit
+
+    def counting_to_unit(space, config):
+        calls.append(config)
+        return real_to_unit(space, config)
+
+    monkeypatch.setattr(ex, "to_unit", counting_to_unit)
+    kept = tmp_path / "kept.jsonl"
+    run(space, strategy, ev, budget_B=budget, seed=4, out_path=kept)
+    assert 0 < len(calls) <= budget
+
+    # the same run with proposals that see only a bare history
+    real_tpe, real_gp = ex.tpe_propose, ex.gp_propose
+    monkeypatch.setattr(ex, "to_unit", real_to_unit)
+    monkeypatch.setattr(ex, "tpe_propose", lambda *a, units=None, **k: real_tpe(*a, **k))
+    monkeypatch.setattr(ex, "gp_propose", lambda *a, units=None, **k: real_gp(*a, **k))
+    bare = tmp_path / "bare.jsonl"
+    run(space, strategy, ev, budget_B=budget, seed=4, out_path=bare)
+    assert kept.read_bytes() == bare.read_bytes()

@@ -196,3 +196,102 @@ def test_categorical_split_and_boxes():
     preds = predict(forest, Z)
     assert preds[0] == pytest.approx(0.0, abs=1e-9)
     assert preds[3] == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# split search: the all-dims block search against a one-column reference
+
+def naive_best_numeric_split(z: np.ndarray, y: np.ndarray, min_leaf: int):
+    """One column at a time: sort, running sums, best valid SSE split."""
+    n = len(y)
+    order = np.argsort(z, kind="stable")
+    zs, ys = z[order], y[order]
+    counts = np.arange(1, n)
+    valid = (zs[1:] != zs[:-1]) & (counts >= min_leaf) & ((n - counts) >= min_leaf)
+    if not valid.any():
+        return None
+    csum = np.cumsum(ys)
+    csq = np.cumsum(ys * ys)
+    ls, lq = csum[:-1], csq[:-1]
+    rs, rq = csum[-1] - ls, csq[-1] - lq
+    sse = (lq - ls * ls / counts) + (rq - rs * rs / (n - counts))
+    sse = np.where(valid, sse, np.inf)
+    j = int(np.argmin(sse))
+    parent_sse = csq[-1] - csum[-1] ** 2 / n
+    return parent_sse - sse[j], 0.5 * (zs[j] + zs[j + 1])
+
+
+def split_blocks():
+    """(Z, y, min_leaf) cases: tied values, constant columns, n == 2*min_leaf
+    and min_leaf at and past its limits."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, 8))
+        Z = rng.uniform(size=(n, m))
+        levels = int(rng.integers(1, 6))
+        for c in range(m):
+            kind = rng.integers(0, 3)
+            if kind == 1:  # ties: few distinct values
+                Z[:, c] = np.round(Z[:, c] * levels) / levels
+            elif kind == 2:  # constant column
+                Z[:, c] = Z[0, c]
+        y = rng.uniform(size=n) * 10.0 ** rng.integers(-3, 3)
+        if rng.uniform() < 0.2:
+            y = np.round(y, 1)  # tied responses
+        for min_leaf in {1, n // 2, (n + 1) // 2, int(rng.integers(1, n + 1))}:
+            yield Z, y, max(1, min_leaf)
+    # n == 2 * min_leaf exactly, with one, two and all-tied values
+    for Z in (np.array([[0.1], [0.2], [0.3], [0.4]]),
+              np.array([[0.1], [0.1], [0.3], [0.3]]),
+              np.array([[0.1], [0.1], [0.1], [0.3]]),
+              np.array([[0.5], [0.5], [0.5], [0.5]])):
+        yield Z, np.array([0.0, 1.0, 0.25, 0.75]), 2
+
+
+def test_block_split_search_matches_one_column_reference():
+    from harvana.forest import _best_numeric_splits
+    cases = nones = 0
+    for Z, y, min_leaf in split_blocks():
+        got = _best_numeric_splits(Z, y, min_leaf)
+        assert len(got) == Z.shape[1]
+        for c, res in enumerate(got):
+            ref = naive_best_numeric_split(Z[:, c], y, min_leaf)
+            cases += 1
+            if ref is None:
+                nones += 1
+                assert res is None
+            else:
+                assert res is not None
+                assert res[0] == ref[0] and res[1] == ref[1]
+    assert 0 < nones < cases
+
+
+def test_fitted_forest_matches_one_column_search(monkeypatch):
+    """One fixed fit, leaf arrays compared bit for bit against the same fit
+    with the one-column reference search. min_leaf=1 makes near-tied gains
+    between dims common, so a parent SSE that rounds one ulp off (an array
+    ** 2 instead of the scalar one) changes this forest."""
+    import harvana.forest as forest_mod
+    space = SearchSpace(params=(
+        ParamSpec("a", "continuous", 0.0, 1.0),
+        ParamSpec("lr", "continuous", 1e-4, 1e-1, prior="log"),
+        ParamSpec("k", "integer", 1, 6),
+        ParamSpec("mode", "categorical", choices=("x", "y", "z")),
+        ParamSpec("b", "continuous", 0.0, 1.0),
+        ParamSpec("c", "integer", 0, 3),
+    ))
+    trials = trials_from_function(
+        space, lambda u: 0.2 + 0.3 * np.sin(4 * u[0]) * u[2] + 0.2 * u[3]
+        + 0.2 * u[1] * u[4] + 0.1 * u[5], 120, seed=6)
+    got = fit_forest(trials, space, n_trees=16, seed=6, min_leaf=1)
+    monkeypatch.setattr(forest_mod, "_best_numeric_splits", lambda Zb, y, min_leaf: [
+        naive_best_numeric_split(Zb[:, c], y, min_leaf) for c in range(Zb.shape[1])])
+    ref = fit_forest(trials, space, n_trees=16, seed=6, min_leaf=1)
+    assert len(got.trees) == len(ref.trees)
+    for tg, tr in zip(got.trees, ref.trees):
+        for name in ("predictions", "lo", "hi"):
+            assert np.array_equal(getattr(tg, name), getattr(tr, name))
+        assert sorted(tg.cat_masks) == sorted(tr.cat_masks)
+        for dim in tr.cat_masks:
+            assert np.array_equal(tg.cat_masks[dim], tr.cat_masks[dim])
