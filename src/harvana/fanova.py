@@ -37,13 +37,6 @@ class ImportanceReport:
         return self.pairwise[key]
 
 
-@dataclass
-class InteractionGraph:
-    nodes: tuple[str, ...]
-    edges: list[tuple[str, str, float]]
-    threshold: float
-
-
 class _DimGrid:
     """Per-tree segment structure of one dimension (leaf edges or choices)."""
 
@@ -201,12 +194,6 @@ def pairwise_marginal_table(forest: Forest, u: str, v: str, resolution: int = 20
         iv = np.array([gv.locate(unit_to_feature(forest.space, dv, t)) for t in theta])
         values += M[np.ix_(iu, iv)]
     return theta, theta, values / forest.n_trees
-
-
-def interaction_graph(report: ImportanceReport, threshold: float) -> InteractionGraph:
-    """Edges where the pairwise share reaches the threshold; nodes always kept."""
-    edges = [(u, v, w) for (u, v), w in report.pairwise.items() if w >= threshold]
-    return InteractionGraph(nodes=report.params, edges=edges, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------

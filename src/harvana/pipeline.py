@@ -2,9 +2,12 @@
 dgp -> protocol -> report, driven by a JSON manifest.
 
 Stages are idempotent: each one is skipped when its output already exists
-unless force=True. Every JSON artifact embeds a provenance block (stage seed
-plus a hash of the manifest) and all outputs are byte-deterministic for a
-fixed manifest, so two runs produce identical trial logs, reports, and SVGs.
+unless force=True. A stage with several outputs checks the one it writes
+last, and exploration streams to a side file renamed on success, so a
+crashed stage never passes for done. Every JSON artifact embeds a provenance
+block (stage seed plus a hash of the manifest) and all outputs are
+byte-deterministic for a fixed manifest, so two runs produce identical trial
+logs, reports, and SVGs.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -247,7 +251,8 @@ def _analysis_forest(manifest: Manifest, trials: list[hyperspace.Trial],
 
 def stage_generate(manifest: Manifest, force: bool = False) -> Path:
     out = manifest.path("data")
-    if (out / "meta.json").exists() and not force:
+    # provenance.json is written last, so it marks a complete dataset
+    if (out / "provenance.json").exists() and not force:
         logger.info("generate: %s up-to-date", out)
         return out
     gen = manifest.doc["generate"]
@@ -301,9 +306,12 @@ def stage_explore(manifest: Manifest, force: bool = False, workers: int = 1) -> 
     base = model_config_from_json(exp.get("model") or {})
     evaluator = LearnerEvaluator(ds, folds, base, val_fold=int(exp.get("val_fold", 0)))
     strategy = explorer.Strategy(exp["strategy"], dict(exp.get("settings") or {}))
+    # stream to a side file: a crashed run must not leave a log that passes for done
+    partial = out.with_name(out.name + ".partial")
     explorer.run(space, strategy, evaluator, int(exp["budget"]),
-                 manifest.stage_seed("explore"), out_path=out,
+                 manifest.stage_seed("explore"), out_path=partial,
                  full_budget=float(base.epochs), workers=workers)
+    os.replace(partial, out)
     logger.info("explore: wrote %s", out)
     return out
 
@@ -318,16 +326,17 @@ def stage_analyze(manifest: Manifest, force: bool = False) -> Path:
     trials = hyperspace.read_trials(manifest.path("trials"))
     space = hyperspace.load_space(manifest.path("space"))
     prov = manifest.provenance("analyze")
-    responses = ["nu"] + [f"per_activity_nu[{a}]"
-                          for a in sorted(trials[0].per_activity_nu)]
+    # report_nu.json marks the stage done, so it is written last
+    responses = [f"per_activity_nu[{a}]"
+                 for a in sorted(trials[0].per_activity_nu)] + ["nu"]
     for resp in responses:
         rep = fanova.decompose(_analysis_forest(manifest, trials, space, resp))
         name = "nu" if resp == "nu" else resp[len("per_activity_nu["):-1]
+        report.importance_csv(rep, out_dir / f"report_{name}.csv", prov)
         doc = fanova.report_to_json(rep)
         doc["provenance"] = prov
         (out_dir / f"report_{name}.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        report.importance_csv(rep, out_dir / f"report_{name}.csv", prov)
     logger.info("analyze: wrote %s", out_dir)
     return out_dir
 

@@ -293,3 +293,71 @@ def test_stride_integer_is_samples_decimal_is_fraction(workdir):
             run_cli("partition", "--data", data, "--window", 10, "--stride", bad,
                     "--out", workdir / "bad.json")
         assert exc.value.code == 2
+
+
+def small_demo(tmp_path, stages):
+    """The demo manifest cut to 8 one-epoch trials, with `stages` already run."""
+    from harvana.pipeline import Manifest, demo_manifest, run_pipeline
+    path = demo_manifest(tmp_path / "demo")
+    doc = json.loads(path.read_text())
+    doc["explore"]["budget"] = 8
+    doc["explore"]["model"]["epochs"] = 1
+    doc["stages"] = stages
+    path.write_text(json.dumps(doc))
+    run_pipeline(path)
+    return Manifest.load(path)
+
+
+def test_crashed_explore_leaves_no_trial_log_and_reruns(tmp_path, monkeypatch):
+    from harvana.pipeline import LearnerEvaluator, stage_explore
+    manifest = small_demo(tmp_path, ["generate", "partition"])
+    evaluate, calls = LearnerEvaluator.__call__, []
+
+    def flaky(self, config, budget, seed):
+        calls.append(seed)
+        if len(calls) == 5:
+            raise RuntimeError("evaluator crashed at trial 5")
+        return evaluate(self, config, budget, seed)
+
+    monkeypatch.setattr(LearnerEvaluator, "__call__", flaky)
+    with pytest.raises(RuntimeError, match="trial 5"):
+        stage_explore(manifest)
+    trials = manifest.path("trials")
+    assert not trials.exists()
+    # the rerun, without force, explores again instead of taking 4 trials as done
+    stage_explore(manifest)
+    assert len(calls) == 5 + 8 and len(read_trials(trials)) == 8
+    assert [p.name for p in trials.parent.glob("trials.jsonl*")] == ["trials.jsonl"]
+
+
+def test_data_without_provenance_is_regenerated(tmp_path):
+    from harvana.pipeline import Manifest, demo_manifest, stage_generate
+    manifest = Manifest.load(demo_manifest(tmp_path / "demo"))
+    data = stage_generate(manifest)
+    want = {p.name: p.read_bytes() for p in data.iterdir()}
+    # a generate killed after meta.json: a CSV cut short, no provenance.json
+    (data / "provenance.json").unlink()
+    sorted(data.glob("*.csv"))[-1].write_text("")
+    stage_generate(manifest)
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == want
+
+
+def test_crashed_analyze_is_not_done(tmp_path, monkeypatch):
+    from harvana import fanova
+    from harvana.pipeline import stage_analyze
+    manifest = small_demo(tmp_path, ["generate", "partition", "explore"])
+    decompose, calls = fanova.decompose, []
+
+    def flaky(forest):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise RuntimeError("decompose crashed")
+        return decompose(forest)
+
+    monkeypatch.setattr(fanova, "decompose", flaky)
+    with pytest.raises(RuntimeError, match="decompose crashed"):
+        stage_analyze(manifest)
+    done = manifest.path("reports") / "report_nu.json"
+    assert not done.exists()
+    stage_analyze(manifest)
+    assert done.exists() and len(calls) == 2 + 4  # every response refitted

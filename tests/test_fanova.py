@@ -3,7 +3,6 @@ import pytest
 
 from harvana.fanova import (
     decompose,
-    interaction_graph,
     load_report,
     pairwise_marginal_table,
     report_from_json,
@@ -230,20 +229,6 @@ def test_pairwise_table_product_surface_interaction():
     inter = vals - mu[:, None] - mv[None, :] + f0
     assert (inter ** 2).mean() >= 5 * max(((mu - f0) ** 2).mean(),
                                           ((mv - f0) ** 2).mean())
-
-
-def test_interaction_graph_thresholds():
-    space = unit_space(3)
-    trials = trials_from_function(space, lambda u: (u[0] - 0.5) * (u[1] - 0.5) + 0.5, 300, seed=2)
-    forest = fit_forest(trials, space, seed=2)
-    report = decompose(forest)
-    g_all = interaction_graph(report, 0.0)
-    assert {frozenset((u, v)) for u, v, _ in g_all.edges} >= {frozenset(("x0", "x1"))}
-    g_none = interaction_graph(report, 1.1)
-    assert g_none.edges == []
-    assert g_none.nodes == report.params
-    g_mid = interaction_graph(report, 0.1)
-    assert [frozenset((u, v)) for u, v, _ in g_mid.edges] == [frozenset(("x0", "x1"))]
 
 
 def test_report_json_round_trip(tmp_path):

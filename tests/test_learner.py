@@ -261,6 +261,23 @@ def test_gradient_check_split_modalities_two_blocks():
     assert gradient_check(net, X, y, n_probes=12) <= 1e-4
 
 
+@pytest.mark.parametrize("n_filters", [1, 3])
+def test_gradient_check_split_channels_two_blocks(n_filters):
+    # every stack starts with a single-channel conv (the patch kernel); with
+    # one filter block 2 is single-channel too, so its input gradient feeds
+    # block 1's weights, and with three the dW layout of (F, 1, K) matters
+    dep = deployment(1, channels=2)  # one 2-channel source -> two stacks
+    cfg = ModelConfig(conv_mode="split_channels", n_conv_blocks=2,
+                      kernel_sizes=(5, 3, 3), n_filters=n_filters, stride_fraction=0.5,
+                      dropout=0.0, activation="tanh", classifier_head="softmax_linear")
+    net = build(cfg, dep, ("a", "b"), window_len=60, seed=7)
+    assert [conv.patches for conv in net.stacks[0][::3]] == [True, n_filters == 1]
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(6, 2, 60))
+    y = np.array([0, 1, 0, 1, 0, 1])
+    assert gradient_check(net, X, y, n_probes=24) <= 1e-4
+
+
 def naive_conv(x, W, b, stride, dy):
     """Direct loops over (n, f, o, c, k): y, dW, db and dx of a strided conv."""
     N, C, L = x.shape
@@ -289,6 +306,9 @@ CONV_CASES = {
     "uncovered_tail": (2, 2, 14, 3, 4, 3),
     "single_channel": (3, 1, 10, 4, 3, 2),
     "kernel_eq_length": (2, 3, 5, 4, 5, 2),
+    "single_channel_stride_1": (2, 1, 12, 4, 3, 1),
+    "single_channel_kernel_eq_length": (2, 1, 5, 4, 5, 2),
+    "single_channel_one_filter": (3, 1, 10, 1, 3, 2),
 }
 
 
