@@ -162,10 +162,17 @@ class _Conv1d:
     Input samples past the last window get zero gradient. Between forward
     and backward the layer keeps only a reference to its input: no im2col
     (N, O, C*K) buffer is built or kept.
+
+    With ``input_grad=False`` backward computes db and dW as above and
+    returns None, skipping the dx taps, the ``dcols`` GEMM and the
+    slice-adds. Network sets it on the first conv of each stack, whose
+    input is the data. The rule is the layer's position, not its shape: with
+    ``n_filters=1`` a later block is C = 1 too, and its dx feeds the weights
+    before it.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, input_grad: bool = True):
         a = math.sqrt(6.0 / (c_in * kernel + c_out))
         self.W = rng.uniform(-a, a, (c_out, c_in, kernel))
         self.b = np.zeros(c_out)
@@ -174,6 +181,7 @@ class _Conv1d:
         self.stride = stride
         self.kernel = kernel
         self.patches = c_in == 1
+        self.input_grad = input_grad
 
     def out_len(self, L: int) -> int:
         return (L - self.kernel) // self.stride + 1
@@ -197,23 +205,28 @@ class _Conv1d:
         y += self.b[None, :, None]
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         x = self._x
         s = self.stride
         span = (self.out_len(x.shape[2]) - 1) * s + 1
         self.db = dy.sum(axis=(0, 2))
-        dx = np.zeros(x.shape)
         if self.patches:
             cols = self._cols(x)
             self.dW = (dy @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.W.shape)
+        else:
+            self.dW = np.empty_like(self.W)
+            for k in range(self.kernel):
+                self.dW[:, :, k] = (dy @ x[:, :, k:k + span:s].transpose(0, 2, 1)).sum(axis=0)
+        if not self.input_grad:
+            return None
+        dx = np.zeros(x.shape)
+        if self.patches:
             dcols = self.W.reshape(len(self.W), -1).T @ dy
             for k in range(self.kernel):
                 dx[:, 0, k:k + span:s] += dcols[:, k]
-            return dx
-        self.dW = np.empty_like(self.W)
-        for k in range(self.kernel):
-            self.dW[:, :, k] = (dy @ x[:, :, k:k + span:s].transpose(0, 2, 1)).sum(axis=0)
-            dx[:, :, k:k + span:s] += self.W[:, :, k].T @ dy
+        else:
+            for k in range(self.kernel):
+                dx[:, :, k:k + span:s] += self.W[:, :, k].T @ dy
         return dx
 
     def params(self):
@@ -341,7 +354,9 @@ class Network:
                     if k > L:
                         raise ConfigError(
                             f"kernel {k} of block {b + 1} exceeds sequence length {L}")
-                    conv = _Conv1d(c_in, config.n_filters, k, stride, rng)
+                    # the first conv's input is the data: no one reads its dx
+                    conv = _Conv1d(c_in, config.n_filters, k, stride, rng,
+                                   input_grad=b > 0)
                     stack.extend([conv, _Activation(config.activation), _MaxPool2()])
                     L = conv.out_len(L) // 2
                     if L < 1:

@@ -215,6 +215,14 @@ class Manifest:
         return {"seed": self.stage_seed(stage), "config_hash": self.config_hash()}
 
 
+# What a failing stage raises: harvana's own errors derive from ValueError or
+# RuntimeError, the rest are Python's runtime failures. Any other exception,
+# such as a class a caller defines to end a run early from a hook, passes
+# through run_pipeline as raised.
+STAGE_FAILURES = (ValueError, RuntimeError, OSError, ArithmeticError, LookupError,
+                  TypeError, AttributeError, MemoryError, AssertionError)
+
+
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -512,9 +520,7 @@ def run_pipeline(manifest_path: str | Path, force: bool = False,
             # only exploration runs trials in parallel
             extra = {"workers": workers} if name == "explore" else {}
             artifacts.append(fn(manifest, force, **extra))
-        except (ManifestError, hyperspace.SpaceError, learner.ConfigError,
-                dgp_mod.DgpError, sensors.SensorError, sensors.IngestError,
-                explorer.StrategyError, FileNotFoundError) as e:
+        except STAGE_FAILURES as e:
             raise StageError(name, e) from e
     return artifacts
 

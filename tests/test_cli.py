@@ -361,3 +361,49 @@ def test_crashed_analyze_is_not_done(tmp_path, monkeypatch):
     assert not done.exists()
     stage_analyze(manifest)
     assert done.exists() and len(calls) == 2 + 4  # every response refitted
+
+
+
+def explore_only(tmp_path):
+    """The small demo with generate and partition done and only explore left."""
+    small_demo(tmp_path, ["generate", "partition"])
+    path = tmp_path / "demo" / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["stages"] = ["explore"]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_runtime_failure_names_its_stage_and_exits_3(tmp_path, monkeypatch, caplog):
+    import logging
+    from harvana.pipeline import LearnerEvaluator, StageError, run_pipeline
+    path = explore_only(tmp_path)
+
+    def crash(self, config, budget, seed):
+        raise RuntimeError("evaluator crashed")
+
+    monkeypatch.setattr(LearnerEvaluator, "__call__", crash)
+    with pytest.raises(StageError, match="evaluator crashed") as exc:
+        run_pipeline(path)
+    assert exc.value.stage == "explore" and isinstance(exc.value.cause, RuntimeError)
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("pipeline", "--manifest", path) == 3
+    assert any("stage 'explore' failed: evaluator crashed" in r.getMessage()
+               for r in caplog.records)
+
+
+def test_caller_signal_from_a_hook_passes_through_unwrapped(tmp_path, monkeypatch):
+    # a caller may end a run early by raising its own Exception subclass from
+    # a hook and catching it by type; only failures are wrapped in StageError
+    from harvana.pipeline import LearnerEvaluator, run_pipeline
+
+    class StopEarly(Exception):
+        pass
+
+    def stop(self, config, budget, seed):
+        raise StopEarly
+
+    path = explore_only(tmp_path)
+    monkeypatch.setattr(LearnerEvaluator, "__call__", stop)
+    with pytest.raises(StopEarly):
+        run_pipeline(path)

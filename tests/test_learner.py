@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,68 @@ def test_conv_keeps_no_buffer_beyond_its_input():
     assert held, "the layer must keep its input for the backward pass"
     for name, arr in held.items():
         assert np.shares_memory(arr, x), f"{name} is a buffer of its own"
+
+
+SKIP_CASES = {
+    # (conv_mode, n_conv_blocks, n_filters)
+    "grouped_1": ("grouped_modalities", 1, 3),
+    "grouped_2": ("grouped_modalities", 2, 3),
+    "split_modalities_1": ("split_modalities", 1, 3),
+    "split_modalities_2": ("split_modalities", 2, 3),
+    "split_channels_1": ("split_channels", 1, 3),
+    "split_channels_2": ("split_channels", 2, 3),
+    # block 2 is single-channel too, and its dx feeds block 1's weights
+    "split_channels_2_one_filter": ("split_channels", 2, 1),
+}
+
+
+def skip_case_network(case):
+    mode, blocks, n_filters = SKIP_CASES[case]
+    dep = deployment(2, channels=2)
+    cfg = ModelConfig(conv_mode=mode, n_conv_blocks=blocks, kernel_sizes=(5, 3, 3),
+                      n_filters=n_filters, stride_fraction=0.5, dropout=0.2,
+                      activation="tanh", classifier_head="mlp", dense_units=8)
+    return build(cfg, dep, ("a", "b"), window_len=60, seed=8)
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_skipped_input_gradient_leaves_parameter_gradients_unchanged(case):
+    net, ref = skip_case_network(case), skip_case_network(case)
+    for stack in ref.stacks:
+        for conv in stack[::3]:
+            conv.input_grad = True  # the reference computes every dx
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(6, 4, 60))
+    y = np.array([0, 1, 0, 1, 0, 1])
+    for _ in range(3):  # steps move the zero-initialised head off zero
+        for n in (net, ref):
+            n.loss_and_grads(X, y, training=True, rng=np.random.default_rng(1))
+            n.sgd_step(0.1)
+    for got, want in zip(net.gradients(), ref.gradients()):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_first_conv_of_each_stack_computes_no_input_gradient(case):
+    net = skip_case_network(case)
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(32, 4, 60))
+    net.features(X)
+    for stack in net.stacks:
+        for b, conv in enumerate(stack[::3]):
+            dy = rng.normal(size=(len(X), len(conv.W), conv.out_len(conv._x.shape[2])))
+            tracemalloc.start()
+            try:
+                dx = conv.backward(dy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if b == 0:
+                assert dx is None
+                # dW, db and the batch-summed (N, F, C or K) products only
+                assert peak < conv._x.nbytes // 2, peak
+            else:
+                assert dx.shape == conv._x.shape
 
 
 def test_relu_masks_gradient():
