@@ -120,6 +120,15 @@ def cmd_explore(args) -> int:
 def cmd_analyze(args) -> int:
     trials = hyperspace.read_trials(args.trials)
     space = hyperspace.load_space(args.space)
+    if args.pairwise:
+        # bad pairwise flags fail before anything is fitted or written
+        u, _, v = args.pairwise.partition(",")
+        if not v:
+            raise forest.ForestError("--pairwise expects two comma-separated params")
+        if not args.svg:
+            raise forest.ForestError("--pairwise needs --svg OUT")
+        u, v = u.strip(), v.strip()
+        fanova.pair_dims(space, u, v, args.resolution)
     full = max(t.budget for t in trials)
     full_trials = [t for t in trials if t.budget == full]
     fr = forest.fit_forest(full_trials, space, response=args.response,
@@ -133,13 +142,7 @@ def cmd_analyze(args) -> int:
         report.importance_csv(rep, args.csv)
         print(f"wrote {args.csv}")
     if args.pairwise:
-        u, _, v = args.pairwise.partition(",")
-        if not v:
-            raise forest.ForestError("--pairwise expects two comma-separated params")
-        u, v = u.strip(), v.strip()
         tu, tv, vals = fanova.pairwise_marginal_table(fr, u, v, args.resolution)
-        if not args.svg:
-            raise forest.ForestError("--pairwise needs --svg OUT")
         report.heatmap_svg(vals, args.svg, u, v,
                            title=f"marginal {args.response} over ({u}, {v})")
         grid_csv = args.grid_csv or str(Path(args.svg).with_suffix(".csv"))

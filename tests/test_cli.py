@@ -407,3 +407,54 @@ def test_caller_signal_from_a_hook_passes_through_unwrapped(tmp_path, monkeypatc
     monkeypatch.setattr(LearnerEvaluator, "__call__", stop)
     with pytest.raises(StopEarly):
         run_pipeline(path)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pairwise", "x0,x1"],                                      # no --svg
+    ["--pairwise", "x0", "--svg", "m.svg"],                       # one param
+    ["--pairwise", "x0,nosuch", "--svg", "m.svg"],                # unknown param
+    ["--pairwise", "x1,x1", "--svg", "m.svg"],                    # same param twice
+    ["--pairwise", "x0,x1", "--svg", "m.svg", "--resolution", 0],
+])
+def test_analyze_bad_pairwise_flags_exit_2_before_writing(tmp_path, flags, caplog):
+    import logging
+    space_path = tmp_path / "space.json"
+    save_space(SearchSpace(params=(
+        ParamSpec("x0", "continuous", 0.0, 1.0),
+        ParamSpec("x1", "continuous", 0.0, 1.0))), space_path)
+    trials = tmp_path / "t.jsonl"
+    assert run_cli("explore", "--space", space_path, "--budget", 10, "--seed", 1,
+                   "--out", trials, "--objective", "sphere") == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    flags = [tmp_path / f if str(f).endswith(".svg") else f for f in flags]
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("analyze", "--trials", trials, "--space", space_path,
+                       "--out", tmp_path / "r.json", "--csv", tmp_path / "r.csv",
+                       *flags) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert any("pairwise" in r.getMessage() or "param" in r.getMessage()
+               for r in caplog.records)
+
+
+@pytest.mark.parametrize("pairwise, resolution, message", [
+    ([["nosuch", "lr"]], 20, "unknown param 'nosuch'"),
+    ([["lr", "gain_hips_acc"]], 0, "resolution must be >= 1"),
+])
+def test_manifest_bad_report_pairwise_exits_2_naming_report(
+        demo_run, tmp_path, pairwise, resolution, message):
+    from harvana.forest import ForestError
+    from harvana.pipeline import StageError, run_pipeline
+    doc = json.loads((demo_run / "manifest.json").read_text())
+    # read the shared demo's artifacts, write the report into tmp_path
+    doc["paths"] = {k: str(demo_run / v) for k, v in doc["paths"].items()}
+    doc["paths"]["report"] = str(tmp_path / "report")
+    doc["stages"] = ["report"]
+    doc["report"]["pairwise"] = pairwise
+    doc["report"]["resolution"] = resolution
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=message) as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "report" and isinstance(exc.value.cause, ForestError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert not (tmp_path / "report" / "summary.md").exists()

@@ -240,10 +240,8 @@ def test_report_json_round_trip(tmp_path):
     assert report_from_json(report_to_json(report)) == report
 
 
-def test_marginals_match_add_at_accumulation():
-    """The bincount marginals equal the per-corner np.add.at accumulation bit
-    for bit on a fitted mixed forest."""
-    from harvana.fanova import _DimGrid, _marginal_1d, _marginal_2d
+def mixed_forest() -> Forest:
+    """Fitted forest over continuous, log, integer and categorical params."""
     space = SearchSpace(params=(
         ParamSpec("a", "continuous", 0.0, 1.0),
         ParamSpec("lr", "continuous", 1e-4, 1e-1, prior="log"),
@@ -252,10 +250,29 @@ def test_marginals_match_add_at_accumulation():
     ))
     trials = trials_from_function(
         space, lambda u: 0.3 * np.sin(4 * u[0]) * u[2] + 0.2 * u[1] + 0.1 * u[3], 80, seed=3)
-    forest = fit_forest(trials, space, n_trees=8, seed=3, min_leaf=1)
+    return fit_forest(trials, space, n_trees=8, seed=3, min_leaf=1)
+
+
+def gain_forest(n_trees: int = 16) -> Forest:
+    """Fitted forest over a log learning rate and 12 per-source gains, the
+    space pipeline.gain_space builds: 'lr' sorts after every 'gain_*', so
+    its pairs swap axes by name."""
+    space = SearchSpace(params=(ParamSpec("lr", "continuous", 0.005, 0.5, prior="log"),)
+                        + tuple(ParamSpec(f"gain_{i}", "continuous", 0.0, 1.0)
+                                for i in range(12)))
+    trials = trials_from_function(
+        space, lambda u: 0.3 * u[1] + 0.4 * u[2] * u[3] + 0.2 * (u[0] - 0.5) ** 2, 100, seed=3)
+    return fit_forest(trials, space, n_trees=n_trees, seed=1)
+
+
+def test_marginals_match_add_at_accumulation():
+    """The bincount marginals equal the per-corner np.add.at accumulation bit
+    for bit on a fitted mixed forest."""
+    from harvana.fanova import _dim_grids, _marginal_1d, _marginal_2d
+    forest = mixed_forest()
     numeric = [0, 1, 2]
     for tree in forest.trees:
-        grids = {dim: _DimGrid(tree, dim) for dim in numeric}
+        grids = dict(zip(numeric, _dim_grids(tree, numeric)))
         for u in numeric:
             g = grids[u]
             c = tree.predictions * tree.volumes / tree.extents[:, u]
@@ -275,3 +292,97 @@ def test_marginals_match_add_at_accumulation():
                 np.add.at(D2, (g.b, gv.b), c2)
                 ref = np.cumsum(np.cumsum(D2, axis=0), axis=1)[: g.n_segments, : gv.n_segments]
                 assert np.array_equal(_marginal_2d(tree, g, gv, u, v), ref)
+
+
+def reference_tree_decomposition(tree: TreeData, names):
+    """One dim and one pair at a time: np.unique leaf edges, one bincount grid
+    per numeric marginal, each pair's on its own (n_a + 1, n_b + 1) grid. The
+    reference for the one-pass grids; categorical pieces reuse the module's
+    per-leaf paths."""
+    from harvana.fanova import _DimGrid, _marginal_1d, _marginal_2d
+    d = len(names)
+    f0 = float(tree.predictions @ tree.volumes)
+    V = float((tree.predictions ** 2) @ tree.volumes - f0 ** 2)
+    grids, marginals = [], []
+    for dim in range(d):
+        if dim in tree.cat_masks:
+            n = tree.cat_masks[dim].shape[1]
+            g = _DimGrid(n, np.full(n, 1.0 / n), mask=tree.cat_masks[dim])
+            marginals.append(_marginal_1d(tree, g, dim))
+        else:
+            edges = np.unique(np.concatenate([tree.lo[:, dim], tree.hi[:, dim]]))
+            g = _DimGrid(len(edges) - 1, np.diff(edges), edges=edges,
+                         a=np.searchsorted(edges, tree.lo[:, dim]),
+                         b=np.searchsorted(edges, tree.hi[:, dim]))
+            c = tree.predictions * tree.volumes / tree.extents[:, dim]
+            D = np.bincount(np.concatenate([g.a, g.b]), weights=np.concatenate([c, -c]),
+                            minlength=g.n_segments + 1)
+            marginals.append(np.cumsum(D)[: g.n_segments])
+        grids.append(g)
+    Vu = np.array([float(grids[dim].lengths @ (marginals[dim] - f0) ** 2) for dim in range(d)])
+    Vuv = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            a, b = (i, j) if names[i] <= names[j] else (j, i)
+            ga, gb = grids[a], grids[b]
+            if ga.categorical or gb.categorical:
+                M = _marginal_2d(tree, ga, gb, a, b)
+            else:
+                c = tree.predictions * tree.volumes / (tree.extents[:, a] * tree.extents[:, b])
+                shape = (ga.n_segments + 1, gb.n_segments + 1)
+                idx = np.concatenate([ga.a * shape[1] + gb.a, ga.b * shape[1] + gb.a,
+                                      ga.a * shape[1] + gb.b, ga.b * shape[1] + gb.b])
+                D = np.bincount(idx, weights=np.concatenate([c, -c, -c, c]),
+                                minlength=shape[0] * shape[1]).reshape(shape)
+                M = np.cumsum(np.cumsum(D, axis=0), axis=1)[: ga.n_segments, : gb.n_segments]
+            fij = M - marginals[a][:, None] - marginals[b][None, :] + f0
+            area = ga.lengths[:, None] * gb.lengths[None, :]
+            Vuv[(i, j)] = float((area * fij ** 2).sum())
+    return V, Vu, Vuv
+
+
+@pytest.mark.parametrize("case", [
+    "gain_space", "mixed", "unsplit_dims", "single_leaf", "one_dim", "permuted"])
+def test_one_pass_pair_grid_equals_per_pair_reference(case):
+    from harvana.fanova import _tree_decomposition
+    if case == "gain_space":
+        forest = gain_forest()
+    elif case == "mixed":
+        forest = mixed_forest()
+    elif case == "unsplit_dims":
+        # x1 and x3 are never split: one segment each
+        forest = forest_from_roots(unit_space(4), [
+            split(0, 0.3, split(2, 0.6, leaf(0.1), leaf(0.7)), leaf(0.4)),
+            split(2, 0.25, leaf(0.9), split(0, 0.5, leaf(0.2), leaf(0.3)))])
+    elif case == "single_leaf":
+        forest = forest_from_roots(unit_space(3), [leaf(0.4)])
+    elif case == "one_dim":
+        forest = forest_from_roots(unit_space(1), [split(0, 0.5, leaf(0.0), leaf(1.0))])
+    else:
+        forest = permuted_forest(gain_forest(8), [3, 0, 12, 5, 1, 2, 4, 6, 11, 7, 8, 10, 9])
+    names = forest.space.names
+    n_pairs = len(names) * (len(names) - 1) // 2
+    for tree in forest.trees:
+        V, Vu, Vuv = _tree_decomposition(tree, names)
+        V_ref, Vu_ref, Vuv_ref = reference_tree_decomposition(tree, names)
+        assert V == V_ref
+        assert np.array_equal(Vu, Vu_ref)
+        assert Vuv == Vuv_ref and len(Vuv) == n_pairs
+    if case == "single_leaf":
+        assert V == 0.0
+
+
+def test_decompose_peak_memory_is_per_tree():
+    """One decompose of a recovery-size forest (13 dims, 100 trials, 64 trees:
+    78 pairs, at most 10 leaf edges per dim) allocates per tree. Its numpy
+    peak is about 0.4 MB; a (64 * 78, 10, 10) grid padded across the whole
+    forest would be 4 MB for one array alone."""
+    import tracemalloc
+    forest = gain_forest(n_trees=64)
+    tracemalloc.start()
+    try:
+        decompose(forest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
