@@ -1,21 +1,22 @@
 """Regression forest over trial logs, with exact leaf-box geometry.
 
 Trees are fitted in feature space: numeric params (continuous/integer) use
-their unit-cube coordinate, categorical params their choice index. Each tree
-is flattened into its leaf boxes (interval per numeric dim, choice subset per
-categorical dim). Those leaf arrays are the one exact-marginal engine: both
-:func:`marginal_predict` here and the variance decomposition in
-:mod:`harvana.fanova` integrate them under the uniform measure instead of
-sampling (the leaf-partition fANOVA of Hutter, Hoos & Leyton-Brown, 2014).
-The tree walk in :func:`predict` is kept as the independent point reference.
+their unit-cube coordinate, categorical params their choice index. A tree is
+a flat node table in preorder whose leaves are also kept as boxes (interval
+per numeric dim, choice subset per categorical dim). Those leaf arrays are the
+one exact-marginal engine: both :func:`marginal_predict` here and the
+variance decomposition in :mod:`harvana.fanova` integrate them under the
+uniform measure instead of sampling (the leaf-partition fANOVA of Hutter,
+Hoos & Leyton-Brown, 2014). :func:`predict`, a walk of the node tables for
+all query points at once, is kept as the independent point reference.
 
-Split search: a node gathers its numeric candidate dims into one (n, m)
-block and finds every column's best SSE split with one stable argsort, two
-running sums and one argmin along axis 0. Each column's parent SSE is
-computed on scalars, as a one-column search does: an array ``** 2`` can
-round one ulp differently from the scalar one and flip a near-tied choice
-between dims. Gains are then compared in the node's drawn dim order with a
-strict ``>``, and categorical dims keep their own prefix search.
+Split search is presorted (SLIQ; Mehta, Agrawal & Rissanen, 1996): a tree
+sorts its sample once per numeric dim with a stable argsort, and children
+inherit those orders by stable boolean compression, so ties stay in row
+order as a per-node stable argsort leaves them. A node scores only the gaps
+that leave min_leaf rows on each side. Parent SSE is computed per dim on
+scalars, gains are compared in the node's drawn dim order with a strict
+``>``, and categorical dims keep their prefix search on rows in row order.
 """
 
 from __future__ import annotations
@@ -34,24 +35,21 @@ class ForestError(ValueError):
 
 
 @dataclass
-class TreeNode:
-    """Internal node (split_dim set) or leaf (prediction set)."""
-    split_dim: int | None = None
-    split_value: float | None = None            # numeric: go left iff z < split_value
-    split_subset: frozenset[int] | None = None  # categorical: go left iff index in subset
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    prediction: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+class NodeTable:
+    """One tree as per-node arrays in preorder: a node, its left subtree, then
+    its right subtree. A leaf has split_dim -1 and children -1."""
+    split_dim: np.ndarray                  # (N,) int
+    threshold: np.ndarray                  # (N,) go left iff z < threshold; nan unless numeric
+    subset: list[frozenset[int] | None]    # categorical split: go left iff index in subset
+    left: np.ndarray                       # (N,) int
+    right: np.ndarray                      # (N,) int
+    value: np.ndarray                      # (N,) mean response of the node; a leaf's prediction
 
 
 @dataclass
 class TreeData:
-    """A fitted tree plus flattened leaf geometry for fast exact integrals."""
-    root: TreeNode
+    """A tree's node table plus flattened leaf geometry for fast exact integrals."""
+    nodes: NodeTable
     predictions: np.ndarray              # (L,)
     lo: np.ndarray                       # (L, d) numeric lower edges (cat dims unused)
     hi: np.ndarray                       # (L, d) numeric upper edges
@@ -71,10 +69,6 @@ class Forest:
     @property
     def n_trees(self) -> int:
         return len(self.trees)
-
-    @property
-    def dims(self) -> tuple[str, ...]:
-        return self.space.names
 
 
 def response_value(trial: Trial, response: str) -> float:
@@ -103,32 +97,27 @@ def unit_to_feature(space: SearchSpace, dim: int, u: float) -> float:
 # ---------------------------------------------------------------------------
 # fitting
 
-def _best_numeric_splits(Zb: np.ndarray, y: np.ndarray, min_leaf: int) -> list:
-    """Per column of the (n, m) block: (gain, threshold) of the best SSE split,
-    or None where no threshold between distinct values leaves min_leaf rows
-    on each side."""
-    n = len(y)
-    order = np.argsort(Zb, axis=0, kind="stable")
-    zs = np.take_along_axis(Zb, order, axis=0)
-    ys = y[order]
-    counts = np.arange(1, n)[:, None]
-    valid = (zs[1:] != zs[:-1]) & (counts >= min_leaf) & ((n - counts) >= min_leaf)
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    ls, lq = csum[:-1], csq[:-1]
-    rs, rq = csum[-1] - ls, csq[-1] - lq
+def _best_numeric_splits(zs: np.ndarray, ys: np.ndarray, min_leaf: int) -> list:
+    """Per row of the presorted (m, n) values zs and responses ys, n >= 2 *
+    min_leaf: (gain, threshold) of the best SSE split, or None where no
+    threshold between distinct values leaves min_leaf rows on each side."""
+    n = zs.shape[1]
+    a, b = min_leaf - 1, n - min_leaf  # legal gaps j in [a, b): rows 0..j go left
+    counts = np.arange(a + 1, b + 1)
+    valid = zs[:, a + 1:b + 1] != zs[:, a:b]
+    csum, csq = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
+    ls, lq = csum[:, a:b], csq[:, a:b]
+    rs, rq = csum[:, -1:] - ls, csq[:, -1:] - lq
     sse = (lq - ls * ls / counts) + (rq - rs * rs / (n - counts))
     sse = np.where(valid, sse, np.inf)
-    best = np.argmin(sse, axis=0)
-    out: list = []
-    for c, j in enumerate(best.tolist()):
-        if not valid[j, c]:  # argmin lands on an invalid row only if all are
-            out.append(None)
-            continue
-        # parent SSE on scalars: an array ** 2 can round one ulp differently
-        parent_sse = csq[-1, c] - csum[-1, c] ** 2 / n
-        out.append((parent_sse - sse[j, c], 0.5 * (zs[j, c] + zs[j + 1, c])))
-    return out
+    best, at = sse.argmin(axis=1), np.arange(len(sse))
+    low = sse[at, best].tolist()
+    za, zb = zs[at, a + best].tolist(), zs[at, a + best + 1].tolist()
+    tot, sq = csum[:, -1].tolist(), csq[:, -1].tolist()
+    # an inf minimum: no legal gap. Parent SSE on floats, as on numpy scalars:
+    # an array ** 2 can round one ulp differently and flip a near-tied choice
+    return [None if low[c] == math.inf else
+            (sq[c] - tot[c] ** 2 / n - low[c], 0.5 * (za[c] + zb[c])) for c in range(len(low))]
 
 
 def _best_categorical_split(z: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -161,96 +150,100 @@ def _best_categorical_split(z: np.ndarray, y: np.ndarray, min_leaf: int):
 
 def _build_tree(Z: np.ndarray, y: np.ndarray, cat_dims: dict[int, int],
                 max_depth: int, min_leaf: int, n_features: int,
-                rng: np.random.Generator) -> TreeNode:
-    d = Z.shape[1]
-
-    def rec(rows: np.ndarray, depth: int) -> TreeNode:
+                rng: np.random.Generator) -> NodeTable:
+    n, d = Z.shape
+    num = [dim for dim in range(d) if dim not in cat_dims]
+    Zt = Z[:, num].T
+    ids = np.argsort(Zt, axis=1, kind="stable")
+    # the tree's one sort: sample rows, values and responses, sorted per dim
+    # and flattened; a node holds (m, n_node) positions into them
+    rows_by, z_by, y_by = ids.ravel(), np.take_along_axis(Zt, ids, axis=1).ravel(), y[ids].ravel()
+    table: list[list] = []  # per node, the NodeTable fields in order
+    # depth first, left child first: the order of the dim draws. A loop, since a
+    # recursive closure would keep the tree's arrays until the cycle collector
+    # ran. Entry: the node's rows in row order, its parent's positions, which
+    # are the node's (None at the root), depth, the node it is right child of.
+    stack = [(np.arange(n), np.arange(ids.size).reshape(ids.shape), None, 0, None)]
+    while stack:
+        rows, pos, keep, depth, parent = stack.pop()
+        if parent is not None:
+            parent[4] = len(table)
         ys = y[rows]
-        node = TreeNode(prediction=float(ys.mean()))
-        if depth >= max_depth or len(rows) < 2 * min_leaf or np.ptp(ys) == 0.0:
-            return node
-        dims = rng.choice(d, size=n_features, replace=False) if n_features < d else np.arange(d)
-        num = [int(dim) for dim in dims if dim not in cat_dims]
-        found = dict(zip(num, _best_numeric_splits(Z[np.ix_(rows, num)], ys, min_leaf)))
+        # a leaf until it splits; ys.sum() / n is ys.mean() without its wrapper
+        table.append(node := [-1, math.nan, None, -1, -1, float(ys.sum() / len(ys))])
+        if depth >= max_depth or len(rows) < 2 * min_leaf or ys.max() - ys.min() == 0.0:
+            continue
+        if keep is not None:  # compressed only for nodes that search
+            pos = pos[keep].reshape(len(num), len(rows))
+        dims = (rng.choice(d, size=n_features, replace=False) if n_features < d
+                else np.arange(d)).tolist()
+        # every numeric dim is searched, the drawn ones are read
+        found = dict(zip(num, _best_numeric_splits(z_by.take(pos), y_by.take(pos), min_leaf)))
         best = (0.0, None, None)  # gain, dim, payload
         for dim in dims:
-            if dim in cat_dims:
-                res = _best_categorical_split(Z[rows, dim], ys, min_leaf)
-            else:
-                res = found[int(dim)]
+            res = (_best_categorical_split(Z[rows, dim], ys, min_leaf) if dim in cat_dims
+                   else found[dim])
             if res is not None and res[0] > best[0]:
-                best = (res[0], int(dim), res[1])
+                best = (res[0], dim, res[1])
         if best[1] is None:
-            return node
+            continue
         _, dim, payload = best
-        if dim in cat_dims:
-            mask = np.isin(Z[rows, dim].astype(int), list(payload))
-            node.split_subset = payload
-        else:
-            mask = Z[rows, dim] < payload
-            node.split_value = float(payload)
-        node.split_dim = dim
-        node.prediction = None
-        node.left = rec(rows[mask], depth + 1)
-        node.right = rec(rows[~mask], depth + 1)
-        return node
-
-    return rec(np.arange(len(y)), 0)
+        cat = dim in cat_dims
+        side = np.isin(Z[:, dim].astype(int), list(payload)) if cat else Z[:, dim] < payload
+        node[:3] = (dim, math.nan, payload) if cat else (dim, float(payload), None)
+        node[3] = len(table)  # the left child is next in preorder
+        go, mask = side[rows_by.take(pos)], side[rows]
+        stack.append((rows[~mask], pos, ~go, depth + 1, node))
+        stack.append((rows[mask], pos, go, depth + 1, None))
+    split_dim, threshold, subset, left, right, value = zip(*table)
+    return NodeTable(np.array(split_dim), np.array(threshold), list(subset),
+                     np.array(left), np.array(right), np.array(value))
 
 
-def _collect_leaves(root: TreeNode, space: SearchSpace) -> TreeData:
-    d = space.dim
+def _left_choices(nodes: NodeTable, width: int) -> np.ndarray:
+    """(N, width) bool: the choice indices each categorical split sends left."""
+    goes_left = np.zeros((len(nodes.subset), width), dtype=bool)
+    for i, s in enumerate(nodes.subset):
+        if s is not None:
+            goes_left[i, list(s)] = True
+    return goes_left
+
+
+def _tree_data(nodes: NodeTable, space: SearchSpace) -> TreeData:
+    """Leaf boxes of a preorder node table, leaves in preorder. One level at
+    a time, every child takes its parent's box and narrows the split dim."""
+    N, d = len(nodes.value), space.dim
     cat_sizes = {i: p.n_choices for i, p in enumerate(space.params) if p.kind == "categorical"}
-    leaves: list[tuple[float, list]] = []  # (prediction, per dim (lo, hi) or choice set)
-
-    def rec(node: TreeNode, box: list):
-        if node.is_leaf:
-            leaves.append((node.prediction, list(box)))
-            return
-        dim = node.split_dim
-        saved = box[dim]
-        if node.split_subset is not None:
-            left = set(saved) & set(node.split_subset)
-            right = set(saved) - set(node.split_subset)
-            box[dim] = left
-            rec(node.left, box)
-            box[dim] = right
-            rec(node.right, box)
-        else:
-            box[dim] = (saved[0], node.split_value)
-            rec(node.left, box)
-            box[dim] = (node.split_value, saved[1])
-            rec(node.right, box)
-        box[dim] = saved
-
-    init: list = [set(range(cat_sizes[i])) if i in cat_sizes else (0.0, 1.0) for i in range(d)]
-    rec(root, init)
-
-    L = len(leaves)
-    preds = np.array([pred for pred, _ in leaves])
-    lo = np.zeros((L, d))
-    hi = np.ones((L, d))
-    extents = np.ones((L, d))
-    cat_masks = {dim: np.zeros((L, n), dtype=bool) for dim, n in cat_sizes.items()}
-    for li, (_, box) in enumerate(leaves):
-        for dim in range(d):
-            if dim in cat_sizes:
-                for c in box[dim]:
-                    cat_masks[dim][li, c] = True
-                extents[li, dim] = len(box[dim]) / cat_sizes[dim]
-            else:
-                lo[li, dim], hi[li, dim] = box[dim]
-                extents[li, dim] = box[dim][1] - box[dim][0]
-    return TreeData(root=root, predictions=preds, lo=lo, hi=hi,
-                    cat_masks=cat_masks, extents=extents,
-                    volumes=extents.prod(axis=1))
+    goes_left = _left_choices(nodes, max(p.n_choices for p in space.params))
+    lo, hi = np.zeros((N, d)), np.ones((N, d))
+    masks = {dim: np.ones((N, k), dtype=bool) for dim, k in cat_sizes.items()}
+    level = np.zeros(1, dtype=int)
+    while len(level):
+        inner = level[nodes.split_dim[level] >= 0]
+        sd, lt, rt = nodes.split_dim[inner], nodes.left[inner], nodes.right[inner]
+        for box in (lo, hi, *masks.values()):
+            box[lt] = box[rt] = box[inner]
+        num = ~np.isnan(nodes.threshold[inner])
+        hi[lt[num], sd[num]] = lo[rt[num], sd[num]] = nodes.threshold[inner[num]]
+        for dim, k in cat_sizes.items():
+            on = sd == dim
+            masks[dim][lt[on]] &= goes_left[inner[on], :k]
+            masks[dim][rt[on]] &= ~goes_left[inner[on], :k]
+        level = np.concatenate([lt, rt])
+    leaves = np.flatnonzero(nodes.split_dim < 0)
+    lo, hi = lo[leaves], hi[leaves]
+    extents = hi - lo
+    cat_masks = {dim: m[leaves] for dim, m in masks.items()}
+    for dim, k in cat_sizes.items():
+        extents[:, dim] = cat_masks[dim].sum(axis=1) / k
+    return TreeData(nodes=nodes, predictions=nodes.value[leaves], lo=lo, hi=hi,
+                    cat_masks=cat_masks, extents=extents, volumes=extents.prod(axis=1))
 
 
-def forest_from_roots(space: SearchSpace, roots: Sequence[TreeNode],
-                      response: str = "nu") -> Forest:
-    """Wrap hand-built trees (e.g. planted splits) in a Forest."""
-    trees = [_collect_leaves(r, space) for r in roots]
-    return Forest(trees=trees, space=space, response=response, n_trials=0)
+def forest_from_tables(space: SearchSpace, tables: Sequence[NodeTable],
+                       response: str = "nu") -> Forest:
+    """Wrap hand-built node tables (e.g. planted splits) in a Forest."""
+    return Forest([_tree_data(t, space) for t in tables], space, response, n_trials=0)
 
 
 def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu",
@@ -263,6 +256,9 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
     per node. Deterministic for a fixed seed.
     """
     validate_space(space)
+    if not (n_trees >= 1 and min_leaf >= 1 and max_depth >= 0 and 0.0 < feature_frac <= 1.0):
+        raise ForestError("need n_trees >= 1, min_leaf >= 1, max_depth >= 0, 0 < feature_frac <= 1;"
+                          f" got {n_trees}, {min_leaf}, {max_depth}, {feature_frac}")
     if len({t.config.key() for t in trials}) < 2:
         raise ForestError("need at least 2 trials with distinct configs")
     Z = np.stack([encode_config(space, t.config) for t in trials])
@@ -274,8 +270,8 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
     def one_tree(t: int) -> TreeData:
         rng = derive_rng(seed, t)
         rows = rng.integers(0, len(y), len(y)) if bootstrap else np.arange(len(y))
-        root = _build_tree(Z[rows], y[rows], cat_dims, max_depth, min_leaf, n_features, rng)
-        return _collect_leaves(root, space)
+        return _tree_data(_build_tree(Z[rows], y[rows], cat_dims, max_depth, min_leaf,
+                                      n_features, rng), space)
 
     trees = [one_tree(t) for t in range(n_trees)]
     return Forest(trees=trees, space=space, response=response,
@@ -285,22 +281,22 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
 # ---------------------------------------------------------------------------
 # prediction
 
-def _tree_point_predict(root: TreeNode, z: np.ndarray) -> float:
-    node = root
-    while not node.is_leaf:
-        if node.split_subset is not None:
-            node = node.left if int(z[node.split_dim]) in node.split_subset else node.right
-        else:
-            node = node.left if z[node.split_dim] < node.split_value else node.right
-    return node.prediction
-
-
 def predict(forest: Forest, Z: np.ndarray) -> np.ndarray:
-    """Mean point prediction over trees; Z rows in feature space."""
+    """Mean point prediction over trees; Z rows in feature space. Each node
+    table is walked for all rows at once, one level per step."""
     Z = np.atleast_2d(Z)
+    width = max(p.n_choices for p in forest.space.params)
     out = np.zeros(len(Z))
     for tree in forest.trees:
-        out += np.array([_tree_point_predict(tree.root, z) for z in Z])
+        nodes, at = tree.nodes, np.zeros(len(Z), dtype=int)
+        goes_left = _left_choices(nodes, width)
+        while len(walking := np.flatnonzero(nodes.split_dim[at] >= 0)):
+            node = at[walking]
+            z, thr = Z[walking, nodes.split_dim[node]], nodes.threshold[node]
+            go, cat = z < thr, np.isnan(thr)
+            go[cat] = goes_left[node[cat], z[cat].astype(int)]
+            at[walking] = np.where(go, nodes.left[node], nodes.right[node])
+        out += nodes.value[at]
     return out / forest.n_trees
 
 

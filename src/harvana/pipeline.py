@@ -412,25 +412,30 @@ def stage_report(manifest: Manifest, force: bool = False) -> Path:
     if done.exists() and not force:
         logger.info("report: %s up-to-date", out_dir)
         return out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prov = manifest.provenance("report")
     rep_cfg = manifest.doc["report"]
     space = hyperspace.load_space(manifest.path("space"))
+    resolution = int(rep_cfg.get("resolution", 20))
+    pairs = rep_cfg.get("pairwise") or []  # checked before any write or fit
+    if resolution < 1 or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise forest.ForestError("report.pairwise entries must be [u, v] and resolution must"
+                                 f" be >= 1, got {pairs} and {resolution}")
+    for u, v in pairs:
+        fanova.pair_dims(space, u, v, resolution)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    prov = manifest.provenance("report")
     trials = hyperspace.read_trials(manifest.path("trials"))
     overall = fanova.report_from_json(json.loads(
         (manifest.path("reports") / "report_nu.json").read_text()))
     report.importance_csv(overall, out_dir / "importance.csv", prov)
 
     # pairwise marginal heat maps for the named (or top) pairs
-    pairs = [tuple(p) for p in rep_cfg.get("pairwise") or []]
     if not pairs:
         ranked = sorted(overall.pairwise.items(), key=lambda kv: -kv[1])
         pairs = [k for k, w in ranked[:2] if w > 0]
     if pairs:
         fr = _analysis_forest(manifest, trials, space, "nu")
         for u, v in pairs:
-            tu, tv, vals = fanova.pairwise_marginal_table(
-                fr, u, v, int(rep_cfg.get("resolution", 20)))
+            tu, tv, vals = fanova.pairwise_marginal_table(fr, u, v, resolution)
             report.heatmap_svg(vals, out_dir / f"marginal_{u}_{v}.svg", u, v,
                                title=f"marginal nu over ({u}, {v})", provenance=prov)
             report.pairwise_grid_csv(tu, tv, vals, u, v,

@@ -16,7 +16,7 @@ from harvana.dgp import (
 )
 from harvana.explorer import Strategy, hyperband_schedule, run
 from harvana.fanova import decompose
-from harvana.forest import Forest, fit_forest, forest_from_roots, marginal_predict, predict
+from harvana.forest import Forest, fit_forest, forest_from_tables, marginal_predict, predict
 from harvana.hyperspace import ParamSpec, SearchSpace, sample, to_unit
 from harvana.learner import ModelConfig, build, run_protocol, stat_features
 from harvana.sensors import (
@@ -51,7 +51,7 @@ def test_criterion_01_fanova_oracle_equivalence():
     res = 20
     rng = np.random.default_rng(101)
     space = unit_space(3)
-    forest = forest_from_roots(
+    forest = forest_from_tables(
         space, [random_planted_root(rng, 3, res=res, max_depth=5) for _ in range(6)])
 
     # forest predictions on the full grid once; brute marginals are slice means

@@ -458,3 +458,53 @@ def test_manifest_bad_report_pairwise_exits_2_naming_report(
     assert exc.value.stage == "report" and isinstance(exc.value.cause, ForestError)
     assert run_cli("pipeline", "--manifest", manifest) == 2
     assert not (tmp_path / "report" / "summary.md").exists()
+
+
+def demo_stage_manifest(demo_run, tmp_path, stage: str, out_key: str, out_name: str,
+                        edit: dict):
+    """A manifest that reads the shared demo's artifacts, runs one stage and
+    writes its output under tmp_path; edit maps a section to its overrides."""
+    doc = json.loads((demo_run / "manifest.json").read_text())
+    doc["paths"] = {k: str(demo_run / v) for k, v in doc["paths"].items()}
+    doc["paths"][out_key] = str(tmp_path / out_name)
+    doc["stages"] = [stage]
+    for section, values in edit.items():
+        doc[section].update(values)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+@pytest.mark.parametrize("edit", [
+    {"pairwise": [["lr"]]},
+    {"pairwise": [["lr", "gain_hips_acc", "gain_torso_acc"]]},
+    {"pairwise": [["lr", "gain_hips_acc"], ["nosuch", "lr"]]},
+    {"pairwise": [7]},
+    {"pairwise": [], "resolution": 0},
+], ids=["one_name", "three_names", "unknown_second_pair", "not_a_list",
+        "resolution_without_pairs"])
+def test_manifest_bad_report_pairs_exit_2_and_write_nothing(demo_run, tmp_path, edit):
+    from harvana.pipeline import StageError, run_pipeline
+    manifest = demo_stage_manifest(demo_run, tmp_path, "report", "report", "report",
+                                   {"report": edit})
+    with pytest.raises(StageError) as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "report"
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert not (tmp_path / "report").exists()
+
+
+def test_analyze_n_trees_0_exits_2(demo_run, tmp_path):
+    from harvana.forest import ForestError
+    from harvana.pipeline import StageError, run_pipeline
+    manifest = demo_stage_manifest(demo_run, tmp_path, "analyze", "reports", "reports",
+                                   {"analyze": {"n_trees": 0}})
+    with pytest.raises(StageError, match="need n_trees >= 1") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "analyze" and isinstance(exc.value.cause, ForestError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert not list((tmp_path / "reports").glob("report_*"))
+    out = tmp_path / "r.json"
+    assert run_cli("analyze", "--trials", demo_run / "trials.jsonl",
+                   "--space", demo_run / "space.json", "--n-trees", 0, "--out", out) == 2
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from harvana.fanova import (
     report_to_json,
     save_report,
 )
-from harvana.forest import Forest, TreeData, TreeNode, fit_forest, forest_from_roots, marginal_predict
+from harvana.forest import Forest, TreeData, fit_forest, forest_from_tables, marginal_predict
 from harvana.hyperspace import ParamSpec, SearchSpace, sample, to_unit
 
 from conftest import make_trial, trials_from_function, unit_space
@@ -48,18 +50,12 @@ def permuted_forest(forest: Forest, perm: list[int]) -> Forest:
     space = SearchSpace(params=tuple(
         forest.space.params[perm.index(j)] for j in range(len(perm))))
     inv = np.argsort(perm)
-
-    def remap(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return TreeNode(prediction=node.prediction)
-        return TreeNode(split_dim=perm[node.split_dim], split_value=node.split_value,
-                        split_subset=node.split_subset,
-                        left=remap(node.left), right=remap(node.right))
+    to = np.append(perm, -1)  # a leaf's split_dim -1 stays -1
 
     trees = []
     for t in forest.trees:
         trees.append(TreeData(
-            root=remap(t.root),
+            nodes=dataclasses.replace(t.nodes, split_dim=to[t.nodes.split_dim]),
             predictions=t.predictions.copy(),
             lo=t.lo[:, inv], hi=t.hi[:, inv],
             cat_masks={perm[dim]: m.copy() for dim, m in t.cat_masks.items()},
@@ -73,7 +69,7 @@ def permuted_forest(forest: Forest, perm: list[int]) -> Forest:
 def test_single_split_all_variance_on_one_dim():
     space = unit_space(3)
     root = split(1, 0.5, leaf(0.0), leaf(1.0))
-    report = decompose(forest_from_roots(space, [root]))
+    report = decompose(forest_from_tables(space, [root]))
     assert report.individual["x1"] == pytest.approx(1.0, abs=1e-12)
     assert report.individual["x0"] == 0.0
     assert report.individual["x2"] == 0.0
@@ -83,7 +79,7 @@ def test_single_split_all_variance_on_one_dim():
 
 def test_constant_forest_degenerate():
     space = unit_space(2)
-    report = decompose(forest_from_roots(space, [leaf(0.4), leaf(0.4)]))
+    report = decompose(forest_from_tables(space, [leaf(0.4), leaf(0.4)]))
     assert report.degenerate
     assert report.total_variance == 0.0
     assert all(v == 0.0 for v in report.individual.values())
@@ -92,7 +88,7 @@ def test_constant_forest_degenerate():
 def test_decompose_matches_brute_force_shares():
     space = unit_space(3)
     rng = np.random.default_rng(42)
-    forest = forest_from_roots(space, [random_planted_root(rng, 3) for _ in range(6)])
+    forest = forest_from_tables(space, [random_planted_root(rng, 3) for _ in range(6)])
     report, per_tree = decompose(forest, return_per_tree=True)
     # brute-force on each tree separately (per-tree ratios are averaged)
     briefs = []
@@ -113,11 +109,8 @@ def test_categorical_decomposition_matches_enumeration():
         ParamSpec("m", "categorical", choices=("a", "b", "c")),
         ParamSpec("x", "continuous", 0.0, 1.0),
     ))
-    from harvana.forest import TreeNode
-    root = TreeNode(split_dim=0, split_subset=frozenset({0, 2}),
-                    left=split(1, 0.25, leaf(0.1), leaf(0.9)),
-                    right=leaf(0.5))
-    forest = forest_from_roots(space, [root])
+    root = split(0, {0, 2}, split(1, 0.25, leaf(0.1), leaf(0.9)), leaf(0.5))
+    forest = forest_from_tables(space, [root])
 
     res = 20
     pts = grid_points(res)
@@ -200,14 +193,14 @@ def test_permutation_equivariance_exact():
 
 def test_pairwise_table_constant_forest_flat():
     space = unit_space(2)
-    _, _, vals = pairwise_marginal_table(forest_from_roots(space, [leaf(0.3)]), "x0", "x1", 8)
+    _, _, vals = pairwise_marginal_table(forest_from_tables(space, [leaf(0.3)]), "x0", "x1", 8)
     assert np.allclose(vals, 0.3)
 
 
 def test_pairwise_table_matches_pointwise_marginal():
     space = unit_space(3)
     rng = np.random.default_rng(19)
-    forest = forest_from_roots(space, [random_planted_root(rng, 3) for _ in range(4)])
+    forest = forest_from_tables(space, [random_planted_root(rng, 3) for _ in range(4)])
     tu, tv, vals = pairwise_marginal_table(forest, "x0", "x2", 10)
     for i in [0, 3, 9]:
         for j in [0, 5, 9]:
@@ -233,7 +226,7 @@ def test_pairwise_table_product_surface_interaction():
 
 def test_report_json_round_trip(tmp_path):
     space = unit_space(2)
-    report = decompose(forest_from_roots(space, [split(0, 0.25, leaf(0.0), leaf(1.0))]))
+    report = decompose(forest_from_tables(space, [split(0, 0.25, leaf(0.0), leaf(1.0))]))
     save_report(report, tmp_path / "r.json")
     back = load_report(tmp_path / "r.json")
     assert back == report
@@ -351,13 +344,13 @@ def test_one_pass_pair_grid_equals_per_pair_reference(case):
         forest = mixed_forest()
     elif case == "unsplit_dims":
         # x1 and x3 are never split: one segment each
-        forest = forest_from_roots(unit_space(4), [
+        forest = forest_from_tables(unit_space(4), [
             split(0, 0.3, split(2, 0.6, leaf(0.1), leaf(0.7)), leaf(0.4)),
             split(2, 0.25, leaf(0.9), split(0, 0.5, leaf(0.2), leaf(0.3)))])
     elif case == "single_leaf":
-        forest = forest_from_roots(unit_space(3), [leaf(0.4)])
+        forest = forest_from_tables(unit_space(3), [leaf(0.4)])
     elif case == "one_dim":
-        forest = forest_from_roots(unit_space(1), [split(0, 0.5, leaf(0.0), leaf(1.0))])
+        forest = forest_from_tables(unit_space(1), [split(0, 0.5, leaf(0.0), leaf(1.0))])
     else:
         forest = permuted_forest(gain_forest(8), [3, 0, 12, 5, 1, 2, 4, 6, 11, 7, 8, 10, 9])
     names = forest.space.names

@@ -1,33 +1,51 @@
+import math
+
 import numpy as np
 import pytest
 
 from harvana.forest import (
     ForestError,
-    TreeNode,
+    NodeTable,
     encode_config,
     fit_forest,
-    forest_from_roots,
+    forest_from_tables,
     marginal_predict,
     predict,
+    response_value,
 )
-from harvana.hyperspace import Configuration, ParamSpec, SearchSpace
+from harvana.hyperspace import Configuration, ParamSpec, SearchSpace, derive_rng
 
 from conftest import make_trial, trials_from_function, unit_space
 
 
-def leaf(pred: float) -> TreeNode:
-    return TreeNode(prediction=pred)
+def leaf(pred: float) -> NodeTable:
+    return NodeTable(split_dim=np.array([-1]), threshold=np.array([np.nan]), subset=[None],
+                     left=np.array([-1]), right=np.array([-1]), value=np.array([pred]))
 
 
-def split(dim: int, thr: float, left: TreeNode, right: TreeNode) -> TreeNode:
-    return TreeNode(split_dim=dim, split_value=thr, left=left, right=right)
+def split(dim: int, thr, left: NodeTable, right: NodeTable) -> NodeTable:
+    """Preorder table of a split node over two subtrees: go left iff z < thr,
+    or, when thr is a set of choice indices, iff the choice is in it."""
+    cat = isinstance(thr, (set, frozenset))
+    k = 1 + len(left.value)  # the right subtree's root
+
+    def shift(children: np.ndarray, by: int) -> np.ndarray:
+        return np.where(children >= 0, children + by, -1)
+
+    return NodeTable(
+        split_dim=np.concatenate([[dim], left.split_dim, right.split_dim]),
+        threshold=np.concatenate([[np.nan if cat else thr], left.threshold, right.threshold]),
+        subset=[frozenset(thr) if cat else None] + left.subset + right.subset,
+        left=np.concatenate([[1], shift(left.left, 1), shift(right.left, k)]),
+        right=np.concatenate([[k], shift(left.right, 1), shift(right.right, k)]),
+        value=np.concatenate([[np.nan], left.value, right.value]))
 
 
 def grid_points(res: int) -> np.ndarray:
     return (np.arange(res) + 0.5) / res
 
 
-def random_planted_root(rng, d: int, res: int = 20, max_depth: int = 4) -> TreeNode:
+def random_planted_root(rng, d: int, res: int = 20, max_depth: int = 4) -> NodeTable:
     """Random tree whose thresholds sit on the res-grid, so brute-force cell
     averaging is exact."""
 
@@ -103,7 +121,7 @@ def test_fewer_than_two_distinct_configs():
 
 def test_marginal_all_dims_is_point_prediction():
     rng = np.random.default_rng(11)
-    numeric = forest_from_roots(unit_space(3), [random_planted_root(rng, 3) for _ in range(5)])
+    numeric = forest_from_tables(unit_space(3), [random_planted_root(rng, 3) for _ in range(5)])
     # interior points, and the cube's closed edges 0.0 and 1.0
     cases = [(numeric, theta, theta) for theta in (
         [0.31, 0.62, 0.93], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.5])]
@@ -125,7 +143,7 @@ def test_marginal_all_dims_is_point_prediction():
 
 def test_marginal_single_leaf_tree():
     space = unit_space(2)
-    forest = forest_from_roots(space, [leaf(0.7)])
+    forest = forest_from_tables(space, [leaf(0.7)])
     assert marginal_predict(forest, ["x0"], [0.3]) == pytest.approx(0.7, abs=1e-15)
     assert marginal_predict(forest, ["x1"], [0.9]) == pytest.approx(0.7, abs=1e-15)
 
@@ -133,7 +151,7 @@ def test_marginal_single_leaf_tree():
 def test_marginal_matches_brute_force_enumeration():
     space = unit_space(3)
     rng = np.random.default_rng(23)
-    forest = forest_from_roots(space, [random_planted_root(rng, 3) for _ in range(4)])
+    forest = forest_from_tables(space, [random_planted_root(rng, 3) for _ in range(4)])
     pts = grid_points(20)
     for dim, name in enumerate(space.names):
         for theta in pts[::4]:
@@ -149,7 +167,7 @@ def test_marginal_matches_brute_force_enumeration():
 
 def test_marginal_unknown_param():
     space = unit_space(2)
-    forest = forest_from_roots(space, [leaf(0.5)])
+    forest = forest_from_tables(space, [leaf(0.5)])
     with pytest.raises(ForestError, match="unknown param"):
         marginal_predict(forest, ["nope"], [0.5])
 
@@ -253,7 +271,10 @@ def test_block_split_search_matches_one_column_reference():
     from harvana.forest import _best_numeric_splits
     cases = nones = 0
     for Z, y, min_leaf in split_blocks():
-        got = _best_numeric_splits(Z, y, min_leaf)
+        if len(y) < 2 * min_leaf:  # the build never searches such a node
+            continue
+        order = np.argsort(Z.T, axis=1, kind="stable")
+        got = _best_numeric_splits(np.take_along_axis(Z.T, order, axis=1), y[order], min_leaf)
         assert len(got) == Z.shape[1]
         for c, res in enumerate(got):
             ref = naive_best_numeric_split(Z[:, c], y, min_leaf)
@@ -267,13 +288,68 @@ def test_block_split_search_matches_one_column_reference():
     assert 0 < nones < cases
 
 
-def test_fitted_forest_matches_one_column_search(monkeypatch):
-    """One fixed fit, leaf arrays compared bit for bit against the same fit
-    with the one-column reference search. min_leaf=1 makes near-tied gains
-    between dims common, so a parent SSE that rounds one ulp off (an array
-    ** 2 instead of the scalar one) changes this forest."""
-    import harvana.forest as forest_mod
-    space = SearchSpace(params=(
+# ---------------------------------------------------------------------------
+# the presorted build against the per-node-argsort build it replaced
+
+def reference_fit(trials, space, response="nu", n_trees=64, max_depth=10, min_leaf=3,
+                  feature_frac=5 / 6, seed=0, bootstrap=True):
+    """Leaf arrays of the per-node-argsort build: every node sorts its rows
+    one drawn numeric column at a time, and leaf boxes are carried down the
+    recursion. Same rng stream: bootstrap rows, then dim draws in DFS order."""
+    from harvana.forest import _best_categorical_split
+    Z = np.stack([encode_config(space, t.config) for t in trials])
+    y = np.array([response_value(t, response) for t in trials])
+    d = space.dim
+    cat = {i: p.n_choices for i, p in enumerate(space.params) if p.kind == "categorical"}
+    n_features = min(d, max(1, math.ceil(d * feature_frac)))
+    trees = []
+    for t in range(n_trees):
+        rng = derive_rng(seed, t)
+        rows = rng.integers(0, len(y), len(y)) if bootstrap else np.arange(len(y))
+        Zb, yb = Z[rows], y[rows]
+        leaves = []  # (prediction, lo, hi, {cat dim: choice set})
+
+        def rec(idx, depth, lo, hi, choices):
+            ys = yb[idx]
+            best = (0.0, None, None)
+            if not (depth >= max_depth or len(idx) < 2 * min_leaf or np.ptp(ys) == 0.0):
+                dims = rng.choice(d, size=n_features, replace=False) if n_features < d \
+                    else np.arange(d)
+                for dim in dims:
+                    res = (_best_categorical_split(Zb[idx, dim], ys, min_leaf) if dim in cat
+                           else naive_best_numeric_split(Zb[idx, dim], ys, min_leaf))
+                    if res is not None and res[0] > best[0]:
+                        best = (res[0], int(dim), res[1])
+            dim, rule = best[1], best[2]
+            if dim is None:
+                leaves.append((float(ys.mean()), lo, hi, choices))
+            elif dim in cat:
+                mask = np.isin(Zb[idx, dim].astype(int), list(rule))
+                rec(idx[mask], depth + 1, lo, hi, {**choices, dim: choices[dim] & rule})
+                rec(idx[~mask], depth + 1, lo, hi, {**choices, dim: choices[dim] - rule})
+            else:
+                mask = Zb[idx, dim] < rule
+                left_hi, right_lo = hi.copy(), lo.copy()
+                left_hi[dim] = right_lo[dim] = rule
+                rec(idx[mask], depth + 1, lo, left_hi, choices)
+                rec(idx[~mask], depth + 1, right_lo, hi, choices)
+
+        rec(np.arange(len(yb)), 0, np.zeros(d), np.ones(d),
+            {dim: frozenset(range(k)) for dim, k in cat.items()})
+        lo = np.array([leaf[1] for leaf in leaves])
+        hi = np.array([leaf[2] for leaf in leaves])
+        extents = hi - lo
+        cat_masks = {dim: np.array([[c in leaf[3][dim] for c in range(k)] for leaf in leaves])
+                     for dim, k in cat.items()}
+        for dim, k in cat.items():
+            extents[:, dim] = cat_masks[dim].sum(axis=1) / k
+        trees.append(dict(predictions=np.array([leaf[0] for leaf in leaves]), lo=lo, hi=hi,
+                          extents=extents, volumes=extents.prod(axis=1), cat_masks=cat_masks))
+    return trees
+
+
+def mixed_space() -> SearchSpace:
+    return SearchSpace(params=(
         ParamSpec("a", "continuous", 0.0, 1.0),
         ParamSpec("lr", "continuous", 1e-4, 1e-1, prior="log"),
         ParamSpec("k", "integer", 1, 6),
@@ -281,17 +357,111 @@ def test_fitted_forest_matches_one_column_search(monkeypatch):
         ParamSpec("b", "continuous", 0.0, 1.0),
         ParamSpec("c", "integer", 0, 3),
     ))
-    trials = trials_from_function(
-        space, lambda u: 0.2 + 0.3 * np.sin(4 * u[0]) * u[2] + 0.2 * u[3]
-        + 0.2 * u[1] * u[4] + 0.1 * u[5], 120, seed=6)
-    got = fit_forest(trials, space, n_trees=16, seed=6, min_leaf=1)
-    monkeypatch.setattr(forest_mod, "_best_numeric_splits", lambda Zb, y, min_leaf: [
-        naive_best_numeric_split(Zb[:, c], y, min_leaf) for c in range(Zb.shape[1])])
-    ref = fit_forest(trials, space, n_trees=16, seed=6, min_leaf=1)
-    assert len(got.trees) == len(ref.trees)
-    for tg, tr in zip(got.trees, ref.trees):
-        for name in ("predictions", "lo", "hi"):
-            assert np.array_equal(getattr(tg, name), getattr(tr, name))
-        assert sorted(tg.cat_masks) == sorted(tr.cat_masks)
-        for dim in tr.cat_masks:
-            assert np.array_equal(tg.cat_masks[dim], tr.cat_masks[dim])
+
+
+def mixed_trials(n: int = 120, seed: int = 6):
+    return trials_from_function(
+        mixed_space(), lambda u: 0.2 + 0.3 * np.sin(4 * u[0]) * u[2] + 0.2 * u[3]
+        + 0.2 * u[1] * u[4] + 0.1 * u[5], n, seed=seed)
+
+
+def assert_same_leaves(got, ref) -> None:
+    assert len(got.trees) == len(ref)
+    for tg, tr in zip(got.trees, ref):
+        for name in ("predictions", "lo", "hi", "extents", "volumes"):
+            assert np.array_equal(getattr(tg, name), tr[name]), name
+        assert sorted(tg.cat_masks) == sorted(tr["cat_masks"])
+        for dim in tr["cat_masks"]:
+            assert np.array_equal(tg.cat_masks[dim], tr["cat_masks"][dim])
+
+
+def test_fitted_forest_matches_one_column_search():
+    """One fixed fit, leaf arrays compared bit for bit against the
+    per-node-argsort build. min_leaf=1 makes near-tied gains between dims
+    common, so a parent SSE that rounds one ulp off (an array ** 2 instead of
+    the scalar one) changes this forest."""
+    fit = dict(n_trees=16, seed=6, min_leaf=1)
+    trials = mixed_trials()
+    assert_same_leaves(fit_forest(trials, mixed_space(), **fit),
+                       reference_fit(trials, mixed_space(), **fit))
+
+
+def gain_space() -> SearchSpace:
+    return SearchSpace(params=(ParamSpec("lr", "continuous", 0.005, 0.5, prior="log"),)
+                       + tuple(ParamSpec(f"gain_{i}", "continuous", 0.0, 1.0)
+                               for i in range(12)))
+
+
+def tied_space() -> SearchSpace:
+    return SearchSpace(params=tuple(ParamSpec(f"i{j}", "integer", 0, 2) for j in range(4))
+                       + (ParamSpec("x", "continuous", 0.0, 1.0),))
+
+
+@pytest.mark.parametrize("space, trials, fit", [
+    (gain_space(), trials_from_function(
+        gain_space(), lambda u: 0.3 * u[1] + 0.4 * u[2] * u[3] + 0.2 * (u[0] - 0.5) ** 2,
+        100, seed=3), dict(n_trees=16, seed=1)),
+    (mixed_space(), mixed_trials(80, seed=2), dict(n_trees=8, seed=2, bootstrap=False)),
+    (mixed_space(), mixed_trials(60, seed=4), dict(n_trees=8, seed=4, max_depth=1)),
+    # integer columns of three levels: most gaps are ties
+    (tied_space(), trials_from_function(
+        tied_space(), lambda u: 0.2 * u[0] + 0.3 * u[1] * u[2] + 0.1 * u[3] + 0.05 * u[4],
+        90, seed=5), dict(n_trees=12, seed=5, min_leaf=2)),
+    # n == 2 * min_leaf: only the middle gap is legal
+    (mixed_space(), mixed_trials(8, seed=7), dict(n_trees=8, seed=7, min_leaf=4,
+                                                   bootstrap=False)),
+], ids=["gain_space", "mixed_no_bootstrap", "mixed_depth_1", "tied_integers", "n_2_min_leaf"])
+def test_presorted_build_equals_per_node_argsort_build(space, trials, fit):
+    assert_same_leaves(fit_forest(trials, space, **fit), reference_fit(trials, space, **fit))
+
+
+# ---------------------------------------------------------------------------
+# vectorised predict against a per-point walk of the node table
+
+def walk(nodes: NodeTable, z: np.ndarray) -> float:
+    i = 0
+    while nodes.split_dim[i] >= 0:
+        dim, subset = nodes.split_dim[i], nodes.subset[i]
+        go_left = int(z[dim]) in subset if subset is not None else z[dim] < nodes.threshold[i]
+        i = nodes.left[i] if go_left else nodes.right[i]
+    return float(nodes.value[i])
+
+
+def test_predict_equals_per_point_walk():
+    space = mixed_space()
+    hand = forest_from_tables(space, [
+        split(3, {0, 2}, split(0, 0.25, leaf(0.1), split(5, 1 / 3, leaf(0.2), leaf(0.3))),
+              split(2, 0.6, leaf(0.4), split(3, {1}, leaf(0.5), leaf(0.6)))),
+        leaf(0.7)])
+    fitted = fit_forest(mixed_trials(), space, n_trees=6, seed=6, min_leaf=1)
+    rng = np.random.default_rng(3)
+    for forest in (hand, fitted):
+        Z = rng.uniform(size=(60, space.dim))
+        Z[:, 3] = rng.integers(0, 3, len(Z))
+        # points on every numeric threshold, and on the cube's edges 0.0 and 1.0
+        on = [(tree.nodes.split_dim[i], tree.nodes.threshold[i]) for tree in forest.trees
+              for i in np.flatnonzero(tree.nodes.split_dim >= 0) if tree.nodes.subset[i] is None]
+        assert on
+        for k, (dim, thr) in enumerate(on):
+            Z[20 + k % 40, dim] = thr
+        Z[:10, [0, 1, 2, 4, 5]] = 1.0
+        Z[10:20, [0, 1, 2, 4, 5]] = 0.0
+        ref = np.zeros(len(Z))
+        for tree in forest.trees:
+            ref += np.array([walk(tree.nodes, z) for z in Z])
+        assert np.array_equal(predict(forest, Z), ref / forest.n_trees)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_trees=0), dict(min_leaf=0), dict(min_leaf=-2), dict(max_depth=-1),
+    dict(feature_frac=0.0), dict(feature_frac=1.5), dict(feature_frac=float("nan")),
+])
+def test_fit_rejects_bad_arguments(kwargs):
+    with pytest.raises(ForestError, match="need n_trees >= 1"):
+        fit_forest(mixed_trials(20), mixed_space(), **kwargs)
+
+
+def test_fit_accepts_range_edges():
+    forest = fit_forest(mixed_trials(20), mixed_space(), n_trees=1, min_leaf=1, max_depth=0,
+                        feature_frac=1.0)
+    assert len(forest.trees[0].predictions) == 1
