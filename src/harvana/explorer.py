@@ -5,6 +5,14 @@ hyperband), and sequential model-based (bohb, tpe, gp). All strategies
 minimize the overall validation loss nu; f1 is recorded but never optimized.
 `run` is a pure function of (space, strategy, evaluator, budget, seed): two
 runs with the same arguments produce byte-identical trial logs.
+
+A run encodes each trial to the unit cube once. For GP it also keeps a
+GPCache: the history rows, their squared distances (one new row per trial,
+bit-identical to a full rebuild) and the distinct config keys. The GP's
+linear algebra stays on one BLAS library: numpy and scipy each load their
+own OpenBLAS with its own thread pool, so every LAPACK call is scipy's and
+the numpy work between them avoids BLAS GEMMs (the pool cross term is an
+einsum), or numpy's still-spinning threads compete with scipy's.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .hyperspace import (
     Configuration,
@@ -152,22 +160,25 @@ def tpe_propose(history: Sequence[Trial], space: SearchSpace, gamma: float,
     cat = [p.kind == "categorical" for p in space.params]
     sizes = [p.n_choices for p in space.params]
 
-    def bandwidth(vals: np.ndarray) -> float:
-        return max(0.05, 1.06 * float(vals.std()) * len(vals) ** -0.2)
+    def bandwidths(vals: np.ndarray) -> np.ndarray:
+        # one contiguous row per dim: each std is the per-column reduction
+        std = np.ascontiguousarray(vals.T).std(axis=1)
+        return np.maximum(0.05, 1.06 * std * len(vals) ** -0.2)
 
     def cat_probs(vals: np.ndarray, k: int) -> np.ndarray:
         idx = np.rint(vals * (k - 1)).astype(int)
         counts = np.bincount(idx, minlength=k).astype(float)
         return (counts + 1.0) / (len(vals) + k)
 
-    bw_good = [None if cat[j] else bandwidth(good[:, j]) for j in range(d)]
-    bw_bad = [None if cat[j] else bandwidth(bad[:, j]) for j in range(d)]
+    bw_good, bw_bad = bandwidths(good), bandwidths(bad)
     pg = [cat_probs(good[:, j], sizes[j]) if cat[j] else None for j in range(d)]
     pb = [cat_probs(bad[:, j], sizes[j]) if cat[j] else None for j in range(d)]
 
-    def kde_logpdf(pts: np.ndarray, centers: np.ndarray, bw: float) -> np.ndarray:
-        z = (pts[:, None] - centers[None, :]) / bw
-        dens = np.exp(-0.5 * z * z).mean(axis=1) / (bw * math.sqrt(2 * math.pi))
+    def kde_logpdf(pts: np.ndarray, centers: np.ndarray, bw: np.ndarray) -> np.ndarray:
+        """Per-dim log KDE of `pts` (n_cand, d) about `centers` (n, d), one
+        bandwidth per dim; returns (d, n_cand)."""
+        z = (pts.T[:, :, None] - centers.T[:, None, :]) / bw[:, None, None]
+        dens = np.exp(-0.5 * z * z).mean(axis=2) / (bw[:, None] * math.sqrt(2 * math.pi))
         return np.log(np.maximum(dens, 1e-300))
 
     # draw candidates from the good-set model
@@ -180,14 +191,17 @@ def tpe_propose(history: Sequence[Trial], space: SearchSpace, gamma: float,
             centers = good[rng.integers(0, len(good), n_candidates), j]
             cand[:, j] = np.clip(centers + rng.normal(0.0, bw_good[j], n_candidates), 0.0, 1.0)
 
+    # every dim in one pass; the categorical rows are not read
+    log_l = kde_logpdf(cand, good, bw_good)
+    log_g = kde_logpdf(cand, bad, bw_bad)
     score = np.zeros(n_candidates)
     for j in range(d):
         if cat[j]:
             idx = np.rint(cand[:, j] * (sizes[j] - 1)).astype(int)
             score += np.log(pg[j][idx]) - np.log(pb[j][idx])
         else:
-            score += kde_logpdf(cand[:, j], good[:, j], bw_good[j])
-            score -= kde_logpdf(cand[:, j], bad[:, j], bw_bad[j])
+            score += log_l[j]
+            score -= log_g[j]
     return from_unit(space, cand[int(np.argmax(score))])
 
 
@@ -203,24 +217,70 @@ def expected_improvement(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.n
     return np.maximum(out, 0.0)
 
 
+class GPCache:
+    """A run's GP state, grown by one trial per proposal: the history's unit
+    rows `X`, their squared distances `sq`, and the distinct config keys.
+
+    Each new row of `sq` is `((x - X) ** 2).sum(axis=1)`, the same contiguous
+    d-element reduction as the full `(X[:, None] - X[None]) ** 2` broadcast,
+    so the kernel matrix is bit-identical to a fresh build."""
+
+    def __init__(self, space: SearchSpace):
+        self.space = space
+        self.trials: list[Trial] = []
+        self.distinct: set = set()
+        self.X = np.empty((0, space.dim))
+        self.sq = np.empty((0, 0))
+
+    def sync(self, history: Sequence[Trial], units: dict[int, np.ndarray]) -> None:
+        """Append history's new trials; a history that does not extend the
+        cached one is rebuilt through the same appends."""
+        if list(history[:len(self.trials)]) != self.trials:
+            self.__init__(self.space)
+        for t in history[len(self.trials):]:
+            if t.trial_id not in units:
+                units[t.trial_id] = to_unit(self.space, t.config)
+            self.X = np.vstack([self.X, units[t.trial_id]])
+            row = ((self.X[-1] - self.X) ** 2).sum(axis=1)
+            self.sq = np.block([[self.sq, row[:-1, None]], [row]])
+            self.trials.append(t)
+            self.distinct.add(t.config.key())
+
+
+def _pool_sq_dists(pool: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Squared distances of every pool row to every history row as
+    |p|^2 + |x|^2 - 2 p.x, clamped at 0. The cross term is an einsum, not
+    `@`: a numpy GEMM leaves numpy's BLAS threads spinning into scipy's
+    LAPACK calls, and the two libraries' thread pools then fight for the
+    same CPUs."""
+    pp = np.einsum("ij,ij->i", pool, pool)
+    xx = np.einsum("ij,ij->i", X, X)
+    return np.maximum(pp[:, None] + xx[None, :] - 2.0 * np.einsum("ij,kj->ik", pool, X), 0.0)
+
+
 def gp_propose(history: Sequence[Trial], space: SearchSpace, rng: np.random.Generator,
                length_scale: float = 0.2, n_pool: int = 500,
                jitter: float = 1e-8, max_jitter: float = 1e-4,
                n_startup: int = 2,
-               units: dict[int, np.ndarray] | None = None) -> Configuration:
+               units: dict[int, np.ndarray] | None = None,
+               cache: GPCache | None = None) -> Configuration:
     """GP regression on (unit vector -> nu) with an SE kernel; proposes the
     pool candidate maximizing expected improvement over the incumbent.
 
-    `units` is the run's trial_id -> to_unit row cache (see _unit_history)."""
-    distinct = {t.config.key() for t in history}
-    if len(distinct) < max(2, n_startup):
+    `units` is the run's trial_id -> to_unit row cache (see _unit_history)
+    and `cache` the run's GPCache; a fresh one of each serves a bare call.
+    The predictive variance comes from one triangular solve (Rasmussen &
+    Williams, 2006, Alg. 2.1); every LAPACK call is scipy's."""
+    cache = GPCache(space) if cache is None else cache
+    cache.sync(history, {} if units is None else units)
+    if len(cache.distinct) < max(2, n_startup):
         return sample(space, rng)
-    X, y = _unit_history(history, space, units)
+    X = cache.X
+    y = np.array([t.nu for t in history])
     y_mean, y_std = float(y.mean()), float(y.std())
     ys = (y - y_mean) / y_std if y_std > 0 else y - y_mean
 
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    K = np.exp(-0.5 * sq / length_scale ** 2)
+    K = np.exp(-0.5 * cache.sq / length_scale ** 2)
     eps = jitter
     while True:
         try:
@@ -234,11 +294,10 @@ def gp_propose(history: Sequence[Trial], space: SearchSpace, rng: np.random.Gene
     alpha = cho_solve(chol, ys)
 
     pool = rng.uniform(size=(n_pool, space.dim))
-    sq_p = ((pool[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    Ks = np.exp(-0.5 * sq_p / length_scale ** 2)
+    Ks = np.exp(-0.5 * _pool_sq_dists(pool, X) / length_scale ** 2)
     mu = Ks @ alpha
-    v = cho_solve(chol, Ks.T)
-    var = np.maximum(1.0 - np.einsum("ij,ji->i", Ks, v), 0.0)
+    v = solve_triangular(chol[0], Ks.T, lower=True)
+    var = np.maximum(1.0 - np.einsum("ij,ij->j", v, v), 0.0)
     ei = expected_improvement(mu, np.sqrt(var), best=float(ys.min()))
     return from_unit(space, pool[int(np.argmax(ei))])
 
@@ -394,6 +453,7 @@ def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
 
     history: list[Trial] = []
     units: dict[int, np.ndarray] = {}  # trial_id -> to_unit row (tpe, gp)
+    gp_cache = GPCache(space)
     for t in range(budget_B):
         rng = proposal_rng(seed, t)
         if strategy.kind == "random":
@@ -405,7 +465,7 @@ def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
             config = gp_propose(history, space, rng, length_scale=s["length_scale"],
                                 n_pool=s["n_pool"], jitter=s["jitter"],
                                 max_jitter=s["max_jitter"], n_startup=s["n_startup"],
-                                units=units)
+                                units=units, cache=gp_cache)
         elif strategy.kind == "anneal":
             config = anneal_propose(history, space, rng, t, p0=s["p0"],
                                     p_min=s["p_min"], sigma0=s["sigma0"], decay=s["decay"])

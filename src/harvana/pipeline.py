@@ -198,9 +198,22 @@ class Manifest:
     def path(self, key: str) -> Path:
         return self.root / self.doc["paths"][key]
 
+    def number(self, key: str, kind: type = int, default=None):
+        """The value at dotted `key` (e.g. "analyze.n_trees") read as `kind`;
+        a missing or non-numeric value raises ManifestError naming the key."""
+        *sections, name = key.split(".")
+        doc = self.doc
+        for section in sections:
+            doc = doc[section]
+        value = doc.get(name, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ManifestError(f"{key} must be a number, got {value!r}") from None
+
     @property
     def seed(self) -> int:
-        return int(self.doc["seed"])
+        return self.number("seed")
 
     def stage_seed(self, stage: str) -> int:
         offsets = {"generate": 1, "partition": 2, "explore": 3, "analyze": 4,
@@ -235,8 +248,9 @@ class StageError(RuntimeError):
 
 def _dataset(manifest: Manifest) -> sensors.Dataset:
     gen = manifest.doc["generate"]
-    return sensors.load_frames(manifest.path("data"), int(gen["window_len"]),
-                               gen.get("stride"), int(gen.get("smooth_window", 1)))
+    return sensors.load_frames(manifest.path("data"), manifest.number("generate.window_len"),
+                               gen.get("stride"),
+                               manifest.number("generate.smooth_window", default=1))
 
 
 def _load_frames(manifest: Manifest) -> tuple[sensors.Dataset, sensors.FoldAssignment]:
@@ -249,11 +263,11 @@ def _analysis_forest(manifest: Manifest, trials: list[hyperspace.Trial],
     """The forest fANOVA reads: full-budget trials only (mixed fidelities
     corrupt the surface), fitted with the manifest's analyze arguments."""
     full = max(t.budget for t in trials)
-    ana = manifest.doc["analyze"]
     return forest.fit_forest([t for t in trials if t.budget == full], space,
-                             response=response, n_trees=int(ana["n_trees"]),
-                             max_depth=int(ana["max_depth"]),
-                             min_leaf=int(ana["min_leaf"]),
+                             response=response,
+                             n_trees=manifest.number("analyze.n_trees"),
+                             max_depth=manifest.number("analyze.max_depth"),
+                             min_leaf=manifest.number("analyze.min_leaf"),
                              seed=manifest.stage_seed("analyze"))
 
 
@@ -269,11 +283,12 @@ def stage_generate(manifest: Manifest, force: bool = False) -> Path:
     dep = deployment_from_json(gen["deployment"])
     planted = planted_from_json(gen["planted"])
     sensor = sensor_model_from_json(gen.get("sensor") or {})
-    ds = sensors.generate(dep, planted, int(gen["frames_per_activity"]),
-                          int(gen["window_len"]), sensor,
+    ds = sensors.generate(dep, planted, manifest.number("generate.frames_per_activity"),
+                          manifest.number("generate.window_len"), sensor,
                           seed=manifest.stage_seed("generate"),
                           stride=gen.get("stride"),
-                          recordings_per_activity=int(gen.get("recordings_per_activity", 1)))
+                          recordings_per_activity=manifest.number(
+                              "generate.recordings_per_activity", default=1))
     sensors.write_dataset(ds, out)
     (out / "provenance.json").write_text(
         json.dumps(manifest.provenance("generate"), sort_keys=True) + "\n")
@@ -287,9 +302,8 @@ def stage_partition(manifest: Manifest, force: bool = False) -> Path:
         logger.info("partition: %s up-to-date", out)
         return out
     frames = _dataset(manifest).frames
-    part = manifest.doc["partition"]
-    folds = sensors.meta_segment_partition(frames, int(part["k"]),
-                                           int(part["meta_len"]),
+    folds = sensors.meta_segment_partition(frames, manifest.number("partition.k"),
+                                           manifest.number("partition.meta_len"),
                                            manifest.stage_seed("partition"))
     doc = folds.to_json()
     doc["provenance"] = manifest.provenance("partition")
@@ -312,11 +326,12 @@ def stage_explore(manifest: Manifest, force: bool = False, workers: int = 1) -> 
         space = gain_space(ds.deployment, tuple(exp.get("lr_bounds", (0.005, 0.5))))
         hyperspace.save_space(space, space_path)
     base = model_config_from_json(exp.get("model") or {})
-    evaluator = LearnerEvaluator(ds, folds, base, val_fold=int(exp.get("val_fold", 0)))
+    evaluator = LearnerEvaluator(ds, folds, base,
+                                 val_fold=manifest.number("explore.val_fold", default=0))
     strategy = explorer.Strategy(exp["strategy"], dict(exp.get("settings") or {}))
     # stream to a side file: a crashed run must not leave a log that passes for done
     partial = out.with_name(out.name + ".partial")
-    explorer.run(space, strategy, evaluator, int(exp["budget"]),
+    explorer.run(space, strategy, evaluator, manifest.number("explore.budget"),
                  manifest.stage_seed("explore"), out_path=partial,
                  full_budget=float(base.epochs), workers=workers)
     os.replace(partial, out)
@@ -364,9 +379,8 @@ def stage_dgp(manifest: Manifest, force: bool = False) -> Path:
         reports[name] = fanova.report_from_json(json.loads(path.read_text()))
     if not reports:
         raise ManifestError(f"no per-activity reports under {reports_dir}")
-    cfg = manifest.doc["dgp"]
-    model = dgp_mod.derive_dgp(reports, space, float(cfg["tau_imp"]),
-                               float(cfg["tau_int"]))
+    model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp", float),
+                               manifest.number("dgp.tau_int", float))
     doc = dgp_mod.dgp_to_json(model)
     doc["provenance"] = manifest.provenance("dgp")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -414,7 +428,7 @@ def stage_report(manifest: Manifest, force: bool = False) -> Path:
         return out_dir
     rep_cfg = manifest.doc["report"]
     space = hyperspace.load_space(manifest.path("space"))
-    resolution = int(rep_cfg.get("resolution", 20))
+    resolution = manifest.number("report.resolution", default=20)
     pairs = rep_cfg.get("pairwise") or []  # checked before any write or fit
     if resolution < 1 or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise forest.ForestError("report.pairwise entries must be [u, v] and resolution must"
@@ -451,7 +465,7 @@ def stage_report(manifest: Manifest, force: bool = False) -> Path:
         if name != "nu":
             reports[name] = fanova.report_from_json(json.loads(path.read_text()))
     proto_cfg = model_config_from_json(manifest.doc["protocol"].get("model") or {})
-    tau_int = float(manifest.doc["dgp"]["tau_int"])
+    tau_int = manifest.number("dgp.tau_int", float)
     seed = manifest.stage_seed("report")
     taus = [float(t) for t in rep_cfg["tau_sweep"]]
     rows = []

@@ -494,6 +494,23 @@ def test_manifest_bad_report_pairs_exit_2_and_write_nothing(demo_run, tmp_path, 
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("stage, out_key, section, key, value", [
+    ("report", "report", "report", "resolution", "abc"),
+    ("analyze", "reports", "analyze", "n_trees", "many"),
+    ("explore", "trials", "explore", "budget", "ten"),
+])
+def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
+        demo_run, tmp_path, stage, out_key, section, key, value):
+    from harvana.pipeline import ManifestError, StageError, run_pipeline
+    manifest = demo_stage_manifest(demo_run, tmp_path, stage, out_key, out_key,
+                                   {section: {key: value}})
+    with pytest.raises(StageError, match=f"{section}.{key} must be a number") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == stage and isinstance(exc.value.cause, ManifestError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["manifest.json"]
+
+
 def test_analyze_n_trees_0_exits_2(demo_run, tmp_path):
     from harvana.forest import ForestError
     from harvana.pipeline import StageError, run_pipeline

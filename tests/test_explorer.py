@@ -416,7 +416,62 @@ def test_run_encodes_each_trial_once(strategy, budget, monkeypatch, tmp_path):
     real_tpe, real_gp = ex.tpe_propose, ex.gp_propose
     monkeypatch.setattr(ex, "to_unit", real_to_unit)
     monkeypatch.setattr(ex, "tpe_propose", lambda *a, units=None, **k: real_tpe(*a, **k))
-    monkeypatch.setattr(ex, "gp_propose", lambda *a, units=None, **k: real_gp(*a, **k))
+    monkeypatch.setattr(ex, "gp_propose",
+                        lambda *a, units=None, cache=None, **k: real_gp(*a, **k))
     bare = tmp_path / "bare.jsonl"
     run(space, strategy, ev, budget_B=budget, seed=4, out_path=bare)
     assert kept.read_bytes() == bare.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# GP per-run cache
+
+def test_gp_cache_distances_match_full_broadcast():
+    from harvana.explorer import GPCache
+    space = mixed_space()
+    history = history_from(space, lambda u: float(u.sum()) / 4, 40, seed=3)
+    cache, units = GPCache(space), {}
+    for n in range(1, len(history) + 1):
+        cache.sync(history[:n], units)
+        X = cache.X
+        assert np.array_equal(X, np.stack([to_unit(space, t.config) for t in history[:n]]))
+        assert np.array_equal(cache.sq, ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        assert cache.distinct == {t.config.key() for t in history[:n]}
+
+
+def test_gp_cache_rebuilds_for_a_history_that_does_not_extend_it():
+    from harvana.explorer import GPCache
+    space = mixed_space()
+    history = history_from(space, lambda u: float(((u - 0.4) ** 2).sum()), 30, seed=5)
+    cache, units = GPCache(space), {}
+    gp_propose(history, space, np.random.default_rng(0), units=units, cache=cache)
+    reordered = history[::-1]
+    sublist = [t for t in history if t.trial_id % 3]  # a BOHB-style rung subset
+    for other in (reordered, sublist, history[:10], history):
+        got = gp_propose(other, space, np.random.default_rng(1), units=units, cache=cache)
+        assert got == gp_propose(other, space, np.random.default_rng(1))
+        assert cache.trials == list(other)
+
+
+def test_gp_pool_distances_match_broadcast_and_stay_nonnegative():
+    from harvana.explorer import _pool_sq_dists
+    rng = np.random.default_rng(2)
+    X = rng.uniform(size=(60, 13))
+    pool = rng.uniform(size=(500, 13))
+    pool[::7] = X[rng.integers(0, len(X), len(pool[::7]))]  # rows equal to history rows
+    # rows a rounding step away from history rows: unclamped, these go negative
+    near = X[rng.integers(0, len(X), len(pool[1::7]))]
+    pool[1::7] = near + rng.normal(0.0, 1e-9, near.shape)
+    got = _pool_sq_dists(pool, X)
+    want = ((pool[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert (want == 0.0).any() and (got >= 0.0).all()
+
+
+def test_gp_conditioning_failure_raised_from_run():
+    from harvana.explorer import ConditioningError
+    space = SearchSpace(params=(ParamSpec("m", "categorical", choices=("u", "v")),))
+    ev = sphere_evaluator(space, [0.0])
+    strategy = Strategy("gp", {"jitter": 1e-300, "max_jitter": 1e-250})
+    with pytest.raises(ConditioningError, match="not positive definite"):
+        run(space, strategy, ev, budget_B=20, seed=0)
