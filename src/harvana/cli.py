@@ -174,10 +174,8 @@ def cmd_dgp(args) -> int:
             paths = [p]
         for path in paths:
             rep = fanova.load_report(path)
-            name = rep.response
-            if name.startswith("per_activity_nu[") and name.endswith("]"):
-                name = name[len("per_activity_nu["):-1]
-            reports[name] = rep
+            activity = forest.activity_of(rep.response)
+            reports[rep.response if activity is None else activity] = rep
     model = dgp_mod.derive_dgp(reports, space, args.tau_imp, args.tau_int)
     dgp_mod.save_dgp(model, args.out)
     sizes = {y: len(s) for y, s in sorted(model.subsets.items())}

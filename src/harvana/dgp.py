@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .fanova import ImportanceReport
+from .forest import activity_of
 from .hyperspace import GLOBAL_TAG, SearchSpace
 
 MU_CEILING = 1.0 - 1e-9
@@ -64,12 +65,9 @@ def _source_params(space: SearchSpace) -> dict[str, tuple[str, ...]]:
 
 
 def _activity_from_report(report: ImportanceReport, activity: str | None) -> str:
-    if activity is not None:
-        return activity
-    r = report.response
-    if r.startswith("per_activity_nu[") and r.endswith("]"):
-        return r[len("per_activity_nu["):-1]
-    return r
+    if activity is None:
+        activity = activity_of(report.response)
+    return report.response if activity is None else activity
 
 
 def source_importance(report: ImportanceReport, space: SearchSpace,

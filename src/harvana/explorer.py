@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -232,15 +234,13 @@ class GPCache:
         self.X = np.empty((0, space.dim))
         self.sq = np.empty((0, 0))
 
-    def sync(self, history: Sequence[Trial], units: dict[int, np.ndarray]) -> None:
-        """Append history's new trials; a history that does not extend the
-        cached one is rebuilt through the same appends."""
+    def sync(self, history: Sequence[Trial]) -> None:
+        """Append history's new trials, encoding each once; a history that
+        does not extend the cached one is rebuilt through the same appends."""
         if list(history[:len(self.trials)]) != self.trials:
             self.__init__(self.space)
         for t in history[len(self.trials):]:
-            if t.trial_id not in units:
-                units[t.trial_id] = to_unit(self.space, t.config)
-            self.X = np.vstack([self.X, units[t.trial_id]])
+            self.X = np.vstack([self.X, to_unit(self.space, t.config)])
             row = ((self.X[-1] - self.X) ** 2).sum(axis=1)
             self.sq = np.block([[self.sq, row[:-1, None]], [row]])
             self.trials.append(t)
@@ -262,17 +262,15 @@ def gp_propose(history: Sequence[Trial], space: SearchSpace, rng: np.random.Gene
                length_scale: float = 0.2, n_pool: int = 500,
                jitter: float = 1e-8, max_jitter: float = 1e-4,
                n_startup: int = 2,
-               units: dict[int, np.ndarray] | None = None,
                cache: GPCache | None = None) -> Configuration:
     """GP regression on (unit vector -> nu) with an SE kernel; proposes the
     pool candidate maximizing expected improvement over the incumbent.
 
-    `units` is the run's trial_id -> to_unit row cache (see _unit_history)
-    and `cache` the run's GPCache; a fresh one of each serves a bare call.
-    The predictive variance comes from one triangular solve (Rasmussen &
+    `cache` is the run's GPCache; a fresh one serves a bare call. The
+    predictive variance comes from one triangular solve (Rasmussen &
     Williams, 2006, Alg. 2.1); every LAPACK call is scipy's."""
     cache = GPCache(space) if cache is None else cache
-    cache.sync(history, {} if units is None else units)
+    cache.sync(history)
     if len(cache.distinct) < max(2, n_startup):
         return sample(space, rng)
     X = cache.X
@@ -359,12 +357,6 @@ class _TrialLog:
             self.fh.close()
 
 
-def _renumber(trial: Trial, trial_id: int) -> Trial:
-    return Trial(trial_id=trial_id, config=trial.config, budget=trial.budget,
-                 nu=trial.nu, per_activity_nu=trial.per_activity_nu,
-                 f1=trial.f1, seed=trial.seed)
-
-
 def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
         budget_B: int, seed: int, out_path: str | Path | None = None,
         full_budget: float = 1.0, workers: int = 1) -> list[Trial]:
@@ -384,26 +376,27 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
     log = _TrialLog(out_path)
     trials: list[Trial] = []
 
-    def evaluate(config: Configuration, budget: float) -> Trial:
-        tid = len(trials)
-        trial = _renumber(evaluator(config, budget, _trial_seed(seed, tid)), tid)
+    def record(trial: Trial) -> Trial:
+        trial = replace(trial, trial_id=len(trials))
         trials.append(trial)
         log.append(trial)
         return trial
 
+    def evaluate(config: Configuration, budget: float) -> Trial:
+        return record(evaluator(config, budget, _trial_seed(seed, len(trials))))
+
     try:
         if strategy.kind in ("hyperband", "bohb"):
             _run_multifidelity(space, strategy, evaluate, budget_B, seed)
-        elif strategy.kind in ("random", "grid") and workers > 1:
+        elif strategy.kind in ("random", "grid"):
             configs = _batch_configs(space, strategy, budget_B, seed)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(evaluator, config, full_budget,
-                                       _trial_seed(seed, i))
-                           for i, config in enumerate(configs)]
-                for i, fut in enumerate(futures):
-                    trial = _renumber(fut.result(), i)  # ordered prefix on failure
-                    trials.append(trial)
-                    log.append(trial)
+            seeds = [_trial_seed(seed, i) for i in range(len(configs))]
+            # one worker evaluates lazily on this thread; results come back in
+            # id order either way, so a failure leaves the ordered prefix logged
+            with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+                for trial in (pool.map if pool else map)(evaluator, configs,
+                                                         repeat(full_budget), seeds):
+                    record(trial)
         else:
             _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget)
     finally:
@@ -446,26 +439,19 @@ def _grid_configs(space, strategy, budget_B) -> list[Configuration]:
 
 def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
     s = strategy.settings
-    if strategy.kind == "grid":
-        for config in _grid_configs(space, strategy, budget_B):
-            evaluate(config, full_budget)
-        return
-
     history: list[Trial] = []
-    units: dict[int, np.ndarray] = {}  # trial_id -> to_unit row (tpe, gp)
+    units: dict[int, np.ndarray] = {}  # trial_id -> to_unit row (tpe)
     gp_cache = GPCache(space)
     for t in range(budget_B):
         rng = proposal_rng(seed, t)
-        if strategy.kind == "random":
-            config = sample(space, rng)
-        elif strategy.kind == "tpe":
+        if strategy.kind == "tpe":
             config = tpe_propose(history, space, s["gamma"], s["n_candidates"],
                                  rng, n_startup=s["n_startup"], units=units)
         elif strategy.kind == "gp":
             config = gp_propose(history, space, rng, length_scale=s["length_scale"],
                                 n_pool=s["n_pool"], jitter=s["jitter"],
                                 max_jitter=s["max_jitter"], n_startup=s["n_startup"],
-                                units=units, cache=gp_cache)
+                                cache=gp_cache)
         elif strategy.kind == "anneal":
             config = anneal_propose(history, space, rng, t, p0=s["p0"],
                                     p_min=s["p_min"], sigma0=s["sigma0"], decay=s["decay"])

@@ -71,13 +71,21 @@ class Forest:
         return len(self.trees)
 
 
+def activity_of(response: str) -> str | None:
+    """The activity a `per_activity_nu[<activity>]` selector names, else None."""
+    if response.startswith("per_activity_nu[") and response.endswith("]"):
+        return response[len("per_activity_nu["):-1]
+    return None
+
+
 def response_value(trial: Trial, response: str) -> float:
     if response == "nu":
         return trial.nu
     if response == "f1":
         return trial.f1
-    if response.startswith("per_activity_nu[") and response.endswith("]"):
-        return trial.per_activity_nu[response[len("per_activity_nu["):-1]]
+    activity = activity_of(response)
+    if activity is not None:
+        return trial.per_activity_nu[activity]
     raise ForestError(f"unknown response selector {response!r}")
 
 

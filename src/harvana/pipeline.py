@@ -2,21 +2,23 @@
 dgp -> protocol -> report, driven by a JSON manifest.
 
 Stages are idempotent: each one is skipped when its output already exists
-unless force=True. A stage with several outputs checks the one it writes
-last, and exploration streams to a side file renamed on success, so a
-crashed stage never passes for done. Every JSON artifact embeds a provenance
-block (stage seed plus a hash of the manifest) and all outputs are
-byte-deterministic for a fixed manifest, so two runs produce identical trial
-logs, reports, and SVGs.
+unless force=True. The rule lives in one place, the `_stage` declaration:
+each stage names the manifest path it writes and, if that is a directory,
+the file it writes last, and is done when that file exists. Exploration
+streams to a side file renamed on success, so a crashed stage never passes
+for done. Every JSON artifact embeds a provenance block (stage seed plus a
+hash of the manifest) and all outputs are byte-deterministic for a fixed
+manifest, so two runs produce identical trial logs, reports, and SVGs.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import dgp as dgp_mod
 from . import explorer, fanova, forest, hyperspace, learner, report, sensors
+from .sensors import deployment_from_json
 
 logger = logging.getLogger(__name__)
 
@@ -33,53 +36,38 @@ class ManifestError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs for the pieces a manifest describes
+# JSON codecs for the pieces a manifest describes (the deployment's live in
+# sensors, next to the dataset layout that embeds it)
 
-def deployment_from_json(doc: Mapping) -> sensors.Deployment:
-    sources = tuple(sensors.DataSource(id=s["id"], position=s["position"],
-                                       modality=s["modality"],
-                                       channels=int(s.get("channels", 1)))
-                    for s in doc["sources"])
-    return sensors.Deployment(sources=sources,
-                              sampling_rate=float(doc["sampling_rate"]))
-
-
-def deployment_to_json(dep: sensors.Deployment) -> dict:
-    return {"sampling_rate": dep.sampling_rate,
-            "sources": [{"id": s.id, "position": s.position, "modality": s.modality,
-                         "channels": s.channels} for s in dep.sources]}
+def _fields(cls, doc: Mapping, where: str, **given):
+    """`cls` built from `given` (every field without a default) plus each
+    other field `doc` sets, converted to the type of that field's default;
+    fields `doc` omits keep the class default. A value that does not convert
+    raises ManifestError naming `where.field`."""
+    for f in fields(cls):
+        if f.name in given or f.name not in doc:
+            continue
+        try:
+            given[f.name] = type(f.default)(doc[f.name])
+        except (TypeError, ValueError):
+            raise ManifestError(f"{where}.{f.name}: bad value {doc[f.name]!r}") from None
+    return cls(**given)
 
 
 def planted_from_json(doc: Mapping) -> sensors.PlantedDgp:
     informative = {
-        activity: {src: sensors.SignalSpec(base_freq=float(spec["base_freq"]),
-                                           amplitude=float(spec.get("amplitude", 1.0)),
-                                           phase=float(spec.get("phase", 0.0)))
+        activity: {src: _fields(sensors.SignalSpec, spec,
+                                f"planted.informative.{activity}.{src}",
+                                base_freq=float(spec["base_freq"]))
                    for src, spec in srcs.items()}
         for activity, srcs in doc["informative"].items()
     }
-    return sensors.PlantedDgp(
-        activities=tuple(doc["activities"]),
-        informative=informative,
-        distractor_sigma=float(doc.get("distractor_sigma", 1.0)),
-        crosstalk_amp=float(doc.get("crosstalk_amp", 0.0)),
-        distractor_offset_sigma=float(doc.get("distractor_offset_sigma", 0.0)),
-        phase_jitter=float(doc.get("phase_jitter", 0.5)),
-        freq_jitter=float(doc.get("freq_jitter", 0.0)),
-        amp_jitter=float(doc.get("amp_jitter", 0.0)),
-        autocorr=float(doc.get("autocorr", 0.0)),
-    )
+    return _fields(sensors.PlantedDgp, doc, "planted",
+                   activities=tuple(doc["activities"]), informative=informative)
 
 
 def sensor_model_from_json(doc: Mapping) -> sensors.SensorModel:
-    return sensors.SensorModel(
-        gain=float(doc.get("gain", 1.0)),
-        offset=float(doc.get("offset", 0.0)),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        drift_per_second=float(doc.get("drift_per_second", 0.0)),
-        dropout_prob=float(doc.get("dropout_prob", 0.0)),
-        transfer=doc.get("transfer", "linear"),
-    )
+    return _fields(sensors.SensorModel, doc, "sensor")
 
 
 def model_config_from_json(doc: Mapping) -> learner.ModelConfig:
@@ -198,14 +186,14 @@ class Manifest:
     def path(self, key: str) -> Path:
         return self.root / self.doc["paths"][key]
 
-    def number(self, key: str, kind: type = int, default=None):
+    def number(self, key: str, kind: type = int):
         """The value at dotted `key` (e.g. "analyze.n_trees") read as `kind`;
         a missing or non-numeric value raises ManifestError naming the key."""
         *sections, name = key.split(".")
         doc = self.doc
         for section in sections:
             doc = doc[section]
-        value = doc.get(name, default)
+        value = doc.get(name)
         try:
             return kind(value)
         except (TypeError, ValueError):
@@ -246,16 +234,53 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------------------
 # stages
 
+def _write_json(path: Path, doc: Mapping, provenance: dict | None = None) -> None:
+    """A pipeline JSON artifact: indented, key-sorted, newline-terminated,
+    with `provenance` (if given) under "provenance"."""
+    if provenance is not None:
+        doc = {**doc, "provenance": provenance}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _stage(name: str, out_key: str, last: str | None = None):
+    """Declare a stage that writes the manifest path `out_key`. It is done
+    when `last`, the file it writes last, exists under that path (the path
+    itself when `last` is None); a done stage is skipped unless force=True.
+    The body runs as body(manifest, out, **kw) and returns nothing."""
+    def declare(body: Callable[..., None]) -> Callable[..., Path]:
+        @functools.wraps(body)
+        def stage(manifest: Manifest, force: bool = False, **kw) -> Path:
+            out = manifest.path(out_key)
+            if (out / last if last else out).exists() and not force:
+                logger.info("%s: %s up-to-date", name, out)
+                return out
+            body(manifest, out, **kw)
+            logger.info("%s: wrote %s", name, out)
+            return out
+        return stage
+    return declare
+
+
 def _dataset(manifest: Manifest) -> sensors.Dataset:
     gen = manifest.doc["generate"]
     return sensors.load_frames(manifest.path("data"), manifest.number("generate.window_len"),
-                               gen.get("stride"),
-                               manifest.number("generate.smooth_window", default=1))
+                               gen.get("stride"), manifest.number("generate.smooth_window"))
 
 
 def _load_frames(manifest: Manifest) -> tuple[sensors.Dataset, sensors.FoldAssignment]:
     folds = sensors.folds_from_json(json.loads(manifest.path("folds").read_text()))
     return _dataset(manifest), folds
+
+
+def _activity_reports(manifest: Manifest) -> dict[str, fanova.ImportanceReport]:
+    """The analyze stage's per-activity reports, by activity (report_nu is
+    the overall one)."""
+    reports = {}
+    for path in sorted(manifest.path("reports").glob("report_*.json")):
+        name = path.stem[len("report_"):]
+        if name != "nu":
+            reports[name] = fanova.report_from_json(json.loads(path.read_text()))
+    return reports
 
 
 def _analysis_forest(manifest: Manifest, trials: list[hyperspace.Trial],
@@ -271,12 +296,8 @@ def _analysis_forest(manifest: Manifest, trials: list[hyperspace.Trial],
                              seed=manifest.stage_seed("analyze"))
 
 
-def stage_generate(manifest: Manifest, force: bool = False) -> Path:
-    out = manifest.path("data")
-    # provenance.json is written last, so it marks a complete dataset
-    if (out / "provenance.json").exists() and not force:
-        logger.info("generate: %s up-to-date", out)
-        return out
+@_stage("generate", "data", last="provenance.json")
+def stage_generate(manifest: Manifest, out: Path) -> None:
     gen = manifest.doc["generate"]
     if not gen.get("deployment") or not gen.get("planted"):
         raise ManifestError("generate stage needs 'deployment' and 'planted'")
@@ -288,46 +309,34 @@ def stage_generate(manifest: Manifest, force: bool = False) -> Path:
                           seed=manifest.stage_seed("generate"),
                           stride=gen.get("stride"),
                           recordings_per_activity=manifest.number(
-                              "generate.recordings_per_activity", default=1))
+                              "generate.recordings_per_activity"))
     sensors.write_dataset(ds, out)
     (out / "provenance.json").write_text(
         json.dumps(manifest.provenance("generate"), sort_keys=True) + "\n")
-    logger.info("generate: wrote %s", out)
-    return out
 
 
-def stage_partition(manifest: Manifest, force: bool = False) -> Path:
-    out = manifest.path("folds")
-    if out.exists() and not force:
-        logger.info("partition: %s up-to-date", out)
-        return out
+@_stage("partition", "folds")
+def stage_partition(manifest: Manifest, out: Path) -> None:
     frames = _dataset(manifest).frames
     folds = sensors.meta_segment_partition(frames, manifest.number("partition.k"),
                                            manifest.number("partition.meta_len"),
                                            manifest.stage_seed("partition"))
-    doc = folds.to_json()
-    doc["provenance"] = manifest.provenance("partition")
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    logger.info("partition: wrote %s", out)
-    return out
+    _write_json(out, folds.to_json(), manifest.provenance("partition"))
 
 
-def stage_explore(manifest: Manifest, force: bool = False, workers: int = 1) -> Path:
-    out = manifest.path("trials")
-    if out.exists() and not force:
-        logger.info("explore: %s up-to-date", out)
-        return out
+@_stage("explore", "trials")
+def stage_explore(manifest: Manifest, out: Path, workers: int = 1) -> None:
     ds, folds = _load_frames(manifest)
     exp = manifest.doc["explore"]
     space_path = manifest.path("space")
     if space_path.exists():
         space = hyperspace.load_space(space_path)
     else:
-        space = gain_space(ds.deployment, tuple(exp.get("lr_bounds", (0.005, 0.5))))
+        space = gain_space(ds.deployment, tuple(exp["lr_bounds"]))
         hyperspace.save_space(space, space_path)
     base = model_config_from_json(exp.get("model") or {})
     evaluator = LearnerEvaluator(ds, folds, base,
-                                 val_fold=manifest.number("explore.val_fold", default=0))
+                                 val_fold=manifest.number("explore.val_fold"))
     strategy = explorer.Strategy(exp["strategy"], dict(exp.get("settings") or {}))
     # stream to a side file: a crashed run must not leave a log that passes for done
     partial = out.with_name(out.name + ".partial")
@@ -335,17 +344,11 @@ def stage_explore(manifest: Manifest, force: bool = False, workers: int = 1) -> 
                  manifest.stage_seed("explore"), out_path=partial,
                  full_budget=float(base.epochs), workers=workers)
     os.replace(partial, out)
-    logger.info("explore: wrote %s", out)
-    return out
 
 
-def stage_analyze(manifest: Manifest, force: bool = False) -> Path:
-    out_dir = manifest.path("reports")
-    done = out_dir / "report_nu.json"
-    if done.exists() and not force:
-        logger.info("analyze: %s up-to-date", out_dir)
-        return out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+@_stage("analyze", "reports", last="report_nu.json")
+def stage_analyze(manifest: Manifest, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     trials = hyperspace.read_trials(manifest.path("trials"))
     space = hyperspace.load_space(manifest.path("space"))
     prov = manifest.provenance("analyze")
@@ -354,45 +357,24 @@ def stage_analyze(manifest: Manifest, force: bool = False) -> Path:
                  for a in sorted(trials[0].per_activity_nu)] + ["nu"]
     for resp in responses:
         rep = fanova.decompose(_analysis_forest(manifest, trials, space, resp))
-        name = "nu" if resp == "nu" else resp[len("per_activity_nu["):-1]
-        report.importance_csv(rep, out_dir / f"report_{name}.csv", prov)
-        doc = fanova.report_to_json(rep)
-        doc["provenance"] = prov
-        (out_dir / f"report_{name}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    logger.info("analyze: wrote %s", out_dir)
-    return out_dir
+        name = "nu" if resp == "nu" else forest.activity_of(resp)
+        report.importance_csv(rep, out / f"report_{name}.csv", prov)
+        _write_json(out / f"report_{name}.json", fanova.report_to_json(rep), prov)
 
 
-def stage_dgp(manifest: Manifest, force: bool = False) -> Path:
-    out = manifest.path("dgp")
-    if out.exists() and not force:
-        logger.info("dgp: %s up-to-date", out)
-        return out
+@_stage("dgp", "dgp")
+def stage_dgp(manifest: Manifest, out: Path) -> None:
     space = hyperspace.load_space(manifest.path("space"))
-    reports_dir = manifest.path("reports")
-    reports = {}
-    for path in sorted(reports_dir.glob("report_*.json")):
-        name = path.stem[len("report_"):]
-        if name == "nu":
-            continue
-        reports[name] = fanova.report_from_json(json.loads(path.read_text()))
+    reports = _activity_reports(manifest)
     if not reports:
-        raise ManifestError(f"no per-activity reports under {reports_dir}")
+        raise ManifestError(f"no per-activity reports under {manifest.path('reports')}")
     model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp", float),
                                manifest.number("dgp.tau_int", float))
-    doc = dgp_mod.dgp_to_json(model)
-    doc["provenance"] = manifest.provenance("dgp")
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    logger.info("dgp: wrote %s", out)
-    return out
+    _write_json(out, dgp_mod.dgp_to_json(model), manifest.provenance("dgp"))
 
 
-def stage_protocol(manifest: Manifest, force: bool = False) -> Path:
-    out = manifest.path("metrics")
-    if out.exists() and not force:
-        logger.info("protocol: %s up-to-date", out)
-        return out
+@_stage("protocol", "metrics")
+def stage_protocol(manifest: Manifest, out: Path) -> None:
     ds, folds = _load_frames(manifest)
     proto = manifest.doc["protocol"]
     cfg = model_config_from_json(proto.get("model") or {})
@@ -414,33 +396,32 @@ def stage_protocol(manifest: Manifest, force: bool = False) -> Path:
             report.confusion_csv(m.labels, m.confusion,
                                  out.parent / f"confusion_{mode}_fold{fi}.csv",
                                  manifest.provenance("protocol"))
-    doc = {"provenance": manifest.provenance("protocol"), "results": results}
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    logger.info("protocol: wrote %s", out)
-    return out
+    _write_json(out, {"results": results}, manifest.provenance("protocol"))
 
 
-def stage_report(manifest: Manifest, force: bool = False) -> Path:
-    out_dir = manifest.path("report")
-    done = out_dir / "summary.md"
-    if done.exists() and not force:
-        logger.info("report: %s up-to-date", out_dir)
-        return out_dir
+@_stage("report", "report", last="summary.md")
+def stage_report(manifest: Manifest, out: Path) -> None:
     rep_cfg = manifest.doc["report"]
     space = hyperspace.load_space(manifest.path("space"))
-    resolution = manifest.number("report.resolution", default=20)
-    pairs = rep_cfg.get("pairwise") or []  # checked before any write or fit
+    # the manifest's report settings are checked before any write or fit
+    resolution = manifest.number("report.resolution")
+    pairs = rep_cfg.get("pairwise") or []
     if resolution < 1 or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise forest.ForestError("report.pairwise entries must be [u, v] and resolution must"
                                  f" be >= 1, got {pairs} and {resolution}")
     for u, v in pairs:
         fanova.pair_dims(space, u, v, resolution)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        taus = [float(t) for t in rep_cfg["tau_sweep"]]
+    except (TypeError, ValueError):
+        raise ManifestError("report.tau_sweep must be a list of numbers, got "
+                            f"{rep_cfg['tau_sweep']!r}") from None
+    out.mkdir(parents=True, exist_ok=True)
     prov = manifest.provenance("report")
     trials = hyperspace.read_trials(manifest.path("trials"))
     overall = fanova.report_from_json(json.loads(
         (manifest.path("reports") / "report_nu.json").read_text()))
-    report.importance_csv(overall, out_dir / "importance.csv", prov)
+    report.importance_csv(overall, out / "importance.csv", prov)
 
     # pairwise marginal heat maps for the named (or top) pairs
     if not pairs:
@@ -450,24 +431,19 @@ def stage_report(manifest: Manifest, force: bool = False) -> Path:
         fr = _analysis_forest(manifest, trials, space, "nu")
         for u, v in pairs:
             tu, tv, vals = fanova.pairwise_marginal_table(fr, u, v, resolution)
-            report.heatmap_svg(vals, out_dir / f"marginal_{u}_{v}.svg", u, v,
+            report.heatmap_svg(vals, out / f"marginal_{u}_{v}.svg", u, v,
                                title=f"marginal nu over ({u}, {v})", provenance=prov)
             report.pairwise_grid_csv(tu, tv, vals, u, v,
-                                     out_dir / f"marginal_{u}_{v}.csv", prov)
+                                     out / f"marginal_{u}_{v}.csv", prov)
     else:
         logger.info("report: no positive pairwise terms, heat maps skipped")
 
     # tau sweep: subset sizes and protocol f1 per threshold
     ds, folds = _load_frames(manifest)
-    reports = {}
-    for path in sorted(manifest.path("reports").glob("report_*.json")):
-        name = path.stem[len("report_"):]
-        if name != "nu":
-            reports[name] = fanova.report_from_json(json.loads(path.read_text()))
+    reports = _activity_reports(manifest)
     proto_cfg = model_config_from_json(manifest.doc["protocol"].get("model") or {})
     tau_int = manifest.number("dgp.tau_int", float)
     seed = manifest.stage_seed("report")
-    taus = [float(t) for t in rep_cfg["tau_sweep"]]
     rows = []
     # seed and config are fixed, so taus that derive the same subset family
     # train identical models: run the protocol once per family
@@ -481,11 +457,11 @@ def stage_report(manifest: Manifest, force: bool = False) -> Path:
                                                      mode="w-DGP", seed=seed)
         res = by_family[family]
         rows.append([tau, res.mean_f1, res.std_f1, float(np.mean(sizes))])
-    report.write_csv(out_dir / "tau_sweep.csv",
+    report.write_csv(out / "tau_sweep.csv",
                      ["tau_imp", "mean_f1", "std_f1", "mean_subset_size"],
                      rows, prov)
     report.tau_sweep_svg(taus, [r[1] for r in rows], [r[2] for r in rows],
-                         [r[3] for r in rows], out_dir / "tau_sweep.svg", prov)
+                         [r[3] for r in rows], out / "tau_sweep.svg", prov)
 
     metrics = json.loads(manifest.path("metrics").read_text())["results"]
     mode_lines = "\n".join(
@@ -501,9 +477,7 @@ def stage_report(manifest: Manifest, force: bool = False) -> Path:
         "Top hyperparameter importances (overall nu)": imp_lines,
         "Threshold sweep": sweep_lines,
     }
-    report.summary_markdown(out_dir / "summary.md", summary, prov)
-    logger.info("report: wrote %s", out_dir)
-    return out_dir
+    report.summary_markdown(out / "summary.md", summary, prov)
 
 
 STAGES: list[tuple[str, Callable[[Manifest, bool], Path]]] = [
@@ -557,5 +531,5 @@ def demo_manifest(out_dir: str | Path) -> Path:
     with resources.files("harvana.data").joinpath("demo_manifest.json").open() as fh:
         doc = json.load(fh)
     path = out / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, doc)
     return path

@@ -442,17 +442,29 @@ def meta_segment_partition(frames: Sequence[Frame], k: int, meta_len: int,
 
 
 # ---------------------------------------------------------------------------
-# on-disk layout: meta.json + one CSV per position
+# on-disk layout: meta.json (the deployment's JSON layout plus activities and
+# recordings) + one CSV per position
+
+def deployment_from_json(doc: Mapping) -> Deployment:
+    sources = tuple(DataSource(id=s["id"], position=s["position"], modality=s["modality"],
+                               channels=int(s.get("channels", DataSource.channels)))
+                    for s in doc["sources"])
+    return Deployment(sources=sources, sampling_rate=float(doc["sampling_rate"]))
+
+
+def deployment_to_json(dep: Deployment) -> dict:
+    return {"sampling_rate": dep.sampling_rate,
+            "sources": [{"id": s.id, "position": s.position, "modality": s.modality,
+                         "channels": s.channels} for s in dep.sources]}
+
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dep = dataset.deployment
     meta = {
-        "sampling_rate": dep.sampling_rate,
+        **deployment_to_json(dep),
         "activities": list(dataset.activities),
-        "sources": [{"id": s.id, "position": s.position, "modality": s.modality,
-                     "channels": s.channels} for s in dep.sources],
         "recordings": [{"id": r.id, "n_samples": int(r.signals.shape[1])}
                        for r in dataset.recordings],
     }
@@ -486,10 +498,7 @@ def ingest_csv(path: str | Path) -> Dataset:
     if not meta_path.exists():
         raise IngestError(f"missing sidecar {meta_path}")
     meta = json.loads(meta_path.read_text())
-    sources = tuple(DataSource(id=s["id"], position=s["position"],
-                               modality=s["modality"], channels=int(s.get("channels", 1)))
-                    for s in meta["sources"])
-    dep = Deployment(sources=sources, sampling_rate=float(meta["sampling_rate"]))
+    dep = deployment_from_json(meta)
     activities = tuple(meta["activities"])
 
     per_position: dict[str, tuple[list[str], np.ndarray, list[str]]] = {}

@@ -180,6 +180,39 @@ def test_pipeline_rerun_skips_stages(demo_run, caplog):
     assert sum("up-to-date" in r.message for r in caplog.records) == 7
 
 
+# the file each stage writes last: it alone marks the stage done
+DONE_FILES = {"generate": "data/provenance.json", "partition": "folds.json",
+              "explore": "trials.jsonl", "analyze": "reports/report_nu.json",
+              "dgp": "dgp.json", "protocol": "metrics.json", "report": "report/summary.md"}
+
+
+@pytest.fixture(scope="module")
+def pristine_demo(tmp_path_factory):
+    """A finished demo run that no test writes into."""
+    out = tmp_path_factory.mktemp("demo_pristine") / "demo"
+    assert run_cli("pipeline", "--demo", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage", list(DONE_FILES))
+def test_rerun_after_losing_one_done_file_writes_only_that_stage(
+        pristine_demo, tmp_path, caplog, stage):
+    import logging
+    import shutil
+    from harvana.pipeline import STAGES, run_pipeline
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    (root / DONE_FILES[stage]).unlink()
+    with caplog.at_level(logging.INFO):
+        run_pipeline(root / "manifest.json")
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m.split(":")[0] for m in messages if ": wrote " in m] == [stage]
+    assert [m.split(":")[0] for m in messages if m.endswith(" up-to-date")] == [
+        name for name, _ in STAGES if name != stage]
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+
 def test_tau_sweep_csv_format_and_leftmost_all_sources(demo_run):
     lines = (demo_run / "report" / "tau_sweep.csv").read_text().splitlines()
     assert lines[0].startswith("#")  # provenance
@@ -505,6 +538,29 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
     manifest = demo_stage_manifest(demo_run, tmp_path, stage, out_key, out_key,
                                    {section: {key: value}})
     with pytest.raises(StageError, match=f"{section}.{key} must be a number") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == stage and isinstance(exc.value.cause, ManifestError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("stage, out_key, key, value, named", [
+    ("report", "report", "report.tau_sweep", [0.0, "x"], "report.tau_sweep"),
+    ("generate", "data", "generate.sensor.noise_sigma", "loud", "sensor.noise_sigma"),
+    ("generate", "data", "generate.planted.phase_jitter", "wide", "planted.phase_jitter"),
+])
+def test_manifest_non_numeric_nested_value_exits_2_naming_stage_and_key(
+        demo_run, tmp_path, stage, out_key, key, value, named):
+    from harvana.pipeline import ManifestError, StageError, run_pipeline
+    manifest = demo_stage_manifest(demo_run, tmp_path, stage, out_key, out_key, {})
+    doc = json.loads(manifest.read_text())
+    *sections, name = key.split(".")
+    target = doc
+    for section in sections:
+        target = target[section]
+    target[name] = value
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=re.escape(named)) as exc:
         run_pipeline(manifest)
     assert exc.value.stage == stage and isinstance(exc.value.cause, ManifestError)
     assert run_cli("pipeline", "--manifest", manifest) == 2

@@ -157,20 +157,22 @@ def test_run_monotone_incumbent(unit_space_2d):
 
 
 def test_run_evaluator_failure_preserves_partial_log(unit_space_2d, tmp_path):
-    calls = []
+    from harvana.explorer import _trial_seed
+    # fail on the 4th trial's seed, not the 4th call: threads reorder the calls
+    fourth = _trial_seed(0, 3)
 
     def flaky(config, budget, seed):
-        if len(calls) == 3:
+        if seed == fourth:
             raise RuntimeError("boom")
-        calls.append(1)
         return make_trial(config, 0.5, trial_id=-1, budget=budget, seed=seed)
 
-    path = tmp_path / "partial.jsonl"
-    with pytest.raises(RuntimeError, match="boom"):
-        run(unit_space_2d, Strategy("random"), flaky, budget_B=10, seed=0, out_path=path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    json.loads(lines[-1])
+    for workers in (1, 4):
+        path = tmp_path / f"partial_w{workers}.jsonl"
+        with pytest.raises(RuntimeError, match="boom"):
+            run(unit_space_2d, Strategy("random"), flaky, budget_B=10, seed=0,
+                out_path=path, workers=workers)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["trial_id"] for line in lines] == [0, 1, 2], workers
 
 
 def test_run_proposals_always_valid():
@@ -430,9 +432,9 @@ def test_gp_cache_distances_match_full_broadcast():
     from harvana.explorer import GPCache
     space = mixed_space()
     history = history_from(space, lambda u: float(u.sum()) / 4, 40, seed=3)
-    cache, units = GPCache(space), {}
+    cache = GPCache(space)
     for n in range(1, len(history) + 1):
-        cache.sync(history[:n], units)
+        cache.sync(history[:n])
         X = cache.X
         assert np.array_equal(X, np.stack([to_unit(space, t.config) for t in history[:n]]))
         assert np.array_equal(cache.sq, ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
@@ -443,12 +445,12 @@ def test_gp_cache_rebuilds_for_a_history_that_does_not_extend_it():
     from harvana.explorer import GPCache
     space = mixed_space()
     history = history_from(space, lambda u: float(((u - 0.4) ** 2).sum()), 30, seed=5)
-    cache, units = GPCache(space), {}
-    gp_propose(history, space, np.random.default_rng(0), units=units, cache=cache)
+    cache = GPCache(space)
+    gp_propose(history, space, np.random.default_rng(0), cache=cache)
     reordered = history[::-1]
     sublist = [t for t in history if t.trial_id % 3]  # a BOHB-style rung subset
     for other in (reordered, sublist, history[:10], history):
-        got = gp_propose(other, space, np.random.default_rng(1), units=units, cache=cache)
+        got = gp_propose(other, space, np.random.default_rng(1), cache=cache)
         assert got == gp_propose(other, space, np.random.default_rng(1))
         assert cache.trials == list(other)
 
