@@ -211,7 +211,9 @@ def _axis_grid(p: ParamSpec, m: int) -> list:
     if p.kind == "categorical":
         return list(p.choices)
     if p.prior == "log":
-        pts = np.exp(np.linspace(math.log(p.lower), math.log(p.upper), m))
+        # exp(log(upper)) can land one ulp past the bound, which to_unit rejects
+        pts = np.clip(np.exp(np.linspace(math.log(p.lower), math.log(p.upper), m)),
+                      p.lower, p.upper)
     else:
         pts = np.linspace(p.lower, p.upper, m)
     if p.kind == "integer":

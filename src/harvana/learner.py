@@ -139,36 +139,43 @@ def config_from_values(values: Mapping[str, float | int | str] | Configuration,
 # ---------------------------------------------------------------------------
 # layers
 
+# bytes of one (C*K, n*O) im2col patch block of a C > 1 conv; kernel timings
+# stayed within host noise from 256 KB to 4 MB at the recovery and paper shapes
+BLOCK = 1 << 20
+
+
 class _Conv1d:
     """Strided 1-D convolution, W shaped (F, C, K), with one of two BLAS
     kernels chosen by the layer's shape at construction.
 
-    Per-tap (C > 1): tap k multiplies the strided view
-    ``x_k = x[:, :, k:k+span:stride]``, where ``span = (O - 1) * stride + 1``
-    reaches the O window starts. Forward is ``y = sum_k W[:, :, k] @ x_k`` and
-    dW[:, :, k] is ``dy @ x_k^T`` summed over the batch. col2im is K strided
-    slice-adds ``dx[:, :, k:k+span:stride] += W[:, :, k].T @ dy``.
+    Blocked im2col (C > 1): ``n = max(1, BLOCK // (8 * C * K * O))`` samples
+    at a time are copied into a (C*K, n*O) patch block,
+    ``block[c*K + k, i*O + o] = x[a + i, c, o*stride + k]``, so the samples
+    of a block share one GEMM: forward is ``W.reshape(F, C*K) @ block``
+    written into ``y[a:a+n]``, and dW accumulates ``dy_block @ block^T``
+    with dy_block the (F, n*O) gradient of the same samples. col2im is K
+    strided slice-adds of ``dcols = W.reshape(F, C*K)^T @ dy_block`` into
+    ``dx[a:a+n, :, k:k+span:stride]``, where ``span = (O - 1) * stride + 1``
+    reaches the O window starts. Backward rebuilds the block it needs.
 
     Patch (C == 1, the first layer of every split_channels stack): the
     (N, K, O) patch matrix ``cols[n, k, o] = x[n, 0, o*stride + k]`` is an
     ``as_strided`` view of the input, so forward is one batched GEMM
     ``W.reshape(F, K) @ cols``, dW is ``dy @ cols^T`` summed over the batch,
     and dx is the same K slice-adds of ``dcols = W.reshape(F, K).T @ dy``.
-    There, per-tap would accumulate K (F x 1) @ (1 x O) outer products.
-    The rule is no wider because at C > 1 the patch matrix is a copy and
-    its GEMMs were about 2x slower than per-tap at the recovery shape
-    (N 32, C 12, L 100, F 6).
+    It stays a view because it copies nothing: its backward peaks below
+    half the input's size, and blocks timed no faster at the paper-scale
+    split_channels shape.
 
     Input samples past the last window get zero gradient. Between forward
-    and backward the layer keeps only a reference to its input: no im2col
-    (N, O, C*K) buffer is built or kept.
+    and backward the layer keeps only a reference to its input: no patch
+    block outlives the call that built it.
 
     With ``input_grad=False`` backward computes db and dW as above and
-    returns None, skipping the dx taps, the ``dcols`` GEMM and the
-    slice-adds. Network sets it on the first conv of each stack, whose
-    input is the data. The rule is the layer's position, not its shape: with
-    ``n_filters=1`` a later block is C = 1 too, and its dx feeds the weights
-    before it.
+    returns None, skipping the ``dcols`` GEMMs and the slice-adds. Network
+    sets it on the first conv of each stack, whose input is the data. The
+    rule is the layer's position, not its shape: with ``n_filters=1`` a
+    later block is C = 1 too, and its dx feeds the weights before it.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
@@ -192,41 +199,54 @@ class _Conv1d:
         return as_strided(x, (len(x), self.kernel, self.out_len(x.shape[2])),
                           (sn, sl, sl * self.stride), writeable=False)
 
+    def _blocks(self, x: np.ndarray):
+        """Yield (a, n, block): the (C*K, n*O) patch block of x[a:a+n]."""
+        N, C, L = x.shape
+        K, O = self.kernel, self.out_len(L)
+        sn, sc, sl = x.strides
+        windows = as_strided(x, (N, C, O, K), (sn, sc, sl * self.stride, sl), writeable=False)
+        n = max(1, BLOCK // (8 * C * K * O))
+        for a in range(0, N, n):
+            block = windows[a:a + n]
+            yield a, len(block), block.transpose(1, 3, 0, 2).reshape(C * K, -1)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
+        W = self.W.reshape(len(self.W), -1)
         if self.patches:
-            y = self.W.reshape(len(self.W), -1) @ self._cols(x)
+            y = W @ self._cols(x)
         else:
-            s = self.stride
-            span = (self.out_len(x.shape[2]) - 1) * s + 1
-            y = self.W[:, :, 0] @ x[:, :, 0:span:s]
-            for k in range(1, self.kernel):
-                y += self.W[:, :, k] @ x[:, :, k:k + span:s]
+            y = np.empty((len(x), len(W), self.out_len(x.shape[2])))
+            for a, n, block in self._blocks(x):
+                y[a:a + n] = (W @ block).reshape(len(W), n, -1).transpose(1, 0, 2)
         y += self.b[None, :, None]
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
         x = self._x
         s = self.stride
-        span = (self.out_len(x.shape[2]) - 1) * s + 1
+        span = (dy.shape[2] - 1) * s + 1
+        F, C, K = self.W.shape
+        W = self.W.reshape(F, -1)
         self.db = dy.sum(axis=(0, 2))
+        dx = np.zeros(x.shape) if self.input_grad else None
         if self.patches:
             cols = self._cols(x)
             self.dW = (dy @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.W.shape)
-        else:
-            self.dW = np.empty_like(self.W)
-            for k in range(self.kernel):
-                self.dW[:, :, k] = (dy @ x[:, :, k:k + span:s].transpose(0, 2, 1)).sum(axis=0)
-        if not self.input_grad:
-            return None
-        dx = np.zeros(x.shape)
-        if self.patches:
-            dcols = self.W.reshape(len(self.W), -1).T @ dy
-            for k in range(self.kernel):
-                dx[:, 0, k:k + span:s] += dcols[:, k]
-        else:
-            for k in range(self.kernel):
-                dx[:, :, k:k + span:s] += self.W[:, :, k].T @ dy
+            if dx is not None:
+                dcols = W.T @ dy
+                for k in range(K):
+                    dx[:, 0, k:k + span:s] += dcols[:, k]
+            return dx
+        dW = np.zeros_like(W)
+        for a, n, block in self._blocks(x):
+            dy_block = dy[a:a + n].transpose(1, 0, 2).reshape(F, -1)
+            dW += dy_block @ block.T
+            if dx is not None:
+                dcols = (W.T @ dy_block).reshape(C, K, n, -1)
+                for k in range(K):
+                    dx[a:a + n, :, k:k + span:s] += dcols[:, k].transpose(1, 0, 2)
+        self.dW = dW.reshape(self.W.shape)
         return dx
 
     def params(self):
@@ -357,7 +377,9 @@ class Network:
                     # the first conv's input is the data: no one reads its dx
                     conv = _Conv1d(c_in, config.n_filters, k, stride, rng,
                                    input_grad=b > 0)
-                    stack.extend([conv, _Activation(config.activation), _MaxPool2()])
+                    # max-pool commutes with the monotone activation, which then runs
+                    # on half the elements
+                    stack.extend([conv, _MaxPool2(), _Activation(config.activation)])
                     L = conv.out_len(L) // 2
                     if L < 1:
                         raise ConfigError(f"block {b + 1} pools the sequence away")
@@ -376,12 +398,13 @@ class Network:
             self.head.append(_Dense(feat_dim, K, rng, zero_init=True))
 
     def features(self, X: np.ndarray) -> np.ndarray:
-        X = X * self.gain_vector[None, :, None]
         if self.config.n_conv_blocks == 0:
-            return stat_features(X)
+            return stat_features(X * self.gain_vector[None, :, None])
         outs = []
         for g, stack in zip(self.groups, self.stacks):
+            # gather, then scale in place: one (N, C, L) temporary per group
             h = X[:, g, :]
+            h *= self.gain_vector[g][None, :, None]
             for layer in stack:
                 h = layer.forward(h)
             outs.append(h.reshape(len(h), -1))

@@ -474,17 +474,14 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
         for s in dep.sources:
             if s.position == position:
                 cols.extend((s.id, ci) for ci in range(s.channels))
+        rows = [dep.channel_slice(sid).start + ci for sid, ci in cols]
         with open(out / f"{position}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"{sid}_c{ci}" for sid, ci in cols] + ["label"])
             for rec in dataset.recordings:
-                for t in range(rec.signals.shape[1]):
-                    row = []
-                    for sid, ci in cols:
-                        v = rec.signals[dep.channel_slice(sid).start + ci, t]
-                        row.append("" if math.isnan(v) else repr(float(v)))
-                    row.append(str(rec.labels[t]))
-                    writer.writerow(row)
+                writer.writerows(
+                    ["" if math.isnan(v) else repr(v) for v in values] + [str(label)]
+                    for values, label in zip(rec.signals[rows].T.tolist(), rec.labels))
 
 
 def ingest_csv(path: str | Path) -> Dataset:

@@ -142,6 +142,16 @@ def test_grid_log_axis():
     assert values == pytest.approx([0.001, 0.01, 0.1], rel=1e-9)
 
 
+@pytest.mark.parametrize("m", range(2, 12))
+def test_grid_log_axis_stays_inside_its_bounds(m):
+    # exp(log(0.1)) is 0.10000000000000002: the axis must not end past upper
+    space = SearchSpace(params=(ParamSpec("lr", "continuous", 1e-4, 1e-1, prior="log"),))
+    configs = grid(space, m)
+    for c in configs:
+        to_unit(space, c)
+    assert configs[-1]["lr"] == 1e-1
+
+
 def test_grid_integer_dedup():
     space = SearchSpace(params=(ParamSpec("k", "integer", 9, 12),))
     values = [c["k"] for c in grid(space, 10)]

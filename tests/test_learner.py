@@ -18,6 +18,7 @@ from harvana.learner import (
     train,
     _Conv1d,
 )
+from harvana import learner
 from harvana.dgp import DgpModel, InteractionDegrees, SourceImportance
 from harvana.sensors import (
     DataSource,
@@ -301,12 +302,12 @@ def naive_conv(x, W, b, stride, dy):
 
 
 CONV_CASES = {
-    # (N, C, L, F, K, stride)
-    "stride_1": (2, 3, 12, 4, 3, 1),
-    "stride_eq_kernel": (2, 3, 12, 4, 3, 3),
-    "uncovered_tail": (2, 2, 14, 3, 4, 3),
+    # (N, C, L, F, K, stride); C > 1 cases have N = 3 so a block can be ragged
+    "stride_1": (3, 3, 12, 4, 3, 1),
+    "stride_eq_kernel": (3, 3, 12, 4, 3, 3),
+    "uncovered_tail": (3, 2, 14, 3, 4, 3),
     "single_channel": (3, 1, 10, 4, 3, 2),
-    "kernel_eq_length": (2, 3, 5, 4, 5, 2),
+    "kernel_eq_length": (3, 3, 5, 4, 5, 2),
     "single_channel_stride_1": (2, 1, 12, 4, 3, 1),
     "single_channel_kernel_eq_length": (2, 1, 5, 4, 5, 2),
     "single_channel_one_filter": (3, 1, 10, 1, 3, 2),
@@ -314,23 +315,31 @@ CONV_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CONV_CASES))
-def test_conv_kernel_matches_naive_loops(case):
+def test_conv_kernel_matches_naive_loops(case, monkeypatch):
     N, C, L, F, K, s = CONV_CASES[case]
-    rng = np.random.default_rng(0)
-    conv = _Conv1d(C, F, K, s, rng)
-    conv.b = rng.normal(size=F)
-    x = rng.normal(size=(N, C, L))
-    y = conv.forward(x)
-    dy = rng.normal(size=y.shape)
-    dx = conv.backward(dy)
-    ry, rdW, rdb, rdx = naive_conv(x, conv.W, conv.b, s, dy)
-    assert y.shape == ry.shape and dx.shape == x.shape
-    for got, want in ((y, ry), (conv.dW, rdW), (conv.db, rdb), (dx, rdx)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    covered = (conv.out_len(L) - 1) * s + K
-    if case == "uncovered_tail":
-        assert covered < L
-    assert not dx[:, :, covered:].any()
+    O = (L - K) // s + 1
+    # C > 1 runs as one block, one sample per block, and blocks of N - 1
+    # samples with a ragged last block of one; C = 1 never builds a block
+    blockings = {(N,): N, (1,) * N: 1, (N - 1, 1): N - 1} if C > 1 else {None: 1}
+    for sizes, n in blockings.items():
+        monkeypatch.setattr(learner, "BLOCK", 8 * C * K * O * n)
+        rng = np.random.default_rng(0)
+        conv = _Conv1d(C, F, K, s, rng)
+        conv.b = rng.normal(size=F)
+        x = rng.normal(size=(N, C, L))
+        if sizes is not None:
+            assert tuple(m for _, m, _ in conv._blocks(x)) == sizes
+        y = conv.forward(x)
+        dy = rng.normal(size=y.shape)
+        dx = conv.backward(dy)
+        ry, rdW, rdb, rdx = naive_conv(x, conv.W, conv.b, s, dy)
+        assert y.shape == ry.shape and dx.shape == x.shape
+        for got, want in ((y, ry), (conv.dW, rdW), (conv.db, rdb), (dx, rdx)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        covered = (conv.out_len(L) - 1) * s + K
+        if case == "uncovered_tail":
+            assert covered < L
+        assert not dx[:, :, covered:].any()
 
 
 def test_conv_keeps_no_buffer_beyond_its_input():
@@ -384,6 +393,16 @@ def test_skipped_input_gradient_leaves_parameter_gradients_unchanged(case):
         np.testing.assert_array_equal(got, want)
 
 
+def backward_peak(conv, dy):
+    """(dx, peak bytes traced) of one conv backward."""
+    tracemalloc.start()
+    try:
+        dx = conv.backward(dy)
+        return dx, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("case", sorted(SKIP_CASES))
 def test_first_conv_of_each_stack_computes_no_input_gradient(case):
     net = skip_case_network(case)
@@ -393,18 +412,66 @@ def test_first_conv_of_each_stack_computes_no_input_gradient(case):
     for stack in net.stacks:
         for b, conv in enumerate(stack[::3]):
             dy = rng.normal(size=(len(X), len(conv.W), conv.out_len(conv._x.shape[2])))
-            tracemalloc.start()
-            try:
-                dx = conv.backward(dy)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            if b == 0:
-                assert dx is None
-                # dW, db and the batch-summed (N, F, C or K) products only
+            dx, peak = backward_peak(conv, dy)
+            if b > 0:
+                assert dx.shape == conv._x.shape
+                continue
+            assert dx is None
+            if conv.patches:
+                # dW, db and the batch-summed (N, F, K) products only
                 assert peak < conv._x.nbytes // 2, peak
             else:
-                assert dx.shape == conv._x.shape
+                # the patch blocks are built either way; skipping saves the dx
+                conv.input_grad = True
+                _, full_peak = backward_peak(conv, dy)
+                assert full_peak - peak >= conv._x.nbytes, (peak, full_peak)
+
+
+# the kernel-table shapes, scaled down: (positions, window, blocks); each
+# position carries one single-channel acc, gyr and mag source
+POOL_SHAPES = {
+    "demo.grouped": (2, 80, 1, "grouped_modalities"),
+    "recovery.grouped": (4, 100, 1, "grouped_modalities"),
+    "paper.grouped": (3, 1200, 3, "grouped_modalities"),
+    "paper.split_modalities": (3, 1200, 3, "split_modalities"),
+    "paper.split_channels": (3, 1200, 3, "split_channels"),
+}
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
+def test_pool_before_activation_matches_activation_before_pool(shape, activation):
+    # max-pool commutes with a monotone activation, ties included, so the
+    # losses and gradients of three SGD steps equal those of the old
+    # conv, activation, pool order
+    positions, L, blocks, conv_mode = POOL_SHAPES[shape]
+    dep = Deployment(sources=tuple(DataSource(f"p{i}_{m}", f"p{i}", m, 1)
+                                   for i in range(positions) for m in ("acc", "gyr", "mag")),
+                     sampling_rate=50.0)
+    cfg = ModelConfig(conv_mode=conv_mode, n_conv_blocks=blocks, kernel_sizes=(9, 9, 9),
+                      n_filters=4, stride_fraction=0.5, dropout=0.1,
+                      activation=activation, classifier_head="mlp", dense_units=8)
+    net, ref = (build(cfg, dep, ("a", "b", "c"), L, seed=3) for _ in range(2))
+    for stack in ref.stacks:
+        for i in range(0, len(stack), 3):
+            _, pool, act = stack[i:i + 3]
+            assert isinstance(pool, learner._MaxPool2) and isinstance(act, learner._Activation)
+            stack[i + 1:i + 3] = [act, pool]
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(6, dep.n_channels, L))
+    # constant frames make every window of a stack's first conv equal, so
+    # every pool pair ties: at zero (relu's kink) and away from it
+    X[1] = 0.0
+    X[2] = rng.normal(size=(dep.n_channels, 1))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    for _ in range(3):
+        losses = [n.loss_and_grads(X, y, training=True, rng=np.random.default_rng(2))
+                  for n in (net, ref)]
+        assert losses[0] == losses[1]
+        for got, want in zip(net.gradients(), ref.gradients()):
+            np.testing.assert_array_equal(got, want)
+        for n in (net, ref):
+            n.sgd_step(0.5)
 
 
 def test_relu_masks_gradient():
