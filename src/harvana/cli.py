@@ -64,14 +64,9 @@ def _stride_arg(text: str) -> int | float:
 
 
 def cmd_generate(args) -> int:
-    spec = json.loads(Path(args.planted).read_text())
-    dep = pipeline.deployment_from_json(spec["deployment"])
-    planted = pipeline.planted_from_json(spec["planted"])
-    sensor = pipeline.sensor_model_from_json(spec.get("sensor") or {})
-    ds = sensors.generate(dep, planted, args.frames, args.window, sensor,
-                          seed=args.seed, stride=args.stride,
-                          recordings_per_activity=args.recordings)
-    sensors.write_dataset(ds, args.out)
+    ds = pipeline.generate_dataset(json.loads(Path(args.planted).read_text()), args.out,
+                                   args.frames, args.window, args.seed, args.stride,
+                                   args.recordings)
     print(f"wrote {len(ds.recordings)} recordings, {len(ds.frames)} frames to {args.out}")
     return 0
 
@@ -79,7 +74,7 @@ def cmd_generate(args) -> int:
 def cmd_partition(args) -> int:
     ds = sensors.load_frames(args.data, args.window, args.stride, args.smooth_window)
     folds = sensors.meta_segment_partition(ds.frames, args.k, args.meta_len, args.seed)
-    Path(args.out).write_text(json.dumps(folds.to_json(), indent=2, sort_keys=True) + "\n")
+    hyperspace.write_json(args.out, folds.to_json())
     print(f"wrote {args.out}: {len(folds.assignment)} frames over {args.k} folds")
     return 0
 
@@ -122,18 +117,12 @@ def cmd_analyze(args) -> int:
     space = hyperspace.load_space(args.space)
     if args.pairwise:
         # bad pairwise flags fail before anything is fitted or written
-        u, _, v = args.pairwise.partition(",")
-        if not v:
-            raise forest.ForestError("--pairwise expects two comma-separated params")
         if not args.svg:
             raise forest.ForestError("--pairwise needs --svg OUT")
-        u, v = u.strip(), v.strip()
-        fanova.pair_dims(space, u, v, args.resolution)
-    full = max(t.budget for t in trials)
-    full_trials = [t for t in trials if t.budget == full]
-    fr = forest.fit_forest(full_trials, space, response=args.response,
-                           n_trees=args.n_trees, max_depth=args.max_depth,
-                           min_leaf=args.min_leaf, seed=args.seed)
+        pair = [name.strip() for name in args.pairwise.split(",")]
+        pipeline.check_pairs(space, [pair], args.resolution)
+    fr = pipeline.analysis_forest(trials, space, args.response, args.n_trees,
+                                  args.max_depth, args.min_leaf, args.seed)
     rep = fanova.decompose(fr)
     if args.out:
         fanova.save_report(rep, args.out)
@@ -142,11 +131,8 @@ def cmd_analyze(args) -> int:
         report.importance_csv(rep, args.csv)
         print(f"wrote {args.csv}")
     if args.pairwise:
-        tu, tv, vals = fanova.pairwise_marginal_table(fr, u, v, args.resolution)
-        report.heatmap_svg(vals, args.svg, u, v,
-                           title=f"marginal {args.response} over ({u}, {v})")
         grid_csv = args.grid_csv or str(Path(args.svg).with_suffix(".csv"))
-        report.pairwise_grid_csv(tu, tv, vals, u, v, grid_csv)
+        pipeline.write_marginal(fr, *pair, args.resolution, args.svg, grid_csv)
         print(f"wrote {args.svg} and {grid_csv}")
     return 0
 
@@ -162,21 +148,8 @@ def cmd_dgp(args) -> int:
         return 0
     if not args.report or not args.space:
         raise dgp_mod.DgpError("dgp needs --report (one or more) and --space")
-    space = hyperspace.load_space(args.space)
-    reports = {}
-    for pattern in args.report:
-        p = Path(pattern)
-        if any(ch in p.name for ch in "*?["):
-            paths = sorted(p.parent.glob(p.name))
-            if not paths:
-                raise dgp_mod.DgpError(f"no reports match {pattern!r}")
-        else:
-            paths = [p]
-        for path in paths:
-            rep = fanova.load_report(path)
-            activity = forest.activity_of(rep.response)
-            reports[rep.response if activity is None else activity] = rep
-    model = dgp_mod.derive_dgp(reports, space, args.tau_imp, args.tau_int)
+    model = dgp_mod.derive_dgp(pipeline.activity_reports(args.report),
+                               hyperspace.load_space(args.space), args.tau_imp, args.tau_int)
     dgp_mod.save_dgp(model, args.out)
     sizes = {y: len(s) for y, s in sorted(model.subsets.items())}
     print(f"wrote {args.out}; subset sizes {sizes}")
@@ -193,7 +166,7 @@ def cmd_train(args) -> int:
                                seed=args.seed, include_null=args.include_null,
                                supplement=args.augment_supplement)
     doc = {"results": {args.mode: res.to_json()}}
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    hyperspace.write_json(args.out, doc)
     csv_base = Path(args.out).with_suffix("")
     for fi, m in enumerate(res.per_fold):
         report.confusion_csv(m.labels, m.confusion, f"{csv_base}_fold{fi}.csv")

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .fanova import ImportanceReport
 from .forest import activity_of
-from .hyperspace import GLOBAL_TAG, SearchSpace
+from .hyperspace import GLOBAL_TAG, SearchSpace, write_json
 
 MU_CEILING = 1.0 - 1e-9
 
@@ -237,7 +237,7 @@ def dgp_from_json(doc: Mapping) -> DgpModel:
 
 
 def save_dgp(model: DgpModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dgp_to_json(model), indent=2, sort_keys=True) + "\n")
+    write_json(path, dgp_to_json(model))
 
 
 def load_dgp(path: str | Path) -> DgpModel:

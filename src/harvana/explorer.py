@@ -72,6 +72,9 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise StrategyError(f"unknown strategy {self.kind!r}")
+        unknown = sorted(set(self.settings) - set(DEFAULTS[self.kind]))
+        if unknown:
+            raise StrategyError(f"unknown {self.kind} settings {unknown}")
         merged = dict(DEFAULTS[self.kind])
         merged.update(self.settings)
         object.__setattr__(self, "settings", merged)

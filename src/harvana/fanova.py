@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .forest import Forest, ForestError, TreeData, unit_to_feature
-from .hyperspace import SearchSpace
+from .hyperspace import SearchSpace, write_json
 
 EPS = 1e-9
 
@@ -320,7 +320,7 @@ def report_from_json(doc: Mapping) -> ImportanceReport:
 
 
 def save_report(report: ImportanceReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n")
+    write_json(path, report_to_json(report))
 
 
 def load_report(path: str | Path) -> ImportanceReport:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -270,8 +271,21 @@ def space_from_json(doc: Mapping) -> SearchSpace:
     return SearchSpace(params=tuple(params))
 
 
+def write_json(path: str | Path, doc: Mapping, provenance: Mapping | None = None) -> None:
+    """A JSON artifact: indented, key-sorted, newline-terminated, with
+    `provenance` (if given) under "provenance". It is written to a sibling
+    `<name>.partial` and renamed into place, so a write cut short leaves
+    `path` as it was."""
+    if provenance is not None:
+        doc = {**doc, "provenance": provenance}
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    os.replace(partial, path)
+
+
 def save_space(space: SearchSpace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(space_to_json(space), indent=2, sort_keys=True) + "\n")
+    write_json(path, space_to_json(space))
 
 
 def load_space(path: str | Path) -> SearchSpace:

@@ -5,8 +5,8 @@ Stages are idempotent: each one is skipped when its output already exists
 unless force=True. The rule lives in one place, the `_stage` declaration:
 each stage names the manifest path it writes and, if that is a directory,
 the file it writes last, and is done when that file exists. Exploration
-streams to a side file renamed on success, so a crashed stage never passes
-for done. Every JSON artifact embeds a provenance block (stage seed plus a
+streams to a side file renamed on success, and every JSON artifact is
+written the same way, so a crashed stage never passes for done. Every JSON artifact embeds a provenance block (stage seed plus a
 hash of the manifest) and all outputs are byte-deterministic for a fixed
 manifest, so two runs produce identical trial logs, reports, and SVGs.
 """
@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -39,18 +39,34 @@ class ManifestError(ValueError):
 # JSON codecs for the pieces a manifest describes (the deployment's live in
 # sensors, next to the dataset layout that embeds it)
 
+def _convert(default, value):
+    """`value` as the type of `default` (per element for a tuple), never truncated."""
+    if isinstance(default, tuple):
+        return tuple(_convert(default[0], v) for v in value)
+    if type(default) is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return type(default)(value)
+
+
 def _fields(cls, doc: Mapping, where: str, **given):
     """`cls` built from `given` (every field without a default) plus each
     other field `doc` sets, converted to the type of that field's default;
-    fields `doc` omits keep the class default. A value that does not convert
-    raises ManifestError naming `where.field`."""
-    for f in fields(cls):
-        if f.name in given or f.name not in doc:
+    fields `doc` omits keep the class default. A key `cls` lacks, or a value
+    that does not convert, raises ManifestError naming `where.key`."""
+    if not isinstance(doc, Mapping):
+        raise ManifestError(f"{where}: expected an object, got {doc!r}")
+    known = {f.name: f for f in fields(cls)}
+    for key, value in doc.items():
+        if key not in known:
+            raise ManifestError(f"{where}.{key}: unknown key")
+        if key in given:
             continue
+        f = known[key]
         try:
-            given[f.name] = type(f.default)(doc[f.name])
+            given[key] = _convert(f.default if f.default is not MISSING
+                                  else f.default_factory(), value)
         except (TypeError, ValueError):
-            raise ManifestError(f"{where}.{f.name}: bad value {doc[f.name]!r}") from None
+            raise ManifestError(f"{where}.{key}: bad value {value!r}") from None
     return cls(**given)
 
 
@@ -66,15 +82,8 @@ def planted_from_json(doc: Mapping) -> sensors.PlantedDgp:
                    activities=tuple(doc["activities"]), informative=informative)
 
 
-def sensor_model_from_json(doc: Mapping) -> sensors.SensorModel:
-    return _fields(sensors.SensorModel, doc, "sensor")
-
-
 def model_config_from_json(doc: Mapping) -> learner.ModelConfig:
-    kw = dict(doc)
-    if "kernel_sizes" in kw:
-        kw["kernel_sizes"] = tuple(kw["kernel_sizes"])
-    return learner.ModelConfig(**kw)
+    return _fields(learner.ModelConfig, doc, "model")
 
 
 def gain_space(deployment: sensors.Deployment,
@@ -181,6 +190,15 @@ class Manifest:
             doc = json.loads(path.read_text())
         except FileNotFoundError:
             raise ManifestError(f"manifest not found: {path}")
+        # a misspelt key would leave its default in force: reject it (sections
+        # are checked one level deep; the codecs check what lies below)
+        unknown = [key for key in doc if key not in DEFAULT_MANIFEST and key != "stages"]
+        unknown += [f"{key}.{sub}" for key, section in doc.items()
+                    if isinstance(section, Mapping)
+                    and isinstance(DEFAULT_MANIFEST.get(key), Mapping)
+                    for sub in section if sub not in DEFAULT_MANIFEST[key]]
+        if unknown:
+            raise ManifestError(f"{path}: unknown manifest keys {unknown}")
         return cls(doc=_merge(DEFAULT_MANIFEST, doc), root=path.parent)
 
     def path(self, key: str) -> Path:
@@ -232,15 +250,80 @@ class StageError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# stages
+# the steps: each is one function of plain values that both its stage and
+# its CLI subcommand call
 
-def _write_json(path: Path, doc: Mapping, provenance: dict | None = None) -> None:
-    """A pipeline JSON artifact: indented, key-sorted, newline-terminated,
-    with `provenance` (if given) under "provenance"."""
+def generate_dataset(spec: Mapping, out: str | Path, frames_per_activity: int,
+                     window_len: int, seed: int, stride: int | float | None,
+                     recordings_per_activity: int,
+                     provenance: Mapping | None = None) -> sensors.Dataset:
+    """Synthesize and write to `out` the dataset a planted spec ("deployment",
+    "planted", optional "sensor") describes; `provenance` goes last."""
+    if not spec.get("deployment") or not spec.get("planted"):
+        raise ManifestError("generate needs 'deployment' and 'planted'")
+    sensor = _fields(sensors.SensorModel, spec.get("sensor") or {}, "sensor")
+    ds = sensors.generate(deployment_from_json(spec["deployment"]),
+                          planted_from_json(spec["planted"]), frames_per_activity,
+                          window_len, sensor, seed=seed, stride=stride,
+                          recordings_per_activity=recordings_per_activity)
+    sensors.write_dataset(ds, out)
     if provenance is not None:
-        doc = {**doc, "provenance": provenance}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        (Path(out) / "provenance.json").write_text(json.dumps(provenance, sort_keys=True) + "\n")
+    return ds
 
+
+def analysis_forest(trials: list[hyperspace.Trial], space: hyperspace.SearchSpace,
+                    response: str, n_trees: int, max_depth: int, min_leaf: int,
+                    seed: int) -> forest.Forest:
+    """The forest fANOVA reads: full-budget trials only (mixed fidelities
+    corrupt the surface)."""
+    full = max(t.budget for t in trials)
+    return forest.fit_forest([t for t in trials if t.budget == full], space,
+                             response=response, n_trees=n_trees, max_depth=max_depth,
+                             min_leaf=min_leaf, seed=seed)
+
+
+def check_pairs(space: hyperspace.SearchSpace, pairs: list, resolution: int) -> None:
+    """ForestError unless each of `pairs` is a list of two distinct params
+    of `space` and `resolution` >= 1."""
+    if resolution < 1 or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise forest.ForestError("pairwise entries must be [u, v] and resolution must"
+                                 f" be >= 1, got {pairs} and {resolution}")
+    for u, v in pairs:
+        fanova.pair_dims(space, u, v, resolution)
+
+
+def write_marginal(fr: forest.Forest, u: str, v: str, resolution: int, svg: str | Path,
+                   grid_csv: str | Path, provenance: Mapping | None = None) -> None:
+    """The marginal response of `fr` over (u, v): heat map and grid CSV."""
+    tu, tv, vals = fanova.pairwise_marginal_table(fr, u, v, resolution)
+    report.heatmap_svg(vals, svg, u, v, title=f"marginal {fr.response} over ({u}, {v})",
+                       provenance=provenance)
+    report.pairwise_grid_csv(tu, tv, vals, u, v, grid_csv, provenance)
+
+
+def activity_reports(patterns: list[str | Path]) -> dict[str, fanova.ImportanceReport]:
+    """The per-activity reports among the files `patterns` name, by activity.
+    A pattern whose name holds *, ? or [ is a glob, read in sorted order; a
+    report of the overall nu names no activity and is skipped."""
+    reports = {}
+    for pattern in patterns:
+        p = Path(pattern)
+        paths = sorted(p.parent.glob(p.name)) if any(ch in p.name for ch in "*?[") else [p]
+        if not paths:
+            raise dgp_mod.DgpError(f"no reports match {str(pattern)!r}")
+        for path in paths:
+            rep = fanova.load_report(path)
+            activity = forest.activity_of(rep.response)
+            if activity is not None:
+                reports[activity] = rep
+    if not reports:
+        raise dgp_mod.DgpError(f"no per-activity reports among {[str(p) for p in patterns]}")
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# stages
 
 def _stage(name: str, out_key: str, last: str | None = None):
     """Declare a stage that writes the manifest path `out_key`. It is done
@@ -272,47 +355,29 @@ def _load_frames(manifest: Manifest) -> tuple[sensors.Dataset, sensors.FoldAssig
     return _dataset(manifest), folds
 
 
-def _activity_reports(manifest: Manifest) -> dict[str, fanova.ImportanceReport]:
-    """The analyze stage's per-activity reports, by activity (report_nu is
-    the overall one)."""
-    reports = {}
-    for path in sorted(manifest.path("reports").glob("report_*.json")):
-        name = path.stem[len("report_"):]
-        if name != "nu":
-            reports[name] = fanova.report_from_json(json.loads(path.read_text()))
-    return reports
+def _analyze_args(manifest: Manifest) -> dict:
+    """The manifest's analysis_forest arguments after the response."""
+    args = {k: manifest.number(f"analyze.{k}") for k in ("n_trees", "max_depth", "min_leaf")}
+    return {**args, "seed": manifest.stage_seed("analyze")}
 
 
-def _analysis_forest(manifest: Manifest, trials: list[hyperspace.Trial],
-                     space: hyperspace.SearchSpace, response: str) -> forest.Forest:
-    """The forest fANOVA reads: full-budget trials only (mixed fidelities
-    corrupt the surface), fitted with the manifest's analyze arguments."""
-    full = max(t.budget for t in trials)
-    return forest.fit_forest([t for t in trials if t.budget == full], space,
-                             response=response,
-                             n_trees=manifest.number("analyze.n_trees"),
-                             max_depth=manifest.number("analyze.max_depth"),
-                             min_leaf=manifest.number("analyze.min_leaf"),
-                             seed=manifest.stage_seed("analyze"))
+def _run_protocol(manifest: Manifest, ds: sensors.Dataset, folds: sensors.FoldAssignment,
+                  model: dgp_mod.DgpModel | None, mode: str) -> learner.ProtocolResult:
+    """One protocol run under the manifest's protocol model, seed and flags."""
+    proto = manifest.doc["protocol"]
+    return learner.run_protocol(ds, folds, model_config_from_json(proto.get("model") or {}),
+                                dgp=model, mode=mode, seed=manifest.stage_seed("protocol"),
+                                include_null=bool(proto.get("include_null")),
+                                supplement=bool(proto.get("supplement")))
 
 
 @_stage("generate", "data", last="provenance.json")
 def stage_generate(manifest: Manifest, out: Path) -> None:
     gen = manifest.doc["generate"]
-    if not gen.get("deployment") or not gen.get("planted"):
-        raise ManifestError("generate stage needs 'deployment' and 'planted'")
-    dep = deployment_from_json(gen["deployment"])
-    planted = planted_from_json(gen["planted"])
-    sensor = sensor_model_from_json(gen.get("sensor") or {})
-    ds = sensors.generate(dep, planted, manifest.number("generate.frames_per_activity"),
-                          manifest.number("generate.window_len"), sensor,
-                          seed=manifest.stage_seed("generate"),
-                          stride=gen.get("stride"),
-                          recordings_per_activity=manifest.number(
-                              "generate.recordings_per_activity"))
-    sensors.write_dataset(ds, out)
-    (out / "provenance.json").write_text(
-        json.dumps(manifest.provenance("generate"), sort_keys=True) + "\n")
+    generate_dataset(gen, out, manifest.number("generate.frames_per_activity"),
+                     manifest.number("generate.window_len"), manifest.stage_seed("generate"),
+                     gen.get("stride"), manifest.number("generate.recordings_per_activity"),
+                     manifest.provenance("generate"))
 
 
 @_stage("partition", "folds")
@@ -321,7 +386,7 @@ def stage_partition(manifest: Manifest, out: Path) -> None:
     folds = sensors.meta_segment_partition(frames, manifest.number("partition.k"),
                                            manifest.number("partition.meta_len"),
                                            manifest.stage_seed("partition"))
-    _write_json(out, folds.to_json(), manifest.provenance("partition"))
+    hyperspace.write_json(out, folds.to_json(), manifest.provenance("partition"))
 
 
 @_stage("explore", "trials")
@@ -351,34 +416,31 @@ def stage_analyze(manifest: Manifest, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     trials = hyperspace.read_trials(manifest.path("trials"))
     space = hyperspace.load_space(manifest.path("space"))
+    args = _analyze_args(manifest)
     prov = manifest.provenance("analyze")
     # report_nu.json marks the stage done, so it is written last
     responses = [f"per_activity_nu[{a}]"
                  for a in sorted(trials[0].per_activity_nu)] + ["nu"]
     for resp in responses:
-        rep = fanova.decompose(_analysis_forest(manifest, trials, space, resp))
+        rep = fanova.decompose(analysis_forest(trials, space, resp, **args))
         name = "nu" if resp == "nu" else forest.activity_of(resp)
         report.importance_csv(rep, out / f"report_{name}.csv", prov)
-        _write_json(out / f"report_{name}.json", fanova.report_to_json(rep), prov)
+        hyperspace.write_json(out / f"report_{name}.json", fanova.report_to_json(rep), prov)
 
 
 @_stage("dgp", "dgp")
 def stage_dgp(manifest: Manifest, out: Path) -> None:
     space = hyperspace.load_space(manifest.path("space"))
-    reports = _activity_reports(manifest)
-    if not reports:
-        raise ManifestError(f"no per-activity reports under {manifest.path('reports')}")
+    reports = activity_reports([manifest.path("reports") / "report_*.json"])
     model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp", float),
                                manifest.number("dgp.tau_int", float))
-    _write_json(out, dgp_mod.dgp_to_json(model), manifest.provenance("dgp"))
+    hyperspace.write_json(out, dgp_mod.dgp_to_json(model), manifest.provenance("dgp"))
 
 
 @_stage("protocol", "metrics")
 def stage_protocol(manifest: Manifest, out: Path) -> None:
     ds, folds = _load_frames(manifest)
     proto = manifest.doc["protocol"]
-    cfg = model_config_from_json(proto.get("model") or {})
-    seed = manifest.stage_seed("protocol")
     results = {}
     for mode in proto["modes"]:
         model = None
@@ -388,15 +450,13 @@ def stage_protocol(manifest: Manifest, out: Path) -> None:
             if not proto.get("hexp"):
                 raise ManifestError("w-HExp mode needs a 'hexp' path")
             model = dgp_mod.load_dgp(manifest.root / proto["hexp"])
-        res = learner.run_protocol(ds, folds, cfg, dgp=model, mode=mode, seed=seed,
-                                   include_null=bool(proto.get("include_null")),
-                                   supplement=bool(proto.get("supplement")))
+        res = _run_protocol(manifest, ds, folds, model, mode)
         results[mode] = res.to_json()
         for fi, m in enumerate(res.per_fold):
             report.confusion_csv(m.labels, m.confusion,
                                  out.parent / f"confusion_{mode}_fold{fi}.csv",
                                  manifest.provenance("protocol"))
-    _write_json(out, {"results": results}, manifest.provenance("protocol"))
+    hyperspace.write_json(out, {"results": results}, manifest.provenance("protocol"))
 
 
 @_stage("report", "report", last="summary.md")
@@ -406,11 +466,7 @@ def stage_report(manifest: Manifest, out: Path) -> None:
     # the manifest's report settings are checked before any write or fit
     resolution = manifest.number("report.resolution")
     pairs = rep_cfg.get("pairwise") or []
-    if resolution < 1 or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise forest.ForestError("report.pairwise entries must be [u, v] and resolution must"
-                                 f" be >= 1, got {pairs} and {resolution}")
-    for u, v in pairs:
-        fanova.pair_dims(space, u, v, resolution)
+    check_pairs(space, pairs, resolution)
     try:
         taus = [float(t) for t in rep_cfg["tau_sweep"]]
     except (TypeError, ValueError):
@@ -419,8 +475,7 @@ def stage_report(manifest: Manifest, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     prov = manifest.provenance("report")
     trials = hyperspace.read_trials(manifest.path("trials"))
-    overall = fanova.report_from_json(json.loads(
-        (manifest.path("reports") / "report_nu.json").read_text()))
+    overall = fanova.load_report(manifest.path("reports") / "report_nu.json")
     report.importance_csv(overall, out / "importance.csv", prov)
 
     # pairwise marginal heat maps for the named (or top) pairs
@@ -428,22 +483,18 @@ def stage_report(manifest: Manifest, out: Path) -> None:
         ranked = sorted(overall.pairwise.items(), key=lambda kv: -kv[1])
         pairs = [k for k, w in ranked[:2] if w > 0]
     if pairs:
-        fr = _analysis_forest(manifest, trials, space, "nu")
+        fr = analysis_forest(trials, space, "nu", **_analyze_args(manifest))
         for u, v in pairs:
-            tu, tv, vals = fanova.pairwise_marginal_table(fr, u, v, resolution)
-            report.heatmap_svg(vals, out / f"marginal_{u}_{v}.svg", u, v,
-                               title=f"marginal nu over ({u}, {v})", provenance=prov)
-            report.pairwise_grid_csv(tu, tv, vals, u, v,
-                                     out / f"marginal_{u}_{v}.csv", prov)
+            write_marginal(fr, u, v, resolution, out / f"marginal_{u}_{v}.svg",
+                           out / f"marginal_{u}_{v}.csv", prov)
     else:
         logger.info("report: no positive pairwise terms, heat maps skipped")
 
-    # tau sweep: subset sizes and protocol f1 per threshold
+    # tau sweep: subset sizes and protocol f1 per threshold, each run as the
+    # protocol stage runs w-DGP, so the row at dgp.tau_imp reproduces it
     ds, folds = _load_frames(manifest)
-    reports = _activity_reports(manifest)
-    proto_cfg = model_config_from_json(manifest.doc["protocol"].get("model") or {})
+    reports = activity_reports([manifest.path("reports") / "report_*.json"])
     tau_int = manifest.number("dgp.tau_int", float)
-    seed = manifest.stage_seed("report")
     rows = []
     # seed and config are fixed, so taus that derive the same subset family
     # train identical models: run the protocol once per family
@@ -453,8 +504,7 @@ def stage_report(manifest: Manifest, out: Path) -> None:
         sizes = [len(model.subsets[y]) for y in model.activities]
         family = tuple(sorted((y, tuple(sorted(s))) for y, s in model.subsets.items()))
         if family not in by_family:
-            by_family[family] = learner.run_protocol(ds, folds, proto_cfg, dgp=model,
-                                                     mode="w-DGP", seed=seed)
+            by_family[family] = _run_protocol(manifest, ds, folds, model, "w-DGP")
         res = by_family[family]
         rows.append([tau, res.mean_f1, res.std_f1, float(np.mean(sizes))])
     report.write_csv(out / "tau_sweep.csv",
@@ -531,5 +581,5 @@ def demo_manifest(out_dir: str | Path) -> Path:
     with resources.files("harvana.data").joinpath("demo_manifest.json").open() as fh:
         doc = json.load(fh)
     path = out / "manifest.json"
-    _write_json(path, doc)
+    hyperspace.write_json(path, doc)
     return path

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hyperspace import derive_rng
+from .hyperspace import derive_rng, write_json
 
 NULL_LABEL = "null"
 
@@ -468,7 +468,7 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
         "recordings": [{"id": r.id, "n_samples": int(r.signals.shape[1])}
                        for r in dataset.recordings],
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out / "meta.json", meta)
     for position in dep.positions():
         cols: list[tuple[str, int]] = []  # (source_id, channel index)
         for s in dep.sources:

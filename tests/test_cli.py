@@ -548,6 +548,16 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
     ("report", "report", "report.tau_sweep", [0.0, "x"], "report.tau_sweep"),
     ("generate", "data", "generate.sensor.noise_sigma", "loud", "sensor.noise_sigma"),
     ("generate", "data", "generate.planted.phase_jitter", "wide", "planted.phase_jitter"),
+    # keys the codec's dataclass lacks, and values it would have to guess at
+    ("generate", "data", "generate.sensor.noise_sigm", 0.3, "sensor.noise_sigm"),
+    ("protocol", "metrics", "protocol.model.epoch", 3, "model.epoch"),
+    ("protocol", "metrics", "protocol.model.epochs", "x", "model.epochs"),
+    ("protocol", "metrics", "protocol.model.n_filters", "six", "model.n_filters"),
+    ("protocol", "metrics", "protocol.model.kernel_sizes", [9, 9.5, 9], "model.kernel_sizes"),
+    ("protocol", "metrics", "protocol.model.source_gains", "loud", "model.source_gains"),
+    ("explore", "trials", "explore.model.epochs", 2.5, "model.epochs"),
+    ("generate", "data", "generate.sensor", 5, "sensor: expected an object"),
+    ("protocol", "metrics", "protocol.model", "x", "model: expected an object"),
 ])
 def test_manifest_non_numeric_nested_value_exits_2_naming_stage_and_key(
         demo_run, tmp_path, stage, out_key, key, value, named):
@@ -581,3 +591,148 @@ def test_analyze_n_trees_0_exits_2(demo_run, tmp_path):
     assert run_cli("analyze", "--trials", demo_run / "trials.jsonl",
                    "--space", demo_run / "space.json", "--n-trees", 0, "--out", out) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"epoch": 3}, {"epochs": "x"}, {"n_filters": "six"}],
+                         ids=["unknown_key", "epochs_not_a_number", "n_filters_not_a_number"])
+def test_bad_model_config_file_exits_2(demo_run, tmp_path, config):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(config))
+    data = ["--data", demo_run / "data", "--folds", demo_run / "folds.json", "--window", 80]
+    assert run_cli("train", *data, "--config", model, "--out", tmp_path / "m.json") == 2
+    assert run_cli("explore", *data, "--space", demo_run / "space.json", "--budget", 2,
+                   "--model", model, "--out", tmp_path / "t.jsonl") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"analyse": {"n_trees": 8}}, "analyse"),
+    ({"explore": {"budgett": 8}}, "explore.budgett"),
+], ids=["top_level", "in_a_section"])
+def test_unknown_manifest_key_exits_2(demo_run, tmp_path, edit, named):
+    from harvana.pipeline import ManifestError, run_pipeline
+    manifest = demo_stage_manifest(demo_run, tmp_path, "dgp", "dgp", "dgp.json", {})
+    doc = json.loads(manifest.read_text())
+    for section, values in edit.items():
+        doc.setdefault(section, {}).update(values)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(named)):
+        run_pipeline(manifest)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert run_cli("report", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_unknown_strategy_setting_exits_2(demo_run, tmp_path):
+    from harvana.explorer import StrategyError
+    from harvana.pipeline import StageError, run_pipeline
+    assert run_cli("explore", "--space", demo_run / "space.json", "--strategy", "tpe",
+                   "--budget", 4, "--out", tmp_path / "t.jsonl", "--objective", "sphere",
+                   "--set", "gama=0.3") == 2
+    manifest = demo_stage_manifest(demo_run, tmp_path, "explore", "trials", "trials.jsonl",
+                                   {"explore": {"strategy": "tpe", "settings": {"gama": 0.3}}})
+    with pytest.raises(StageError, match="gama") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "explore" and isinstance(exc.value.cause, StrategyError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("stage", ["partition", "dgp", "protocol"])
+def test_json_write_cut_short_leaves_no_done_file(pristine_demo, tmp_path, monkeypatch,
+                                                  stage):
+    # these stages are done once their one JSON file exists, so a write killed
+    # half-way must not leave that file behind
+    import shutil
+    from pathlib import Path
+    from harvana.pipeline import STAGES, Manifest
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    done = root / DONE_FILES[stage]
+    want = done.read_bytes()
+    done.unlink()
+    write_text = Path.write_text
+
+    def killed(path, text, *args, **kwargs):
+        if path.name.startswith(done.name):
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("write killed half-way")
+        return write_text(path, text, *args, **kwargs)
+
+    run_stage = dict(STAGES)[stage]
+    manifest = Manifest.load(root / "manifest.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", killed)
+        with pytest.raises(OSError, match="half-way"):
+            run_stage(manifest)
+    assert not done.exists()
+    run_stage(manifest)
+    assert done.read_bytes() == want
+
+
+def test_tau_sweep_row_at_tau_imp_reproduces_w_dgp(demo_run):
+    # the sweep runs the protocol stage's seed and settings, so its row at the
+    # manifest's tau_imp is the protocol stage's w-DGP result
+    tau_imp = json.loads((demo_run / "manifest.json").read_text())["dgp"]["tau_imp"]
+    lines = (demo_run / "report" / "tau_sweep.csv").read_text().splitlines()[2:]
+    row = next(r.split(",") for r in lines if float(r.split(",")[0]) == tau_imp)
+    w_dgp = json.loads((demo_run / "metrics.json").read_text())["results"]["w-DGP"]
+    assert row[1:3] == [f"{w_dgp['mean_f1']:.6g}", f"{w_dgp['std_f1']:.6g}"]
+
+
+def without_provenance(path):
+    doc = json.loads(path.read_text())
+    doc.pop("provenance", None)
+    return doc
+
+
+def test_each_subcommand_reproduces_its_stage(demo_run, tmp_path):
+    # each subcommand, given the manifest's values, writes what its stage wrote
+    from harvana.pipeline import Manifest
+    manifest = Manifest.load(demo_run / "manifest.json")
+    doc, seed = manifest.doc, manifest.stage_seed
+    gen = doc["generate"]
+    window = ["--window", gen["window_len"]]
+
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps({k: gen[k] for k in ("deployment", "planted", "sensor")}))
+    assert run_cli("generate", "--planted", planted, "--frames", gen["frames_per_activity"],
+                   *window, "--recordings", gen["recordings_per_activity"],
+                   "--seed", seed("generate"), "--out", tmp_path / "data") == 0
+    stage_files = {p.name: p.read_bytes() for p in (demo_run / "data").iterdir()}
+    del stage_files["provenance.json"]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "data").iterdir()} == stage_files
+
+    part = doc["partition"]
+    assert run_cli("partition", "--data", demo_run / "data", *window, "--k", part["k"],
+                   "--meta-len", part["meta_len"], "--seed", seed("partition"),
+                   "--out", tmp_path / "folds.json") == 0
+    assert without_provenance(tmp_path / "folds.json") == \
+        without_provenance(demo_run / "folds.json")
+
+    ana = doc["analyze"]
+    assert run_cli("analyze", "--trials", demo_run / "trials.jsonl",
+                   "--space", demo_run / "space.json", "--response", "per_activity_nu[walk]",
+                   "--n-trees", ana["n_trees"], "--max-depth", ana["max_depth"],
+                   "--min-leaf", ana["min_leaf"], "--seed", seed("analyze"),
+                   "--out", tmp_path / "walk.json", "--csv", tmp_path / "walk.csv") == 0
+    reports = demo_run / "reports"
+    assert without_provenance(tmp_path / "walk.json") == \
+        without_provenance(reports / "report_walk.json")
+    assert (tmp_path / "walk.csv").read_text().splitlines() == \
+        (reports / "report_walk.csv").read_text().splitlines()[1:]
+
+    # the README's glob also matches report_nu.json, which names no activity
+    assert run_cli("dgp", "--report", reports / "report_*.json",
+                   "--space", demo_run / "space.json", "--tau-imp", doc["dgp"]["tau_imp"],
+                   "--tau-int", doc["dgp"]["tau_int"], "--out", tmp_path / "dgp.json") == 0
+    assert without_provenance(tmp_path / "dgp.json") == without_provenance(demo_run / "dgp.json")
+    assert run_cli("dgp", "agree", "--a", tmp_path / "dgp.json", "--b", demo_run / "dgp.json") == 0
+
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(doc["protocol"]["model"]))
+    assert run_cli("train", "--data", demo_run / "data", "--folds", demo_run / "folds.json",
+                   *window, "--config", config, "--mode", "w-DGP", "--dgp", demo_run / "dgp.json",
+                   "--seed", seed("protocol"), "--out", tmp_path / "metrics.json") == 0
+    assert json.loads((tmp_path / "metrics.json").read_text())["results"]["w-DGP"] == \
+        json.loads((demo_run / "metrics.json").read_text())["results"]["w-DGP"]

@@ -49,6 +49,8 @@ def test_strategy_validation():
         Strategy("hyperband", {"eta": 1})
     with pytest.raises(StrategyError):
         Strategy("tpe", {"gamma": 0.0})
+    with pytest.raises(StrategyError, match="gama"):
+        Strategy("tpe", {"gama": 0.3})  # a misspelt setting would leave gamma at 0.25
     assert Strategy("tpe").settings["gamma"] == 0.25
     assert Strategy("gp").settings["n_pool"] == 500
 
