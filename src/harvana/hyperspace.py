@@ -271,17 +271,21 @@ def space_from_json(doc: Mapping) -> SearchSpace:
     return SearchSpace(params=tuple(params))
 
 
-def write_json(path: str | Path, doc: Mapping, provenance: Mapping | None = None) -> None:
-    """A JSON artifact: indented, key-sorted, newline-terminated, with
-    `provenance` (if given) under "provenance". It is written to a sibling
-    `<name>.partial` and renamed into place, so a write cut short leaves
-    `path` as it was."""
-    if provenance is not None:
-        doc = {**doc, "provenance": provenance}
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to a sibling `<name>.partial` and rename it into place,
+    so a write cut short leaves `path` as it was."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
-    partial.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    partial.write_text(text)
     os.replace(partial, path)
+
+
+def write_json(path: str | Path, doc: Mapping, provenance: Mapping | None = None) -> None:
+    """A JSON artifact, written by write_text: indented, key-sorted,
+    newline-terminated, with `provenance` (if given) under "provenance"."""
+    if provenance is not None:
+        doc = {**doc, "provenance": provenance}
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def save_space(space: SearchSpace, path: str | Path) -> None:
@@ -355,8 +359,8 @@ def read_trials(path: str | Path) -> list[Trial]:
 
 
 def table1_space() -> SearchSpace:
-    """The 13-parameter convolutional/recurrent tuning space used in the docs
-    and tests (all architecture-level, hence tagged global)."""
+    """The 8-parameter convolutional tuning space used in the docs and tests
+    (all architecture-level, hence tagged global)."""
     return SearchSpace(params=(
         ParamSpec("lr", "continuous", 0.001, 0.1, prior="log"),
         ParamSpec("ks1", "integer", 9, 15),
@@ -366,9 +370,4 @@ def table1_space() -> SearchSpace:
         ParamSpec("s", "continuous", 0.5, 0.6, prior="log"),
         ParamSpec("p_d", "continuous", 0.1, 0.5, prior="log"),
         ParamSpec("n_u", "integer", 64, 2048),
-        ParamSpec("n_hu1", "integer", 64, 384),
-        ParamSpec("n_hu2", "integer", 64, 384),
-        ParamSpec("p_in", "continuous", 0.5, 1.0, prior="log"),
-        ParamSpec("p_ou", "continuous", 0.5, 1.0, prior="log"),
-        ParamSpec("p_st", "continuous", 0.5, 1.0, prior="log"),
     ))

@@ -32,8 +32,6 @@ CONV_MODES = ("grouped_modalities", "split_modalities", "split_channels")
 HEADS = ("softmax_linear", "mlp")
 MODES = ("wo-DGP", "w-DGP", "w-HExp")
 
-RECURRENT_PARAMS = ("n_hu1", "n_hu2", "p_in", "p_ou", "p_st")
-
 
 class ConfigError(ValueError):
     pass
@@ -61,11 +59,9 @@ class ModelConfig:
     classifier_head: str = "softmax_linear"
     source_gains: Mapping[str, float] = field(default_factory=dict)
     mask_sigma: float = 0.0
-    recurrent: Mapping[str, float] = field(default_factory=dict)  # accepted, no-op
 
     def __post_init__(self):
         object.__setattr__(self, "source_gains", dict(self.source_gains))
-        object.__setattr__(self, "recurrent", dict(self.recurrent))
         object.__setattr__(self, "kernel_sizes", tuple(int(k) for k in self.kernel_sizes))
         if self.conv_mode not in CONV_MODES:
             raise ConfigError(f"unknown conv_mode {self.conv_mode!r}")
@@ -76,8 +72,7 @@ class ModelConfig:
         if self.classifier_head not in HEADS:
             raise ConfigError(
                 f"classifier head {self.classifier_head!r} is not supported: recurrent/"
-                "hybrid heads are accepted in the schema but cannot be built; choose "
-                "'softmax_linear' or 'mlp'")
+                "hybrid heads are not implemented; choose 'softmax_linear' or 'mlp'")
 
 
 _FIELD_MAP = {
@@ -101,8 +96,8 @@ def config_from_values(values: Mapping[str, float | int | str] | Configuration,
     """Map a Configuration onto a ModelConfig.
 
     Known names map to fields (lr, ks1..ks3, n_f, s, p_d, n_u, ...); params
-    named gain_<source_id> become per-source input gains; the recurrent
-    hyperparameters are accepted and recorded but drive nothing.
+    named gain_<source_id> become per-source input gains; any other name
+    raises ConfigError.
     """
     if isinstance(values, Configuration):
         values = values.values
@@ -110,7 +105,6 @@ def config_from_values(values: Mapping[str, float | int | str] | Configuration,
     updates: dict = {}
     ks = list(cfg.kernel_sizes)
     gains = dict(cfg.source_gains)
-    recurrent = dict(cfg.recurrent)
     for name, v in values.items():
         if name in _FIELD_MAP:
             updates[_FIELD_MAP[name]] = v
@@ -118,13 +112,10 @@ def config_from_values(values: Mapping[str, float | int | str] | Configuration,
             ks[int(name[-1]) - 1] = int(v)
         elif name.startswith("gain_"):
             gains[name[len("gain_"):]] = float(v)
-        elif name in RECURRENT_PARAMS:
-            recurrent[name] = v
         else:
             raise ConfigError(f"unknown hyperparameter {name!r}")
     updates["kernel_sizes"] = tuple(ks)
     updates["source_gains"] = gains
-    updates["recurrent"] = recurrent
     if "n_conv_blocks" in updates:
         updates["n_conv_blocks"] = int(updates["n_conv_blocks"])
     if "dense_units" in updates:
@@ -684,34 +675,42 @@ class ProtocolResult:
                 "per_fold": [m.to_json() for m in self.per_fold]}
 
 
+def training_subsets(dgp: DgpModel | None, dataset: Dataset,
+                     supplement: bool = False) -> dict[str, frozenset[str]] | None:
+    """The sources each activity's training frames keep under `dgp`, an empty
+    or missing subset falling back to all sources (with a warning); None when
+    masking would change no training frame: no model, or every activity
+    keeping every source with supplement off."""
+    if dgp is None:
+        return None
+    all_sources = frozenset(dataset.deployment.source_ids)
+    subsets = {}
+    for y in dataset.activities:
+        if not dgp.subsets.get(y):
+            logger.warning("activity %r: empty subset, falling back to all sources", y)
+        subsets[y] = frozenset(dgp.subsets.get(y) or all_sources)
+    return subsets if supplement or set(subsets.values()) != {all_sources} else None
+
+
 def run_protocol(dataset: Dataset, folds: FoldAssignment, config: ModelConfig,
                  dgp: DgpModel | None = None, mode: str = "wo-DGP", seed: int = 0,
                  include_null: bool = False, supplement: bool = False) -> ProtocolResult:
     """Cross-validated train/evaluate over the fold assignment.
 
-    w-DGP and w-HExp apply mask_augment with the given model's subsets to the
-    training folds only. Activities with an empty or missing subset fall back
-    to all sources (with a warning) rather than training on nothing."""
+    w-DGP and w-HExp apply mask_augment with the model's training_subsets to
+    the training folds only."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("w-DGP", "w-HExp") and dgp is None:
         raise ConfigError(f"mode {mode} requires a DgpModel")
     frames = dataset.frames
     activities = tuple(dataset.activities)
-    subsets: dict[str, frozenset[str]] = {}
-    if mode != "wo-DGP":
-        all_sources = frozenset(dataset.deployment.source_ids)
-        for y in activities:
-            chosen = dgp.subsets.get(y, frozenset())
-            if not chosen:
-                logger.warning("activity %r: empty subset, falling back to all sources", y)
-                chosen = all_sources
-            subsets[y] = frozenset(chosen)
+    subsets = training_subsets(None if mode == "wo-DGP" else dgp, dataset, supplement)
     per_fold: list[Metrics] = []
     window_len = frames[0].samples.shape[1]
     for fold in range(folds.k):
         train_frames, val_frames = folds.split(frames, fold)
-        if mode != "wo-DGP":
+        if subsets is not None:
             train_frames = mask_augment(train_frames, subsets, config.mask_sigma,
                                         int(derive_rng(seed, 11, fold).integers(2 ** 31)),
                                         dataset.deployment, supplement=supplement)

@@ -40,8 +40,11 @@ class ManifestError(ValueError):
 # sensors, next to the dataset layout that embeds it)
 
 def _convert(default, value):
-    """`value` as the type of `default` (per element for a tuple), never truncated."""
+    """`value` as the type of `default` (per element for a tuple, which must
+    not be empty), never truncated."""
     if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(value)
         return tuple(_convert(default[0], v) for v in value)
     if type(default) is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
@@ -163,8 +166,9 @@ DEFAULT_MANIFEST: dict = {
     "analyze": {"n_trees": 32, "max_depth": 10, "min_leaf": 3},
     "dgp": {"tau_imp": 0.2, "tau_int": 0.2},
     "protocol": {"modes": ["wo-DGP", "w-DGP"], "model": {}, "hexp": None,
-                 "include_null": False, "supplement": False},
-    "report": {"tau_sweep": [0.0, 0.2, 0.4, 0.6], "pairwise": [], "resolution": 20},
+                 "include_null": False, "supplement": False,
+                 "tau_sweep": (0.0, 0.2, 0.4, 0.6)},
+    "report": {"pairwise": [], "resolution": 20},
 }
 
 
@@ -204,18 +208,21 @@ class Manifest:
     def path(self, key: str) -> Path:
         return self.root / self.doc["paths"][key]
 
-    def number(self, key: str, kind: type = int):
-        """The value at dotted `key` (e.g. "analyze.n_trees") read as `kind`;
-        a missing or non-numeric value raises ManifestError naming the key."""
+    def number(self, key: str):
+        """The value at dotted `key` (e.g. "analyze.n_trees") read by _convert
+        as the type of its DEFAULT_MANIFEST default; a value that does not
+        convert raises ManifestError naming the key."""
         *sections, name = key.split(".")
-        doc = self.doc
+        doc, default = self.doc, DEFAULT_MANIFEST
         for section in sections:
-            doc = doc[section]
-        value = doc.get(name)
+            doc, default = doc[section], default[section]
+        value, default = doc.get(name), default[name]
         try:
-            return kind(value)
+            return _convert(default, value)
         except (TypeError, ValueError):
-            raise ManifestError(f"{key} must be a number, got {value!r}") from None
+            kind = "a non-empty list of numbers" if isinstance(default, tuple) else \
+                f"a number ({type(default).__name__})"
+            raise ManifestError(f"{key} must be {kind}, got {value!r}") from None
 
     @property
     def seed(self) -> int:
@@ -268,7 +275,8 @@ def generate_dataset(spec: Mapping, out: str | Path, frames_per_activity: int,
                           recordings_per_activity=recordings_per_activity)
     sensors.write_dataset(ds, out)
     if provenance is not None:
-        (Path(out) / "provenance.json").write_text(json.dumps(provenance, sort_keys=True) + "\n")
+        hyperspace.write_text(Path(out) / "provenance.json",
+                              json.dumps(provenance, sort_keys=True) + "\n")
     return ds
 
 
@@ -361,16 +369,6 @@ def _analyze_args(manifest: Manifest) -> dict:
     return {**args, "seed": manifest.stage_seed("analyze")}
 
 
-def _run_protocol(manifest: Manifest, ds: sensors.Dataset, folds: sensors.FoldAssignment,
-                  model: dgp_mod.DgpModel | None, mode: str) -> learner.ProtocolResult:
-    """One protocol run under the manifest's protocol model, seed and flags."""
-    proto = manifest.doc["protocol"]
-    return learner.run_protocol(ds, folds, model_config_from_json(proto.get("model") or {}),
-                                dgp=model, mode=mode, seed=manifest.stage_seed("protocol"),
-                                include_null=bool(proto.get("include_null")),
-                                supplement=bool(proto.get("supplement")))
-
-
 @_stage("generate", "data", last="provenance.json")
 def stage_generate(manifest: Manifest, out: Path) -> None:
     gen = manifest.doc["generate"]
@@ -432,15 +430,36 @@ def stage_analyze(manifest: Manifest, out: Path) -> None:
 def stage_dgp(manifest: Manifest, out: Path) -> None:
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
-    model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp", float),
-                               manifest.number("dgp.tau_int", float))
+    model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp"),
+                               manifest.number("dgp.tau_int"))
     hyperspace.write_json(out, dgp_mod.dgp_to_json(model), manifest.provenance("dgp"))
 
 
 @_stage("protocol", "metrics")
 def stage_protocol(manifest: Manifest, out: Path) -> None:
-    ds, folds = _load_frames(manifest)
     proto = manifest.doc["protocol"]
+    # the manifest's modes and thresholds are checked before any fit or write
+    if unknown := [mode for mode in proto["modes"] if mode not in learner.MODES]:
+        raise ManifestError(f"protocol.modes: unknown modes {unknown}")
+    taus, tau_int = manifest.number("protocol.tau_sweep"), manifest.number("dgp.tau_int")
+    ds, folds = _load_frames(manifest)
+    space = hyperspace.load_space(manifest.path("space"))
+    reports = activity_reports([manifest.path("reports") / "report_*.json"])
+    config = model_config_from_json(proto.get("model") or {})
+    supplement, prov = bool(proto.get("supplement")), manifest.provenance("protocol")
+    # seed and config are fixed, so runs on the same training frames train the
+    # same model: each distinct set trains once, for every mode and threshold
+    runs: dict[frozenset | None, learner.ProtocolResult] = {}
+
+    def run(model: dgp_mod.DgpModel | None, mode: str) -> learner.ProtocolResult:
+        subsets = learner.training_subsets(model, ds, supplement)
+        key = None if subsets is None else frozenset(subsets.items())
+        if key not in runs:
+            runs[key] = learner.run_protocol(
+                ds, folds, config, dgp=model, mode=mode, seed=manifest.stage_seed("protocol"),
+                include_null=bool(proto.get("include_null")), supplement=supplement)
+        return replace(runs[key], mode=mode)
+
     results = {}
     for mode in proto["modes"]:
         model = None
@@ -450,28 +469,31 @@ def stage_protocol(manifest: Manifest, out: Path) -> None:
             if not proto.get("hexp"):
                 raise ManifestError("w-HExp mode needs a 'hexp' path")
             model = dgp_mod.load_dgp(manifest.root / proto["hexp"])
-        res = _run_protocol(manifest, ds, folds, model, mode)
+        res = run(model, mode)
         results[mode] = res.to_json()
         for fi, m in enumerate(res.per_fold):
             report.confusion_csv(m.labels, m.confusion,
-                                 out.parent / f"confusion_{mode}_fold{fi}.csv",
-                                 manifest.provenance("protocol"))
-    hyperspace.write_json(out, {"results": results}, manifest.provenance("protocol"))
+                                 out.parent / f"confusion_{mode}_fold{fi}.csv", prov)
+    # tau sweep: f1 and mean subset size per threshold, each run as w-DGP, so
+    # the row at dgp.tau_imp is the w-DGP result
+    sweep = []
+    for tau in taus:
+        model = dgp_mod.derive_dgp(reports, space, tau, tau_int)
+        res = run(model, "w-DGP")
+        sizes = [len(model.subsets[y]) for y in model.activities]
+        sweep.append([tau, res.mean_f1, res.std_f1, float(np.mean(sizes))])
+    hyperspace.write_json(out, {"results": results, "tau_sweep": sweep}, prov)
 
 
 @_stage("report", "report", last="summary.md")
 def stage_report(manifest: Manifest, out: Path) -> None:
-    rep_cfg = manifest.doc["report"]
+    """Render the report bundle from space.json, trials.jsonl, reports/ and
+    metrics.json; nothing here trains."""
     space = hyperspace.load_space(manifest.path("space"))
     # the manifest's report settings are checked before any write or fit
     resolution = manifest.number("report.resolution")
-    pairs = rep_cfg.get("pairwise") or []
+    pairs = manifest.doc["report"].get("pairwise") or []
     check_pairs(space, pairs, resolution)
-    try:
-        taus = [float(t) for t in rep_cfg["tau_sweep"]]
-    except (TypeError, ValueError):
-        raise ManifestError("report.tau_sweep must be a list of numbers, got "
-                            f"{rep_cfg['tau_sweep']!r}") from None
     out.mkdir(parents=True, exist_ok=True)
     prov = manifest.provenance("report")
     trials = hyperspace.read_trials(manifest.path("trials"))
@@ -490,33 +512,16 @@ def stage_report(manifest: Manifest, out: Path) -> None:
     else:
         logger.info("report: no positive pairwise terms, heat maps skipped")
 
-    # tau sweep: subset sizes and protocol f1 per threshold, each run as the
-    # protocol stage runs w-DGP, so the row at dgp.tau_imp reproduces it
-    ds, folds = _load_frames(manifest)
-    reports = activity_reports([manifest.path("reports") / "report_*.json"])
-    tau_int = manifest.number("dgp.tau_int", float)
-    rows = []
-    # seed and config are fixed, so taus that derive the same subset family
-    # train identical models: run the protocol once per family
-    by_family: dict[tuple, learner.ProtocolResult] = {}
-    for tau in taus:
-        model = dgp_mod.derive_dgp(reports, space, tau, tau_int)
-        sizes = [len(model.subsets[y]) for y in model.activities]
-        family = tuple(sorted((y, tuple(sorted(s))) for y, s in model.subsets.items()))
-        if family not in by_family:
-            by_family[family] = _run_protocol(manifest, ds, folds, model, "w-DGP")
-        res = by_family[family]
-        rows.append([tau, res.mean_f1, res.std_f1, float(np.mean(sizes))])
+    metrics = json.loads(manifest.path("metrics").read_text())
+    rows = metrics["tau_sweep"]
     report.write_csv(out / "tau_sweep.csv",
                      ["tau_imp", "mean_f1", "std_f1", "mean_subset_size"],
                      rows, prov)
-    report.tau_sweep_svg(taus, [r[1] for r in rows], [r[2] for r in rows],
-                         [r[3] for r in rows], out / "tau_sweep.svg", prov)
+    report.tau_sweep_svg(*zip(*rows), out / "tau_sweep.svg", prov)
 
-    metrics = json.loads(manifest.path("metrics").read_text())["results"]
     mode_lines = "\n".join(
         f"- {mode}: macro f1 {res['mean_f1']:.4f} +- {res['std_f1']:.4f}"
-        for mode, res in sorted(metrics.items()))
+        for mode, res in sorted(metrics["results"].items()))
     top = sorted(overall.individual.items(), key=lambda kv: -kv[1])[:5]
     imp_lines = "\n".join(f"- {p}: {v:.4f}" for p, v in top)
     sweep_lines = "\n".join(

@@ -1,6 +1,7 @@
 """File-based report emission: CSV tables, deterministic SVG plots, and the
 run summary. Every writer takes a provenance mapping (seeds, config hash) and
-embeds it as a comment so artifacts are traceable and byte-reproducible."""
+embeds it as a comment so artifacts are traceable and byte-reproducible, and
+writes through hyperspace.write_text, so a write cut short leaves no file."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fanova import ImportanceReport
+from .hyperspace import write_text
 
 
 def _fmt(v: float) -> str:
@@ -28,22 +30,16 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence],
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def importance_csv(report: ImportanceReport, path: str | Path,
                    provenance: Mapping[str, object] | None = None) -> None:
     """Machine-readable importance table: (param, F) rows, then pair rows."""
-    lines = []
-    if provenance:
-        lines.append("# " + _prov_line(provenance))
-    lines.append("param,individual_importance")
-    for p in report.params:
-        lines.append(f"{p},{_fmt(report.individual[p])}")
-    lines.append("param_u,param_v,pairwise_importance")
-    for (u, v), w in report.pairwise.items():
-        lines.append(f"{u},{v},{_fmt(w)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [[p, float(report.individual[p])] for p in report.params]
+    rows.append(["param_u", "param_v", "pairwise_importance"])
+    rows += [[u, v, float(w)] for (u, v), w in report.pairwise.items()]
+    write_csv(path, ["param", "individual_importance"], rows, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +88,7 @@ def heatmap_svg(values: np.ndarray, path: str | Path, x_label: str, y_label: str
     parts.append(f'<text x="{margin}" y="{margin - 6}" font-size="10">'
                  f'range [{_fmt(vmin)}, {_fmt(vmax)}]</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def tau_sweep_svg(taus: Sequence[float], mean_f1: Sequence[float],
@@ -150,7 +146,7 @@ def tau_sweep_svg(taus: Sequence[float], mean_f1: Sequence[float],
     parts.append(f'<text x="{margin + 90}" y="{margin - 8}" font-size="10" fill="#c05640">'
                  'subset size (dashed)</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def pairwise_grid_csv(theta_u: Sequence[float], theta_v: Sequence[float],
@@ -174,4 +170,4 @@ def summary_markdown(path: str | Path, sections: Mapping[str, str],
         lines += ["`" + _prov_line(provenance) + "`", ""]
     for title, body in sections.items():
         lines += [f"## {title}", "", body, ""]
-    Path(path).write_text("\n".join(lines))
+    write_text(path, "\n".join(lines))

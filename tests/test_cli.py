@@ -225,20 +225,68 @@ def test_tau_sweep_csv_format_and_leftmost_all_sources(demo_run):
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
-def test_tau_sweep_trains_each_subset_family_once(demo_run, monkeypatch):
+def test_tau_sweep_trains_each_subset_family_once(tmp_path, monkeypatch):
     from harvana import learner
     from harvana.pipeline import Manifest, stage_report
-    families = []
+    runs = []
     run_protocol = learner.run_protocol
 
     def counting(*args, **kwargs):
-        families.append(frozenset(kwargs["dgp"].subsets.items()))
+        dgp = kwargs["dgp"]
+        runs.append((kwargs["mode"], dgp and frozenset(dgp.subsets.items())))
         return run_protocol(*args, **kwargs)
 
     monkeypatch.setattr(learner, "run_protocol", counting)
-    stage_report(Manifest.load(demo_run / "manifest.json"), force=True)
-    # the demo's 4 taus derive 3 distinct families (0.4 and 0.6 coincide)
-    assert len(families) == len(set(families)) == 3
+    out = tmp_path / "demo"
+    assert run_cli("pipeline", "--demo", out) == 0
+    # the sweep's tau 0 keeps every source and trains what wo-DGP trained,
+    # tau 0.2 is the manifest's w-DGP, and 0.4 and 0.6 derive one family
+    assert [mode for mode, _ in runs] == ["wo-DGP", "w-DGP", "w-DGP"]
+    assert len(set(runs)) == 3
+    stage_report(Manifest.load(out / "manifest.json"), force=True)
+    assert len(runs) == 3
+
+
+def test_report_renders_without_data_or_folds(pristine_demo, tmp_path):
+    import shutil
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    shutil.rmtree(root / "data")
+    (root / "folds.json").unlink()
+    rendered = ["report/tau_sweep.csv", "report/tau_sweep.svg", "report/summary.md"]
+    for rel in rendered:
+        (root / rel).unlink()
+    assert run_cli("report", "--manifest", root / "manifest.json", "--force") == 0
+    for rel in rendered:
+        assert (root / rel).read_bytes() == (pristine_demo / rel).read_bytes(), rel
+
+
+def test_supplement_trains_the_all_sources_family_as_w_dgp(demo_run, tmp_path,
+                                                           monkeypatch):
+    # supplemented training frames differ from wo-DGP's even where no source
+    # is masked, so tau 0 is not served from the wo-DGP result
+    from harvana import learner
+    from harvana.pipeline import run_pipeline
+    runs = []
+
+    def fake(dataset, folds, config, dgp=None, mode="wo-DGP", seed=0,
+             include_null=False, supplement=False):
+        runs.append((mode, dgp and frozenset(dgp.subsets.items()), supplement))
+        return learner.ProtocolResult(mode=mode, per_fold=[], mean_f1=len(runs) / 10,
+                                      std_f1=0.0)
+
+    monkeypatch.setattr(learner, "run_protocol", fake)
+    manifest = demo_stage_manifest(demo_run, tmp_path, "protocol", "metrics", "metrics.json",
+                                   {"protocol": {"supplement": True}})
+    run_pipeline(manifest)
+    n_sources = len(json.loads((demo_run / "data" / "meta.json").read_text())["sources"])
+    assert [mode for mode, _, _ in runs] == ["wo-DGP", "w-DGP", "w-DGP", "w-DGP"]
+    assert all(supplement for _, _, supplement in runs)
+    assert {len(s) for _, s in runs[2][1]} == {n_sources}
+    doc = json.loads((tmp_path / "metrics.json").read_text())
+    assert [row[1] for row in doc["tau_sweep"]] == [0.3, 0.2, 0.4, 0.4]
+    assert {mode: res["mean_f1"] for mode, res in doc["results"].items()} == {
+        "wo-DGP": 0.1, "w-DGP": 0.2}
 
 
 def test_artifacts_embed_provenance(demo_run):
@@ -531,6 +579,9 @@ def test_manifest_bad_report_pairs_exit_2_and_write_nothing(demo_run, tmp_path, 
     ("report", "report", "report", "resolution", "abc"),
     ("analyze", "reports", "analyze", "n_trees", "many"),
     ("explore", "trials", "explore", "budget", "ten"),
+    # a fractional integer is not truncated
+    ("analyze", "reports", "analyze", "n_trees", 2.5),
+    ("partition", "folds", "partition", "k", 3.5),
 ])
 def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
         demo_run, tmp_path, stage, out_key, section, key, value):
@@ -545,7 +596,10 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
 
 
 @pytest.mark.parametrize("stage, out_key, key, value, named", [
-    ("report", "report", "report.tau_sweep", [0.0, "x"], "report.tau_sweep"),
+    ("protocol", "metrics", "protocol.tau_sweep", [0.0, "x"], "protocol.tau_sweep"),
+    ("protocol", "metrics", "protocol.tau_sweep", [], "protocol.tau_sweep"),
+    ("protocol", "metrics", "protocol.tau_sweep", 0.2, "protocol.tau_sweep"),
+    ("protocol", "metrics", "protocol.model.kernel_sizes", [], "model.kernel_sizes"),
     ("generate", "data", "generate.sensor.noise_sigma", "loud", "sensor.noise_sigma"),
     ("generate", "data", "generate.planted.phase_jitter", "wide", "planted.phase_jitter"),
     # keys the codec's dataclass lacks, and values it would have to guess at
@@ -608,7 +662,9 @@ def test_bad_model_config_file_exits_2(demo_run, tmp_path, config):
 @pytest.mark.parametrize("edit, named", [
     ({"analyse": {"n_trees": 8}}, "analyse"),
     ({"explore": {"budgett": 8}}, "explore.budgett"),
-], ids=["top_level", "in_a_section"])
+    # the sweep's thresholds are read by the protocol stage
+    ({"report": {"tau_sweep": [0.0, 0.2]}}, "report.tau_sweep"),
+], ids=["top_level", "in_a_section", "moved_key"])
 def test_unknown_manifest_key_exits_2(demo_run, tmp_path, edit, named):
     from harvana.pipeline import ManifestError, run_pipeline
     manifest = demo_stage_manifest(demo_run, tmp_path, "dgp", "dgp", "dgp.json", {})
@@ -638,10 +694,10 @@ def test_unknown_strategy_setting_exits_2(demo_run, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
-@pytest.mark.parametrize("stage", ["partition", "dgp", "protocol"])
+@pytest.mark.parametrize("stage", ["generate", "partition", "dgp", "protocol", "report"])
 def test_json_write_cut_short_leaves_no_done_file(pristine_demo, tmp_path, monkeypatch,
                                                   stage):
-    # these stages are done once their one JSON file exists, so a write killed
+    # these stages are done once their done-file exists, so a write killed
     # half-way must not leave that file behind
     import shutil
     from pathlib import Path
@@ -672,12 +728,17 @@ def test_json_write_cut_short_leaves_no_done_file(pristine_demo, tmp_path, monke
 
 def test_tau_sweep_row_at_tau_imp_reproduces_w_dgp(demo_run):
     # the sweep runs the protocol stage's seed and settings, so its row at the
-    # manifest's tau_imp is the protocol stage's w-DGP result
+    # manifest's tau_imp is the protocol stage's w-DGP result, and its row at
+    # tau 0, where every source is kept, is the wo-DGP result
     tau_imp = json.loads((demo_run / "manifest.json").read_text())["dgp"]["tau_imp"]
+    metrics = json.loads((demo_run / "metrics.json").read_text())
     lines = (demo_run / "report" / "tau_sweep.csv").read_text().splitlines()[2:]
-    row = next(r.split(",") for r in lines if float(r.split(",")[0]) == tau_imp)
-    w_dgp = json.loads((demo_run / "metrics.json").read_text())["results"]["w-DGP"]
-    assert row[1:3] == [f"{w_dgp['mean_f1']:.6g}", f"{w_dgp['std_f1']:.6g}"]
+    assert [r.split(",") for r in lines] == [
+        [f"{v:.6g}" for v in row] for row in metrics["tau_sweep"]]
+    for tau, mode in [(tau_imp, "w-DGP"), (0.0, "wo-DGP")]:
+        row = next(r for r in metrics["tau_sweep"] if r[0] == tau)
+        res = metrics["results"][mode]
+        assert row[1:3] == [res["mean_f1"], res["std_f1"]], mode
 
 
 def without_provenance(path):

@@ -36,7 +36,7 @@ MIXED = SearchSpace(params=(
 def test_table1_space_is_valid():
     space = table1_space()
     validate_space(space)
-    assert space.dim == 13
+    assert space.dim == 8
     assert space["lr"].prior == "log"
     assert space["s"].lower == 0.5 and space["s"].upper == 0.6
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from harvana.learner import (
     run_protocol,
     softmax,
     train,
+    training_subsets,
     _Conv1d,
 )
 from harvana import learner
@@ -68,8 +70,7 @@ def stat_config(**kw):
 def test_config_from_values_table1_names():
     cfg = config_from_values({
         "lr": 0.02, "ks1": 11, "ks2": 13, "ks3": 9, "n_f": 20, "s": 0.55,
-        "p_d": 0.3, "n_u": 128, "n_hu1": 64, "n_hu2": 96, "p_in": 0.6,
-        "p_ou": 0.7, "p_st": 0.8,
+        "p_d": 0.3, "n_u": 128,
     })
     assert cfg.learning_rate == 0.02
     assert cfg.kernel_sizes == (11, 13, 9)
@@ -77,8 +78,10 @@ def test_config_from_values_table1_names():
     assert cfg.stride_fraction == 0.55
     assert cfg.dropout == 0.3
     assert cfg.dense_units == 128
-    assert cfg.recurrent == {"n_hu1": 64, "n_hu2": 96, "p_in": 0.6,
-                             "p_ou": 0.7, "p_st": 0.8}
+    # no recurrent head is built, so its hyperparameters are not accepted
+    for name in ("n_hu1", "n_hu2", "p_in", "p_ou", "p_st"):
+        with pytest.raises(ConfigError, match=f"unknown hyperparameter '{name}'"):
+            config_from_values({"lr": 0.02, name: 64})
 
 
 def test_config_from_values_source_gains():
@@ -670,6 +673,24 @@ def test_run_protocol_modes_and_masking_noop():
     assert same.mean_f1 == base.mean_f1  # masking no-op when all sources kept
     for ma, mb in zip(base.per_fold, same.per_fold):
         np.testing.assert_array_equal(ma.confusion, mb.confusion)
+
+
+def test_training_subsets_none_only_when_masking_changes_nothing():
+    ds, planted = planted_dataset()
+    truth = truth_dgp(ds, planted)
+    everything = frozenset(ds.deployment.source_ids)
+    keep_all = replace(truth, subsets={y: everything for y in truth.activities})
+    assert training_subsets(None, ds) is None
+    assert training_subsets(keep_all, ds) is None
+    # supplemented frames differ from the originals even when nothing is masked
+    assert training_subsets(keep_all, ds, supplement=True) == \
+        {y: everything for y in ds.activities}
+    assert training_subsets(truth, ds) == {y: frozenset(s) for y, s in truth.subsets.items()}
+    # an empty or missing subset falls back to all sources
+    first, *rest = ds.activities
+    sparse = replace(truth, subsets={first: frozenset(), rest[0]: truth.subsets[rest[0]]})
+    assert training_subsets(sparse, ds) == {
+        y: truth.subsets[y] if y == rest[0] else everything for y in ds.activities}
 
 
 def test_run_protocol_missing_dgp_rejected():
