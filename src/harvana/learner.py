@@ -147,7 +147,7 @@ class _Conv1d:
     with dy_block the (F, n*O) gradient of the same samples. col2im is K
     strided slice-adds of ``dcols = W.reshape(F, C*K)^T @ dy_block`` into
     ``dx[a:a+n, :, k:k+span:stride]``, where ``span = (O - 1) * stride + 1``
-    reaches the O window starts. Backward rebuilds the block it needs.
+    reaches the O window starts.
 
     Patch (C == 1, the first layer of every split_channels stack): the
     (N, K, O) patch matrix ``cols[n, k, o] = x[n, 0, o*stride + k]`` is an
@@ -158,9 +158,13 @@ class _Conv1d:
     half the input's size, and blocks timed no faster at the paper-scale
     split_channels shape.
 
-    Input samples past the last window get zero gradient. Between forward
-    and backward the layer keeps only a reference to its input: no patch
-    block outlives the call that built it.
+    Input samples past the last window get zero gradient. A forward with
+    ``keep=True`` (training) keeps what backward reads: a reference to its
+    input and, when the whole batch is one block of at most ``BLOCK`` bytes,
+    that block, which backward uses and drops instead of copying it again. A
+    batch that spans blocks is streamed again in backward, so the layer never
+    holds more than ``BLOCK`` of patches. With ``keep=False`` (inference)
+    it keeps nothing.
 
     With ``input_grad=False`` backward computes db and dW as above and
     returns None, skipping the ``dcols`` GEMMs and the slice-adds. Network
@@ -201,8 +205,8 @@ class _Conv1d:
             block = windows[a:a + n]
             yield a, len(block), block.transpose(1, 3, 0, 2).reshape(C * K, -1)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        self._x, self._block = (x if keep else None), None
         W = self.W.reshape(len(self.W), -1)
         if self.patches:
             y = W @ self._cols(x)
@@ -210,6 +214,8 @@ class _Conv1d:
             y = np.empty((len(x), len(W), self.out_len(x.shape[2])))
             for a, n, block in self._blocks(x):
                 y[a:a + n] = (W @ block).reshape(len(W), n, -1).transpose(1, 0, 2)
+                if keep and n == len(x) and block.nbytes <= BLOCK:
+                    self._block = block
         y += self.b[None, :, None]
         return y
 
@@ -230,7 +236,9 @@ class _Conv1d:
                     dx[:, 0, k:k + span:s] += dcols[:, k]
             return dx
         dW = np.zeros_like(W)
-        for a, n, block in self._blocks(x):
+        blocks = self._blocks(x) if self._block is None else [(0, len(x), self._block)]
+        self._block = None
+        for a, n, block in blocks:
             dy_block = dy[a:a + n].transpose(1, 0, 2).reshape(F, -1)
             dW += dy_block @ block.T
             if dx is not None:
@@ -251,12 +259,14 @@ class _Activation:
     def __init__(self, kind: str):
         self.kind = kind
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         if self.kind == "relu":
-            self._mask = x > 0
-            return x * self._mask
-        self._out = np.tanh(x)
-        return self._out
+            mask = x > 0
+            self._mask = mask if keep else None
+            return x * mask
+        out = np.tanh(x)
+        self._out = out if keep else None
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self.kind == "relu":
@@ -271,12 +281,13 @@ class _Activation:
 
 
 class _MaxPool2:
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         L = x.shape[2] - x.shape[2] % 2
         self._in_len = x.shape[2]
         a, b = x[:, :, 0:L:2], x[:, :, 1:L:2]
-        self._left = a >= b
-        return np.where(self._left, a, b)
+        left = a >= b
+        self._left = left if keep else None
+        return np.where(left, a, b)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dx = np.zeros(dy.shape[:2] + (self._in_len,))
@@ -305,8 +316,8 @@ class _Dense:
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        self._x = x if keep else None
         return x @ self.W + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -388,7 +399,9 @@ class Network:
         else:
             self.head.append(_Dense(feat_dim, K, rng, zero_init=True))
 
-    def features(self, X: np.ndarray) -> np.ndarray:
+    def features(self, X: np.ndarray, keep: bool = True) -> np.ndarray:
+        """The head's input. Every layer's forward keeps the state its backward
+        reads, or with keep=False keeps nothing and drops what it held."""
         if self.config.n_conv_blocks == 0:
             return stat_features(X * self.gain_vector[None, :, None])
         outs = []
@@ -397,14 +410,15 @@ class Network:
             h = X[:, g, :]
             h *= self.gain_vector[g][None, :, None]
             for layer in stack:
-                h = layer.forward(h)
+                h = layer.forward(h, keep)
             outs.append(h.reshape(len(h), -1))
         return np.concatenate(outs, axis=1)
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        h = self.features(X)
+        """Inference forward: every layer runs with keep=False."""
+        h = self.features(X, keep=False)
         for layer in self.head:
-            h = layer.forward(h)
+            h = layer.forward(h, keep=False)
         return h
 
     def loss_and_grads(self, X: np.ndarray, y_idx: np.ndarray,
@@ -675,20 +689,24 @@ class ProtocolResult:
                 "per_fold": [m.to_json() for m in self.per_fold]}
 
 
+def fallbacks(dgp: DgpModel | None, dataset: Dataset) -> list[str]:
+    """The activities whose subset under `dgp` is empty or missing: they
+    train on all sources."""
+    return [y for y in dataset.activities if dgp is not None and not dgp.subsets.get(y)]
+
+
 def training_subsets(dgp: DgpModel | None, dataset: Dataset,
                      supplement: bool = False) -> dict[str, frozenset[str]] | None:
     """The sources each activity's training frames keep under `dgp`, an empty
-    or missing subset falling back to all sources (with a warning); None when
-    masking would change no training frame: no model, or every activity
-    keeping every source with supplement off."""
+    or missing subset falling back to all sources; None when masking would
+    change no training frame: no model, or every activity keeping every
+    source with supplement off."""
     if dgp is None:
         return None
     all_sources = frozenset(dataset.deployment.source_ids)
-    subsets = {}
-    for y in dataset.activities:
-        if not dgp.subsets.get(y):
-            logger.warning("activity %r: empty subset, falling back to all sources", y)
-        subsets[y] = frozenset(dgp.subsets.get(y) or all_sources)
+    fell_back = fallbacks(dgp, dataset)
+    subsets = {y: all_sources if y in fell_back else frozenset(dgp.subsets[y])
+               for y in dataset.activities}
     return subsets if supplement or set(subsets.values()) != {all_sources} else None
 
 
@@ -698,14 +716,17 @@ def run_protocol(dataset: Dataset, folds: FoldAssignment, config: ModelConfig,
     """Cross-validated train/evaluate over the fold assignment.
 
     w-DGP and w-HExp apply mask_augment with the model's training_subsets to
-    the training folds only."""
+    the training folds only, warning once per activity that falls back."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("w-DGP", "w-HExp") and dgp is None:
         raise ConfigError(f"mode {mode} requires a DgpModel")
     frames = dataset.frames
     activities = tuple(dataset.activities)
-    subsets = training_subsets(None if mode == "wo-DGP" else dgp, dataset, supplement)
+    dgp = None if mode == "wo-DGP" else dgp
+    for y in fallbacks(dgp, dataset):
+        logger.warning("activity %r: empty subset, falling back to all sources", y)
+    subsets = training_subsets(dgp, dataset, supplement)
     per_fold: list[Metrics] = []
     window_len = frames[0].samples.shape[1]
     for fold in range(folds.k):

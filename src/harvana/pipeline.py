@@ -474,14 +474,17 @@ def stage_protocol(manifest: Manifest, out: Path) -> None:
         for fi, m in enumerate(res.per_fold):
             report.confusion_csv(m.labels, m.confusion,
                                  out.parent / f"confusion_{mode}_fold{fi}.csv", prov)
-    # tau sweep: f1 and mean subset size per threshold, each run as w-DGP, so
-    # the row at dgp.tau_imp is the w-DGP result
+    # tau sweep: f1, the mean size of the subsets trained on and the number
+    # of activities that fell back to all sources, per threshold; each runs
+    # as w-DGP, so the row at dgp.tau_imp is the w-DGP result
     sweep = []
     for tau in taus:
         model = dgp_mod.derive_dgp(reports, space, tau, tau_int)
         res = run(model, "w-DGP")
-        sizes = [len(model.subsets[y]) for y in model.activities]
-        sweep.append([tau, res.mean_f1, res.std_f1, float(np.mean(sizes))])
+        subsets = learner.training_subsets(model, ds, supplement=True)
+        sweep.append([tau, res.mean_f1, res.std_f1,
+                      float(np.mean([len(s) for s in subsets.values()])),
+                      len(learner.fallbacks(model, ds))])
     hyperspace.write_json(out, {"results": results, "tau_sweep": sweep}, prov)
 
 
@@ -515,9 +518,9 @@ def stage_report(manifest: Manifest, out: Path) -> None:
     metrics = json.loads(manifest.path("metrics").read_text())
     rows = metrics["tau_sweep"]
     report.write_csv(out / "tau_sweep.csv",
-                     ["tau_imp", "mean_f1", "std_f1", "mean_subset_size"],
+                     ["tau_imp", "mean_f1", "std_f1", "mean_subset_size", "fallbacks"],
                      rows, prov)
-    report.tau_sweep_svg(*zip(*rows), out / "tau_sweep.svg", prov)
+    report.tau_sweep_svg(*list(zip(*rows))[:4], out / "tau_sweep.svg", prov)
 
     mode_lines = "\n".join(
         f"- {mode}: macro f1 {res['mean_f1']:.4f} +- {res['std_f1']:.4f}"
@@ -525,7 +528,8 @@ def stage_report(manifest: Manifest, out: Path) -> None:
     top = sorted(overall.individual.items(), key=lambda kv: -kv[1])[:5]
     imp_lines = "\n".join(f"- {p}: {v:.4f}" for p, v in top)
     sweep_lines = "\n".join(
-        f"- tau_imp={r[0]:g}: f1 {r[1]:.4f} +- {r[2]:.4f}, mean subset size {r[3]:.2f}"
+        f"- tau_imp={r[0]:g}: f1 {r[1]:.4f} +- {r[2]:.4f}, mean subset size {r[3]:.2f}, "
+        f"fallbacks {r[4]}"
         for r in rows)
     summary = {
         "Protocol results": mode_lines,

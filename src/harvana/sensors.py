@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -475,13 +476,17 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
             if s.position == position:
                 cols.extend((s.id, ci) for ci in range(s.channels))
         rows = [dep.channel_slice(sid).start + ci for sid, ci in cols]
-        with open(out / f"{position}.csv", "w", newline="") as fh:
+        # streamed to a sibling .partial and renamed, so a write cut short
+        # leaves no truncated <position>.csv
+        partial = out / f"{position}.csv.partial"
+        with open(partial, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"{sid}_c{ci}" for sid, ci in cols] + ["label"])
             for rec in dataset.recordings:
                 writer.writerows(
                     ["" if math.isnan(v) else repr(v) for v in values] + [str(label)]
                     for values, label in zip(rec.signals[rows].T.tolist(), rec.labels))
+        os.replace(partial, out / f"{position}.csv")
 
 
 def ingest_csv(path: str | Path) -> Dataset:

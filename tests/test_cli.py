@@ -216,13 +216,40 @@ def test_rerun_after_losing_one_done_file_writes_only_that_stage(
 def test_tau_sweep_csv_format_and_leftmost_all_sources(demo_run):
     lines = (demo_run / "report" / "tau_sweep.csv").read_text().splitlines()
     assert lines[0].startswith("#")  # provenance
-    assert lines[1] == "tau_imp,mean_f1,std_f1,mean_subset_size"
+    assert lines[1] == "tau_imp,mean_f1,std_f1,mean_subset_size,fallbacks"
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 4
-    n_sources = len(json.loads((demo_run / "data" / "meta.json").read_text())["sources"])
-    assert float(rows[0][3]) == n_sources  # tau=0 keeps every data source
-    sizes = [float(r[3]) for r in rows]
-    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    meta = json.loads((demo_run / "data" / "meta.json").read_text())
+    n_sources, n_activities = len(meta["sources"]), len(meta["activities"])
+    # tau=0 keeps every data source, with no fallback
+    assert float(rows[0][3]) == n_sources and rows[0][4] == "0"
+    # the size is of the sets trained on: an activity that falls back trains on
+    # every source; the selected sources and the fallbacks move monotonically
+    fallbacks = [int(r[4]) for r in rows]
+    selected = [float(r[3]) * n_activities - n_sources * f for r, f in zip(rows, fallbacks)]
+    assert all(a >= b - 1e-9 for a, b in zip(selected, selected[1:]))
+    assert all(a <= b for a, b in zip(fallbacks, fallbacks[1:]))
+    # the demo's walk subset is empty from tau 0.4 on: it trains on all sources
+    assert fallbacks == [0, 0, 1, 1]
+    assert [f"{float(r[3]):.4f}" for r in rows[2:]] == ["2.6667", "2.6667"]
+    summary = (demo_run / "report" / "summary.md").read_text()
+    assert "tau_imp=0.4: f1 0.9430 +- 0.0383, mean subset size 2.67, fallbacks 1" in summary
+
+
+def test_empty_subset_fallback_is_logged_once_per_trained_family(pristine_demo, tmp_path,
+                                                                 caplog):
+    # tau 0.4 and 0.6 derive one family, whose walk subset is empty: it trains
+    # once, and its fallback is reported once
+    import logging
+    import shutil
+    from harvana.pipeline import Manifest, stage_protocol
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    with caplog.at_level(logging.WARNING):
+        stage_protocol(Manifest.load(root / "manifest.json"), force=True)
+    fell_back = [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
+    assert fell_back == ["activity 'walk': empty subset, falling back to all sources"]
+    assert (root / "metrics.json").read_bytes() == (pristine_demo / "metrics.json").read_bytes()
 
 
 def test_tau_sweep_trains_each_subset_family_once(tmp_path, monkeypatch):
@@ -724,6 +751,53 @@ def test_json_write_cut_short_leaves_no_done_file(pristine_demo, tmp_path, monke
     assert not done.exists()
     run_stage(manifest)
     assert done.read_bytes() == want
+
+
+def test_csv_write_cut_short_leaves_no_half_written_position_file(pristine_demo, tmp_path,
+                                                                   monkeypatch):
+    # generate streams every <position>.csv to a .partial and renames it, so
+    # a write killed half-way leaves no truncated data file, and a rerun
+    # writes the same bytes
+    import csv
+    import shutil
+    from pathlib import Path
+    from harvana.pipeline import Manifest, stage_generate
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    data = root / "data"
+    want = {p.name: p.read_bytes() for p in data.iterdir()}
+    positions = sorted(name for name in want if name.endswith(".csv"))
+    assert len(positions) > 1
+    shutil.rmtree(data)
+    killed_name = positions[1]
+    writer = csv.writer
+
+    class Killed:
+        # writes the header and one data row of the killed file, then fails
+        def __init__(self, fh):
+            self.fh, self.writer = fh, writer(fh)
+
+        def writerow(self, row):
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            if Path(self.fh.name).name.startswith(killed_name):
+                self.writer.writerow(next(iter(rows)))
+                raise OSError("write killed half-way")
+            self.writer.writerows(rows)
+
+    manifest = Manifest.load(root / "manifest.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "writer", Killed)
+        with pytest.raises(OSError, match="half-way"):
+            stage_generate(manifest)
+    assert not (data / killed_name).exists()
+    assert (data / f"{killed_name}.partial").stat().st_size > 0
+    assert not (data / "provenance.json").exists()
+    for p in data.glob("*.csv"):
+        assert p.read_bytes() == want[p.name], p.name
+    stage_generate(manifest)
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == want
 
 
 def test_tau_sweep_row_at_tau_imp_reproduces_w_dgp(demo_run):

@@ -345,16 +345,39 @@ def test_conv_kernel_matches_naive_loops(case, monkeypatch):
         assert not dx[:, :, covered:].any()
 
 
-def test_conv_keeps_no_buffer_beyond_its_input():
+def held_arrays(layer) -> dict[str, np.ndarray]:
+    """The arrays a layer holds besides its parameters and their gradients."""
+    return {name: v for name, v in vars(layer).items()
+            if isinstance(v, np.ndarray) and name not in ("W", "b", "dW", "db")}
+
+
+def test_conv_keeps_only_what_its_backward_reads(monkeypatch):
     rng = np.random.default_rng(0)
     conv = _Conv1d(4, 6, 5, 2, rng)
     x = rng.normal(size=(8, 4, 60))
+    dy = rng.normal(size=(8, 6, conv.out_len(60)))
+    # the batch is one block: a training forward keeps its input and that block
     conv.forward(x)
-    held = {name: v for name, v in vars(conv).items()
-            if isinstance(v, np.ndarray) and name not in ("W", "b", "dW", "db")}
-    assert held, "the layer must keep its input for the backward pass"
-    for name, arr in held.items():
-        assert np.shares_memory(arr, x), f"{name} is a buffer of its own"
+    held = held_arrays(conv)
+    assert sorted(held) == ["_block", "_x"]
+    assert np.shares_memory(held["_x"], x)
+    block = held["_block"]
+    assert block.shape == (4 * 5, 8 * conv.out_len(60)) and block.nbytes <= learner.BLOCK
+    conv.backward(dy)
+    assert list(held_arrays(conv)) == ["_x"]  # backward used the block and dropped it
+    # a batch that spans blocks streams them in both passes and keeps none
+    monkeypatch.setattr(learner, "BLOCK", block.nbytes // 2)
+    conv.forward(x)
+    assert list(held_arrays(conv)) == ["_x"]
+    # one sample whose block alone exceeds BLOCK is not kept either
+    monkeypatch.setattr(learner, "BLOCK", block.nbytes // 16)
+    conv.forward(x[:1])
+    assert list(held_arrays(conv)) == ["_x"]
+    # an inference forward keeps nothing, and drops what a training one kept
+    monkeypatch.undo()
+    conv.forward(x)
+    conv.forward(x, keep=False)
+    assert held_arrays(conv) == {}
 
 
 SKIP_CASES = {
@@ -370,12 +393,12 @@ SKIP_CASES = {
 }
 
 
-def skip_case_network(case):
+def skip_case_network(case, activation="tanh"):
     mode, blocks, n_filters = SKIP_CASES[case]
     dep = deployment(2, channels=2)
     cfg = ModelConfig(conv_mode=mode, n_conv_blocks=blocks, kernel_sizes=(5, 3, 3),
                       n_filters=n_filters, stride_fraction=0.5, dropout=0.2,
-                      activation="tanh", classifier_head="mlp", dense_units=8)
+                      activation=activation, classifier_head="mlp", dense_units=8)
     return build(cfg, dep, ("a", "b"), window_len=60, seed=8)
 
 
@@ -415,6 +438,7 @@ def test_first_conv_of_each_stack_computes_no_input_gradient(case):
     for stack in net.stacks:
         for b, conv in enumerate(stack[::3]):
             dy = rng.normal(size=(len(X), len(conv.W), conv.out_len(conv._x.shape[2])))
+            assert conv.patches or conv._block is not None
             dx, peak = backward_peak(conv, dy)
             if b > 0:
                 assert dx.shape == conv._x.shape
@@ -424,8 +448,11 @@ def test_first_conv_of_each_stack_computes_no_input_gradient(case):
                 # dW, db and the batch-summed (N, F, K) products only
                 assert peak < conv._x.nbytes // 2, peak
             else:
-                # the patch blocks are built either way; skipping saves the dx
+                # both backwards read the block the training forward kept, so
+                # skipping saves the dx and its dcols
                 conv.input_grad = True
+                net.features(X)
+                assert conv._block is not None
                 _, full_peak = backward_peak(conv, dy)
                 assert full_peak - peak >= conv._x.nbytes, (peak, full_peak)
 
@@ -441,20 +468,25 @@ POOL_SHAPES = {
 }
 
 
+def pool_shape_network(shape, activation="relu", n_filters=4, dense_units=8):
+    positions, L, blocks, conv_mode = POOL_SHAPES[shape]
+    dep = Deployment(sources=tuple(DataSource(f"p{i}_{m}", f"p{i}", m, 1)
+                                   for i in range(positions) for m in ("acc", "gyr", "mag")),
+                     sampling_rate=50.0)
+    cfg = ModelConfig(conv_mode=conv_mode, n_conv_blocks=blocks, kernel_sizes=(9, 9, 9),
+                      n_filters=n_filters, stride_fraction=0.5, dropout=0.1,
+                      activation=activation, classifier_head="mlp", dense_units=dense_units)
+    return build(cfg, dep, ("a", "b", "c"), L, seed=3)
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
 def test_pool_before_activation_matches_activation_before_pool(shape, activation):
     # max-pool commutes with a monotone activation, ties included, so the
     # losses and gradients of three SGD steps equal those of the old
     # conv, activation, pool order
-    positions, L, blocks, conv_mode = POOL_SHAPES[shape]
-    dep = Deployment(sources=tuple(DataSource(f"p{i}_{m}", f"p{i}", m, 1)
-                                   for i in range(positions) for m in ("acc", "gyr", "mag")),
-                     sampling_rate=50.0)
-    cfg = ModelConfig(conv_mode=conv_mode, n_conv_blocks=blocks, kernel_sizes=(9, 9, 9),
-                      n_filters=4, stride_fraction=0.5, dropout=0.1,
-                      activation=activation, classifier_head="mlp", dense_units=8)
-    net, ref = (build(cfg, dep, ("a", "b", "c"), L, seed=3) for _ in range(2))
+    net, ref = (pool_shape_network(shape, activation) for _ in range(2))
+    dep, L = net.deployment, net.window_len
     for stack in ref.stacks:
         for i in range(0, len(stack), 3):
             _, pool, act = stack[i:i + 3]
@@ -475,6 +507,83 @@ def test_pool_before_activation_matches_activation_before_pool(shape, activation
             np.testing.assert_array_equal(got, want)
         for n in (net, ref):
             n.sgd_step(0.5)
+
+
+def convs(net):
+    return [layer for stack in net.stacks for layer in stack[::3]]
+
+
+def rebuild_blocks(net):
+    """Make every conv of `net` drop its kept block after forward, so that
+    its backward rebuilds the block from the input."""
+    for conv in convs(net):
+        def forward(x, keep=True, conv=conv, inner=conv.forward):
+            y = inner(x, keep)
+            conv._block = None
+            return y
+        conv.forward = forward
+
+
+@pytest.mark.parametrize("blocking", ["one_block", "one_sample_per_block", "ragged"])
+@pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
+def test_kept_patch_block_matches_rebuilt_block(shape, blocking, monkeypatch):
+    # the widest C > 1 conv sees the batch as one block, one sample per
+    # block, or N - 1 samples and a ragged block of one, as in CONV_CASES
+    net, ref = (pool_shape_network(shape) for _ in range(2))
+    rebuild_blocks(ref)
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(6, net.deployment.n_channels, net.window_len))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    net.features(X)
+    widest = max(8 * c._x.shape[1] * c.kernel * c.out_len(c._x.shape[2])
+                 for c in convs(net) if not c.patches)
+    n = {"one_block": len(X), "one_sample_per_block": 1, "ragged": len(X) - 1}[blocking]
+    monkeypatch.setattr(learner, "BLOCK", n * widest)
+    for _ in range(3):
+        losses = [m.loss_and_grads(X, y, training=True, rng=np.random.default_rng(2))
+                  for m in (net, ref)]
+        assert losses[0] == losses[1]
+        for got, want in zip(net.gradients(), ref.gradients()):
+            np.testing.assert_array_equal(got, want)
+        for m in (net, ref):
+            m.sgd_step(0.5)
+    net.features(X)
+    kept = [c._block is not None for c in convs(net) if not c.patches]
+    assert all(kept) == (blocking == "one_block"), kept
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_logits_keeps_no_layer_state(case, activation):
+    net = skip_case_network(case, activation)
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(6, 4, 60))
+    y = np.array([0, 1, 0, 1, 0, 1])
+    for _ in range(3):  # steps move the zero-initialised head off zero
+        net.loss_and_grads(X, y, training=True, rng=np.random.default_rng(1))
+        net.sgd_step(0.1)
+    h = net.features(X)
+    for layer in net.head:
+        h = layer.forward(h)
+    out = net.logits(X)
+    np.testing.assert_array_equal(out, h)
+    for layer in [*net.head, *(layer for stack in net.stacks for layer in stack)]:
+        assert held_arrays(layer) == {}, (type(layer).__name__, sorted(held_arrays(layer)))
+
+
+def test_logits_peak_memory_at_scaled_paper_split_channels():
+    # the paper's split_channels network scaled to 9 channels x 1200: with no
+    # layer keeping backward state, the inference forward stays below twice
+    # its input
+    net = pool_shape_network("paper.split_channels", n_filters=28, dense_units=64)
+    X = np.random.default_rng(8).normal(size=(16, net.deployment.n_channels, net.window_len))
+    tracemalloc.start()
+    try:
+        net.logits(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * X.nbytes, (peak, X.nbytes)
 
 
 def test_relu_masks_gradient():
