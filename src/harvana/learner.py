@@ -158,13 +158,24 @@ class _Conv1d:
     half the input's size, and blocks timed no faster at the paper-scale
     split_channels shape.
 
+    Resident input (the first conv of a stack, in a ``train`` call of more
+    than one epoch): ``resident(x)`` is built once for the whole training
+    set, and ``forward(r, keep, rows)`` runs the batch of samples ``rows``
+    from it. At C > 1 it is the (C*K, N, O) patch array
+    ``r[c*K + k, i, o] = x[i, c, o*stride + k]``, about K/stride times the
+    size of x, and a batch's block is ``np.take(r, rows, axis=1)`` reshaped
+    to (C*K, n*O): the same layout and values as the block above, so the
+    GEMMs and their results are unchanged. At C == 1 it is x itself, whose
+    patch view costs nothing. A one-epoch ``train`` builds each sample's
+    patches once either way, and so holds none.
+
     Input samples past the last window get zero gradient. A forward with
     ``keep=True`` (training) keeps what backward reads: a reference to its
     input and, when the whole batch is one block of at most ``BLOCK`` bytes,
     that block, which backward uses and drops instead of copying it again. A
     batch that spans blocks is streamed again in backward, so the layer never
-    holds more than ``BLOCK`` of patches. With ``keep=False`` (inference)
-    it keeps nothing.
+    holds more than ``BLOCK`` of patches besides a resident input. With
+    ``keep=False`` (inference) it keeps nothing.
 
     With ``input_grad=False`` backward computes db and dW as above and
     returns None, skipping the ``dcols`` GEMMs and the slice-adds. Network
@@ -194,27 +205,57 @@ class _Conv1d:
         return as_strided(x, (len(x), self.kernel, self.out_len(x.shape[2])),
                           (sn, sl, sl * self.stride), writeable=False)
 
-    def _blocks(self, x: np.ndarray):
-        """Yield (a, n, block): the (C*K, n*O) patch block of x[a:a+n]."""
+    def _windows(self, x: np.ndarray) -> np.ndarray:
+        """(N, C, O, K) window view of x; copies nothing."""
         N, C, L = x.shape
-        K, O = self.kernel, self.out_len(L)
         sn, sc, sl = x.strides
-        windows = as_strided(x, (N, C, O, K), (sn, sc, sl * self.stride, sl), writeable=False)
-        n = max(1, BLOCK // (8 * C * K * O))
-        for a in range(0, N, n):
-            block = windows[a:a + n]
-            yield a, len(block), block.transpose(1, 3, 0, 2).reshape(C * K, -1)
+        return as_strided(x, (N, C, self.out_len(L), self.kernel),
+                          (sn, sc, sl * self.stride, sl), writeable=False)
 
-    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
-        self._x, self._block = (x if keep else None), None
+    def resident(self, x: np.ndarray) -> np.ndarray:
+        """The input that ``forward(r, keep, rows)`` reads for samples of x:
+        x itself at C == 1, else x's (C*K, N, O) patches."""
+        if self.patches:
+            return x
+        N, C, _ = x.shape
+        return self._windows(x).transpose(1, 3, 0, 2).reshape(C * self.kernel, N, -1)
+
+    def _extent(self, x: np.ndarray, rows: np.ndarray | None) -> tuple[int, int]:
+        """(samples, output length) of a batch x, or of rows of a resident x."""
+        if rows is None:
+            return len(x), self.out_len(x.shape[2])
+        return len(rows), x.shape[2]
+
+    def _blocks(self, x: np.ndarray, rows: np.ndarray | None = None):
+        """Yield (a, n, block): the (C*K, n*O) patch block of x[a:a+n], or,
+        given rows, of samples rows[a:a+n] of the resident patches x."""
+        F, C, K = self.W.shape
+        N, O = self._extent(x, rows)
+        n = max(1, BLOCK // (8 * C * K * O))
+        if rows is None:
+            windows = self._windows(x)
+            for a in range(0, N, n):
+                block = windows[a:a + n]
+                yield a, len(block), block.transpose(1, 3, 0, 2).reshape(C * K, -1)
+        else:
+            for a in range(0, N, n):
+                r = rows[a:a + n]
+                yield a, len(r), np.take(x, r, axis=1).reshape(C * K, -1)
+
+    def forward(self, x: np.ndarray, keep: bool = True,
+                rows: np.ndarray | None = None) -> np.ndarray:
+        if rows is not None and self.patches:
+            x, rows = x[rows], None
+        self._x, self._rows, self._block = (x, rows, None) if keep else (None, None, None)
         W = self.W.reshape(len(self.W), -1)
         if self.patches:
             y = W @ self._cols(x)
         else:
-            y = np.empty((len(x), len(W), self.out_len(x.shape[2])))
-            for a, n, block in self._blocks(x):
+            N, O = self._extent(x, rows)
+            y = np.empty((N, len(W), O))
+            for a, n, block in self._blocks(x, rows):
                 y[a:a + n] = (W @ block).reshape(len(W), n, -1).transpose(1, 0, 2)
-                if keep and n == len(x) and block.nbytes <= BLOCK:
+                if keep and n == N and block.nbytes <= BLOCK:
                     self._block = block
         y += self.b[None, :, None]
         return y
@@ -236,7 +277,8 @@ class _Conv1d:
                     dx[:, 0, k:k + span:s] += dcols[:, k]
             return dx
         dW = np.zeros_like(W)
-        blocks = self._blocks(x) if self._block is None else [(0, len(x), self._block)]
+        blocks = (self._blocks(x, self._rows) if self._block is None
+                  else [(0, len(dy), self._block)])
         self._block = None
         for a, n, block in blocks:
             dy_block = dy[a:a + n].transpose(1, 0, 2).reshape(F, -1)
@@ -343,6 +385,22 @@ def stat_features(X: np.ndarray) -> np.ndarray:
     return np.concatenate([mean, var, peak], axis=1)
 
 
+@dataclass(frozen=True)
+class Resident:
+    """A training set's first-layer inputs, from ``Network.resident``, and
+    the samples ``rows`` of it that this value stands for. ``R[idx]`` is
+    the batch ``rows[idx]``, which ``Network.loss_and_grads`` takes in
+    place of ``X[idx]``."""
+    inputs: list[np.ndarray]
+    rows: np.ndarray
+
+    def __getitem__(self, idx: np.ndarray) -> Resident:
+        return Resident(self.inputs, self.rows[idx])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 class Network:
     """Block graph: per-group conv stacks (or statistical features) feeding a
     softmax head. Weight shapes are determined by conv_mode and the
@@ -399,17 +457,40 @@ class Network:
         else:
             self.head.append(_Dense(feat_dim, K, rng, zero_init=True))
 
-    def features(self, X: np.ndarray, keep: bool = True) -> np.ndarray:
-        """The head's input. Every layer's forward keeps the state its backward
-        reads, or with keep=False keeps nothing and drops what it held."""
+    def _scaled(self, X: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Gather, then scale in place: one (N, C, L) temporary per group."""
+        h = X[:, g, :]
+        h *= self.gain_vector[g][None, :, None]
+        return h
+
+    def resident(self, X: np.ndarray) -> Resident:
+        """X's first-layer inputs, built once for a training call that passes
+        over X more than once: each stack's gain-scaled group through its
+        first conv's ``resident``, or with no conv blocks the statistical
+        features, which are per sample."""
         if self.config.n_conv_blocks == 0:
+            inputs = [stat_features(X * self.gain_vector[None, :, None])]
+        else:
+            inputs = [stack[0].resident(self._scaled(X, g))
+                      for g, stack in zip(self.groups, self.stacks)]
+        return Resident(inputs, np.arange(len(X)))
+
+    def features(self, X: np.ndarray | Resident, keep: bool = True) -> np.ndarray:
+        """The head's input, for a batch X or a batch of a Resident. Every
+        layer's forward keeps the state its backward reads, or with
+        keep=False keeps nothing and drops what it held."""
+        resident = isinstance(X, Resident)
+        if self.config.n_conv_blocks == 0:
+            if resident:
+                return X.inputs[0][X.rows]
             return stat_features(X * self.gain_vector[None, :, None])
         outs = []
-        for g, stack in zip(self.groups, self.stacks):
-            # gather, then scale in place: one (N, C, L) temporary per group
-            h = X[:, g, :]
-            h *= self.gain_vector[g][None, :, None]
-            for layer in stack:
+        for i, (g, stack) in enumerate(zip(self.groups, self.stacks)):
+            if resident:
+                h = stack[0].forward(X.inputs[i], keep, X.rows)
+            else:
+                h = stack[0].forward(self._scaled(X, g), keep)
+            for layer in stack[1:]:
                 h = layer.forward(h, keep)
             outs.append(h.reshape(len(h), -1))
         return np.concatenate(outs, axis=1)
@@ -421,7 +502,7 @@ class Network:
             h = layer.forward(h, keep=False)
         return h
 
-    def loss_and_grads(self, X: np.ndarray, y_idx: np.ndarray,
+    def loss_and_grads(self, X: np.ndarray | Resident, y_idx: np.ndarray,
                        training: bool = False,
                        rng: np.random.Generator | None = None) -> float:
         """Cross-entropy on a batch; leaves d(loss)/d(param) in every layer."""
@@ -537,7 +618,10 @@ def train(network: Network, frames: Sequence[Frame], config: ModelConfig | None 
     """Mini-batch gradient descent on cross-entropy for config.epochs.
 
     Deterministic per seed (fixed shuffle and reduction order). Raises
-    TrainingDiverged naming the epoch if the loss goes non-finite.
+    TrainingDiverged naming the epoch if the loss goes non-finite. With more
+    than one epoch the training set's first-layer inputs are built once
+    (``Network.resident``) in place of the stacked frames; the batches and
+    their results are the same.
     """
     config = config or network.config
     activities = network.activities
@@ -546,6 +630,8 @@ def train(network: Network, frames: Sequence[Frame], config: ModelConfig | None 
     missing = set(activities) - present
     if missing:
         raise ConfigError(f"no training frames for activities {sorted(missing)}")
+    if int(config.epochs) > 1:
+        X = network.resident(X)
     rng = derive_rng(seed, 7)
     trace: list[float] = []
     n = len(usable)

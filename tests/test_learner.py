@@ -22,6 +22,7 @@ from harvana.learner import (
 )
 from harvana import learner
 from harvana.dgp import DgpModel, InteractionDegrees, SourceImportance
+from harvana.hyperspace import derive_rng
 from harvana.sensors import (
     DataSource,
     Deployment,
@@ -584,6 +585,116 @@ def test_logits_peak_memory_at_scaled_paper_split_channels():
     finally:
         tracemalloc.stop()
     assert peak < 2 * X.nbytes, (peak, X.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# resident first-layer inputs: a train call of more than one epoch
+
+RESIDENT_CASES = [(mode, blocks) for mode in learner.CONV_MODES for blocks in (0, 1, 2)]
+
+
+def resident_case(conv_mode, blocks, epochs=3):
+    dep = deployment(2, channels=2)
+    cfg = ModelConfig(conv_mode=conv_mode, n_conv_blocks=blocks, kernel_sizes=(5, 3, 3),
+                      n_filters=3, stride_fraction=0.5, dropout=0.2, learning_rate=0.1,
+                      epochs=epochs, batch_size=4, activation="relu",
+                      classifier_head="mlp", dense_units=8,
+                      source_gains={"hips_acc": 0.7, "hips_gyr": 0.3})
+    # 13 frames in batches of 4: the last batch of each epoch is ragged
+    frames = toy_frames(n_per_class=7, window=60, n_channels=4, noise=1.0, seed=3)[:13]
+    return cfg, frames, build(cfg, dep, ("a", "b"), 60, seed=8)
+
+
+def per_batch_train(net, frames, cfg, seed):
+    """train's loop written out on the stacked frames: loss_and_grads(X[idx])."""
+    _, X, y = learner._frames_to_arrays(frames, net.activities)
+    rng = derive_rng(seed, 7)
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(X))
+        losses = []
+        for start in range(0, len(X), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            losses.append(net.loss_and_grads(X[idx], y[idx], training=True, rng=rng))
+            net.sgd_step(cfg.learning_rate)
+        trace.append(float(np.mean(losses)))
+    return trace
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("blocking", ["batch_is_one_block", "batch_spans_blocks"])
+@pytest.mark.parametrize("conv_mode,blocks", RESIDENT_CASES)
+def test_resident_train_matches_per_batch_loop(conv_mode, blocks, blocking, epochs,
+                                               monkeypatch):
+    cfg, frames, net = resident_case(conv_mode, blocks, epochs)
+    _, _, ref = resident_case(conv_mode, blocks, epochs)
+    if blocking == "batch_spans_blocks":
+        # 3 samples per block of the first convs: batches of 4 span two
+        first = [stack[0] for stack in net.stacks if not stack[0].patches]
+        per_sample = max((8 * c.W.shape[1] * c.kernel * c.out_len(60) for c in first), default=1)
+        monkeypatch.setattr(learner, "BLOCK", 3 * per_sample)
+    calls = []
+    resident = learner.Network.resident
+    monkeypatch.setattr(learner.Network, "resident",
+                        lambda self, X: calls.append(len(X)) or resident(self, X))
+    trace = train(net, frames, cfg, seed=4).loss_trace
+    # only a train call of more than one epoch builds resident inputs
+    assert calls == ([13] if epochs > 1 else [])
+    assert trace == per_batch_train(ref, frames, cfg, seed=4)
+    for got, want in zip(net.parameters(), ref.parameters()):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("L", [59, 60])
+def test_stat_features_of_a_batch_equal_rows_of_the_whole_set(L):
+    # the zero-block resident input is stat_features of the whole training
+    # set; each row must equal that of the batch alone, rfft included
+    X = np.random.default_rng(5).normal(size=(13, 4, L))
+    whole = learner.stat_features(X)
+    for rows in (np.array([3]), np.array([12, 0, 7, 5]), np.arange(13)[::-2]):
+        np.testing.assert_array_equal(whole[rows], learner.stat_features(X[rows]))
+
+
+def held_at_each_step(net, frames, cfg):
+    """The most traced bytes held when a step of one train call starts; the
+    frames are allocated before tracing, so they do not count."""
+    held = []
+    step = net.loss_and_grads
+
+    def traced_step(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return step(*args, **kwargs)
+
+    net.loss_and_grads = traced_step
+    tracemalloc.start()
+    try:
+        train(net, frames, cfg, seed=1)
+    finally:
+        tracemalloc.stop()
+    return max(held)
+
+
+def test_resident_patches_memory_at_scaled_paper_shape():
+    # the paper's grouped network scaled to 9 channels x 1200; the first
+    # conv's patches are K*O/L (about K/stride) times the stacked frames
+    net = pool_shape_network("paper.grouped", n_filters=28, dense_units=64)
+    dep, L = net.deployment, net.window_len
+    rng = np.random.default_rng(2)
+    frames = [Frame(frame_id=i, activity="abc"[i % 3], samples=rng.normal(size=(dep.n_channels, L)),
+                    time_index=i, recording="r") for i in range(24)]
+    x_bytes = 24 * dep.n_channels * L * 8
+    conv = net.stacks[0][0]
+    patch_bytes = conv.kernel * conv.out_len(L) / L * x_bytes
+    cfg = replace(net.config, batch_size=8)
+    one = held_at_each_step(net, frames, replace(cfg, epochs=1))
+    two = held_at_each_step(pool_shape_network("paper.grouped", n_filters=28, dense_units=64),
+                            frames, replace(cfg, epochs=2))
+    # one epoch holds the stacked frames and a batch's layer state, no patches
+    state = one - x_bytes
+    assert 0 < state < patch_bytes, (one, x_bytes, patch_bytes)
+    # two epochs hold the patches, at most K*O/L times the frames, and no
+    # stacked frames beside them; their batch state is no larger
+    assert x_bytes < two - state <= patch_bytes, (two, state, patch_bytes)
 
 
 def test_relu_masks_gradient():
