@@ -6,24 +6,27 @@ minimize the overall validation loss nu; f1 is recorded but never optimized.
 `run` is a pure function of (space, strategy, evaluator, budget, seed): two
 runs with the same arguments produce byte-identical trial logs.
 
-A run encodes each trial to the unit cube once. For GP it also keeps a
-GPCache: the history rows, their squared distances (one new row per trial,
-bit-identical to a full rebuild) and the distinct config keys. The GP's
-linear algebra stays on one BLAS library: numpy and scipy each load their
-own OpenBLAS with its own thread pool, so every LAPACK call is scipy's and
-the numpy work between them avoids BLAS GEMMs (the pool cross term is an
+A run keeps its trials in one History, shared by every proposal rule (one
+per rung resource for hyperband and BOHB). It encodes each trial to the unit
+cube the first time a proposal reads its rows, and grows the rows' squared
+distances, bit-identical to a full rebuild, one row per trial when a GP
+reads them; a bare list given to a proposal is wrapped in a fresh History.
+The GP's linear algebra stays on one BLAS library: numpy and scipy each load
+their own OpenBLAS with its own thread pool, so every LAPACK call is scipy's
+and the numpy work between them avoids BLAS GEMMs (the pool cross term is an
 einsum), or numpy's still-spinning threads compete with scipy's.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 from scipy.special import ndtr
@@ -33,6 +36,7 @@ from .hyperspace import (
     Configuration,
     SearchSpace,
     Trial,
+    convert,
     derive_rng,
     from_unit,
     grid,
@@ -72,21 +76,27 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise StrategyError(f"unknown strategy {self.kind!r}")
-        unknown = sorted(set(self.settings) - set(DEFAULTS[self.kind]))
+        defaults = DEFAULTS[self.kind]
+        unknown = sorted(set(self.settings) - set(defaults))
         if unknown:
             raise StrategyError(f"unknown {self.kind} settings {unknown}")
-        merged = dict(DEFAULTS[self.kind])
-        merged.update(self.settings)
-        object.__setattr__(self, "settings", merged)
-        s = merged
-        if self.kind in ("hyperband", "bohb") and (int(s["eta"]) < 2 or s["R"] < s["eta"]):
+        s = dict(defaults)
+        for key, value in self.settings.items():
+            try:
+                s[key] = convert(defaults[key], value)
+            except (TypeError, ValueError):
+                raise StrategyError(f"{self.kind} setting {key}={value!r} does not convert "
+                                    f"to the type of its default {defaults[key]!r}") from None
+        object.__setattr__(self, "settings", s)
+        if self.kind in ("hyperband", "bohb") and (s["eta"] < 2 or s["R"] < s["eta"]):
             raise StrategyError("hyperband requires R >= eta >= 2")
         if self.kind in ("tpe", "bohb") and not (0.0 < s["gamma"] < 1.0):
             raise StrategyError("TPE gamma must lie in (0,1)")
         if self.kind == "anneal" and not (0.0 < s["decay"] <= 1.0):
             raise StrategyError("anneal decay must lie in (0,1]")
-        if self.kind == "evolution" and int(s["population_size"]) < 1:
-            raise StrategyError("population_size must be >= 1")
+        for key in ("n_candidates", "n_pool", "population_size"):
+            if key in s and s[key] < 1:
+                raise StrategyError(f"{self.kind} setting {key} must be >= 1")
 
 
 class Evaluator(Protocol):
@@ -127,36 +137,56 @@ def hyperband_schedule(R: float, eta: int) -> list[Bracket]:
 # ---------------------------------------------------------------------------
 # proposal rules
 
-def _unit_history(history: Sequence[Trial], space: SearchSpace,
-                  units: dict[int, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """History as unit rows and losses. `units` caches trial_id -> to_unit row
-    across calls, so a run encodes each trial once; trial_ids in `history`
-    must be distinct, as run() numbers them."""
-    units = {} if units is None else units
-    for t in history:
-        if t.trial_id not in units:
-            units[t.trial_id] = to_unit(space, t.config)
-    X = np.stack([units[t.trial_id] for t in history])
-    y = np.array([t.nu for t in history])
-    return X, y
+class History(Sequence):
+    """A run's trials, append-only. `rows()` encodes each trial with to_unit
+    the first time it is read; `sq()` adds one row of squared distances per
+    new trial, `((x - X) ** 2).sum(axis=1)`, the same contiguous reduction as
+    the full `(X[:, None] - X[None]) ** 2` broadcast, so it is bit-identical
+    to a fresh build."""
+
+    def __init__(self, space: SearchSpace, trials: Sequence[Trial] = ()):
+        self.space = space
+        self.trials = list(trials)
+        self._rows = np.empty((0, space.dim))
+        self._sq = np.empty((0, 0))
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def __getitem__(self, i):
+        return self.trials[i]
+
+    def append(self, trial: Trial) -> None:
+        self.trials.append(trial)
+
+    def rows(self) -> np.ndarray:
+        new = self.trials[len(self._rows):]
+        if new:
+            self._rows = np.vstack([self._rows] + [to_unit(self.space, t.config) for t in new])
+        return self._rows
+
+    def sq(self) -> np.ndarray:
+        X = self.rows()
+        for i in range(len(self._sq), len(X)):
+            row = ((X[i] - X[:i + 1]) ** 2).sum(axis=1)
+            self._sq = np.block([[self._sq, row[:-1, None]], [row]])
+        return self._sq
 
 
-def _incumbent(history: Sequence[Trial]) -> Trial:
-    return min(history, key=lambda t: (t.nu, t.trial_id))
+def _as_history(history: Sequence[Trial], space: SearchSpace) -> History:
+    return history if isinstance(history, History) else History(space, history)
 
 
 def tpe_propose(history: Sequence[Trial], space: SearchSpace, gamma: float,
                 n_candidates: int, rng: np.random.Generator,
-                n_startup: int = 10,
-                units: dict[int, np.ndarray] | None = None) -> Configuration:
+                n_startup: int = 10) -> Configuration:
     """Density-ratio proposal: split history at the gamma-quantile of nu,
-    draw candidates from the good-set KDE, return the best l(x)/g(x).
-
-    `units` is the run's trial_id -> to_unit row cache (see _unit_history)."""
+    draw candidates from the good-set KDE, return the best l(x)/g(x)."""
     n = len(history)
     if n < max(2, n_startup):
         return sample(space, rng)
-    X, y = _unit_history(history, space, units)
+    history = _as_history(history, space)
+    X, y = history.rows(), np.array([t.nu for t in history])
     order = np.argsort(y, kind="stable")
     n_good = min(tpe_good_count(n, gamma), n - 1)
     good, bad = X[order[:n_good]], X[order[n_good:]]
@@ -222,34 +252,6 @@ def expected_improvement(mu: np.ndarray, sigma: np.ndarray, best: float) -> np.n
     return np.maximum(out, 0.0)
 
 
-class GPCache:
-    """A run's GP state, grown by one trial per proposal: the history's unit
-    rows `X`, their squared distances `sq`, and the distinct config keys.
-
-    Each new row of `sq` is `((x - X) ** 2).sum(axis=1)`, the same contiguous
-    d-element reduction as the full `(X[:, None] - X[None]) ** 2` broadcast,
-    so the kernel matrix is bit-identical to a fresh build."""
-
-    def __init__(self, space: SearchSpace):
-        self.space = space
-        self.trials: list[Trial] = []
-        self.distinct: set = set()
-        self.X = np.empty((0, space.dim))
-        self.sq = np.empty((0, 0))
-
-    def sync(self, history: Sequence[Trial]) -> None:
-        """Append history's new trials, encoding each once; a history that
-        does not extend the cached one is rebuilt through the same appends."""
-        if list(history[:len(self.trials)]) != self.trials:
-            self.__init__(self.space)
-        for t in history[len(self.trials):]:
-            self.X = np.vstack([self.X, to_unit(self.space, t.config)])
-            row = ((self.X[-1] - self.X) ** 2).sum(axis=1)
-            self.sq = np.block([[self.sq, row[:-1, None]], [row]])
-            self.trials.append(t)
-            self.distinct.add(t.config.key())
-
-
 def _pool_sq_dists(pool: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Squared distances of every pool row to every history row as
     |p|^2 + |x|^2 - 2 p.x, clamped at 0. The cross term is an einsum, not
@@ -264,24 +266,26 @@ def _pool_sq_dists(pool: np.ndarray, X: np.ndarray) -> np.ndarray:
 def gp_propose(history: Sequence[Trial], space: SearchSpace, rng: np.random.Generator,
                length_scale: float = 0.2, n_pool: int = 500,
                jitter: float = 1e-8, max_jitter: float = 1e-4,
-               n_startup: int = 2,
-               cache: GPCache | None = None) -> Configuration:
+               n_startup: int = 2) -> Configuration:
     """GP regression on (unit vector -> nu) with an SE kernel; proposes the
     pool candidate maximizing expected improvement over the incumbent.
 
-    `cache` is the run's GPCache; a fresh one serves a bare call. The
-    predictive variance comes from one triangular solve (Rasmussen &
+    It starts once the history holds `max(2, n_startup)` distinct configs.
+    The predictive variance comes from one triangular solve (Rasmussen &
     Williams, 2006, Alg. 2.1); every LAPACK call is scipy's."""
-    cache = GPCache(space) if cache is None else cache
-    cache.sync(history)
-    if len(cache.distinct) < max(2, n_startup):
+    distinct = set()
+    for t in history:  # stops at the first max(2, n_startup) distinct configs
+        distinct.add(t.config.key())
+        if len(distinct) >= max(2, n_startup):
+            break
+    else:
         return sample(space, rng)
-    X = cache.X
-    y = np.array([t.nu for t in history])
+    history = _as_history(history, space)
+    X, y = history.rows(), np.array([t.nu for t in history])
     y_mean, y_std = float(y.mean()), float(y.std())
     ys = (y - y_mean) / y_std if y_std > 0 else y - y_mean
 
-    K = np.exp(-0.5 * cache.sq / length_scale ** 2)
+    K = np.exp(-0.5 * history.sq() / length_scale ** 2)
     eps = jitter
     while True:
         try:
@@ -314,7 +318,8 @@ def anneal_propose(history: Sequence[Trial], space: SearchSpace,
     p_prior = max(p_min, p0 * decay ** t)
     if rng.uniform() < p_prior:
         return sample(space, rng)
-    u = to_unit(space, _incumbent(history).config)
+    best = min(range(len(history)), key=lambda i: (history[i].nu, history[i].trial_id))
+    u = _as_history(history, space).rows()[best]
     sigma = sigma0 * decay ** t
     return from_unit(space, np.clip(u + rng.normal(0.0, sigma, space.dim), 0.0, 1.0))
 
@@ -433,7 +438,7 @@ def _grid_configs(space, strategy, budget_B) -> list[Configuration]:
         ppd = 2
         while len(grid(space, ppd)) < budget_B and ppd <= budget_B:
             ppd += 1
-    configs = grid(space, int(ppd))
+    configs = grid(space, ppd)
     if len(configs) < budget_B:
         raise StrategyError(
             f"grid of {len(configs)} configs cannot fill budget {budget_B}")
@@ -442,19 +447,16 @@ def _grid_configs(space, strategy, budget_B) -> list[Configuration]:
 
 def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
     s = strategy.settings
-    history: list[Trial] = []
-    units: dict[int, np.ndarray] = {}  # trial_id -> to_unit row (tpe)
-    gp_cache = GPCache(space)
+    history = History(space)
     for t in range(budget_B):
         rng = proposal_rng(seed, t)
         if strategy.kind == "tpe":
             config = tpe_propose(history, space, s["gamma"], s["n_candidates"],
-                                 rng, n_startup=s["n_startup"], units=units)
+                                 rng, n_startup=s["n_startup"])
         elif strategy.kind == "gp":
             config = gp_propose(history, space, rng, length_scale=s["length_scale"],
                                 n_pool=s["n_pool"], jitter=s["jitter"],
-                                max_jitter=s["max_jitter"], n_startup=s["n_startup"],
-                                cache=gp_cache)
+                                max_jitter=s["max_jitter"], n_startup=s["n_startup"])
         elif strategy.kind == "anneal":
             config = anneal_propose(history, space, rng, t, p0=s["p0"],
                                     p_min=s["p_min"], sigma0=s["sigma0"], decay=s["decay"])
@@ -467,13 +469,11 @@ def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
 
 def _run_multifidelity(space, strategy, evaluate, budget_B, seed):
     s = strategy.settings
-    eta = int(s["eta"])
-    schedule = hyperband_schedule(s["R"], eta)
+    schedule = hyperband_schedule(s["R"], s["eta"])
     n_min = s.get("n_min")
     if n_min is None:
         n_min = space.dim + 1
-    by_resource: dict[float, list[Trial]] = {}
-    units: dict[int, np.ndarray] = {}  # trial_id -> to_unit row (bohb)
+    by_resource: dict[float, History] = {}
     calls = 0
     sweep = 0
     while calls < budget_B:
@@ -485,7 +485,7 @@ def _run_multifidelity(space, strategy, evaluate, budget_B, seed):
                 if rung_idx == 0:
                     configs = [
                         _propose_mf(strategy, space, by_resource, n_min,
-                                    derive_rng(seed, 2, sweep, bracket.s, c), s, units)
+                                    derive_rng(seed, 2, sweep, bracket.s, c), s)
                         for c in range(n_i)
                     ]
                 else:
@@ -495,22 +495,21 @@ def _run_multifidelity(space, strategy, evaluate, budget_B, seed):
                     if calls >= budget_B:
                         return
                     trial = evaluate(config, r_i)
-                    by_resource.setdefault(r_i, []).append(trial)
+                    by_resource.setdefault(r_i, History(space)).append(trial)
                     results.append((config, trial.nu))
                     calls += 1
                 results.sort(key=lambda cn: cn[1])
-                keep = max(1, len(results) // eta)
+                keep = max(1, len(results) // s["eta"])
                 survivors = results[:keep]
         sweep += 1
 
 
-def _propose_mf(strategy, space, by_resource, n_min, rng, settings, units=None):
+def _propose_mf(strategy, space, by_resource, n_min, rng, settings):
     if strategy.kind == "hyperband":
         return sample(space, rng)
     # BOHB: TPE fitted on the highest-budget rung with enough observations
     for r in sorted(by_resource, reverse=True):
         if len(by_resource[r]) >= n_min:
             return tpe_propose(by_resource[r], space, settings["gamma"],
-                               settings["n_candidates"], rng, n_startup=n_min,
-                               units=units)
+                               settings["n_candidates"], rng, n_startup=n_min)
     return sample(space, rng)

@@ -243,6 +243,26 @@ def grid(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP_DEFAULT) -
 # ---------------------------------------------------------------------------
 # serialization
 
+def convert(default, value):
+    """`value` as the type of `default`, the rule for every JSON setting:
+    never truncated, a bool only for a bool default and never for a number,
+    an int or null for a None default, per element for a tuple (which must
+    not be empty). Raises TypeError or ValueError."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(value)
+        return tuple(convert(default[0], v) for v in value)
+    if default is None:
+        return None if value is None else convert(0, value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        if type(value) is not type(default):
+            raise ValueError(value)
+        return value
+    if type(default) is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return type(default)(value)
+
+
 def space_to_json(space: SearchSpace) -> dict:
     out = []
     for p in space.params:

@@ -39,18 +39,6 @@ class ManifestError(ValueError):
 # JSON codecs for the pieces a manifest describes (the deployment's live in
 # sensors, next to the dataset layout that embeds it)
 
-def _convert(default, value):
-    """`value` as the type of `default` (per element for a tuple, which must
-    not be empty), never truncated."""
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ValueError(value)
-        return tuple(_convert(default[0], v) for v in value)
-    if type(default) is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return type(default)(value)
-
-
 def _fields(cls, doc: Mapping, where: str, **given):
     """`cls` built from `given` (every field without a default) plus each
     other field `doc` sets, converted to the type of that field's default;
@@ -66,7 +54,7 @@ def _fields(cls, doc: Mapping, where: str, **given):
             continue
         f = known[key]
         try:
-            given[key] = _convert(f.default if f.default is not MISSING
+            given[key] = hyperspace.convert(f.default if f.default is not MISSING
                                   else f.default_factory(), value)
         except (TypeError, ValueError):
             raise ManifestError(f"{where}.{key}: bad value {value!r}") from None
@@ -209,19 +197,20 @@ class Manifest:
         return self.root / self.doc["paths"][key]
 
     def number(self, key: str):
-        """The value at dotted `key` (e.g. "analyze.n_trees") read by _convert
-        as the type of its DEFAULT_MANIFEST default; a value that does not
-        convert raises ManifestError naming the key."""
+        """The value at dotted `key` (e.g. "analyze.n_trees") read by
+        hyperspace.convert as the type of its DEFAULT_MANIFEST default; a
+        value that does not convert raises ManifestError naming the key."""
         *sections, name = key.split(".")
         doc, default = self.doc, DEFAULT_MANIFEST
         for section in sections:
             doc, default = doc[section], default[section]
         value, default = doc.get(name), default[name]
         try:
-            return _convert(default, value)
+            return hyperspace.convert(default, value)
         except (TypeError, ValueError):
-            kind = "a non-empty list of numbers" if isinstance(default, tuple) else \
-                f"a number ({type(default).__name__})"
+            kind = ("a non-empty list of numbers" if isinstance(default, tuple) else
+                    "a boolean" if isinstance(default, bool) else
+                    f"a number ({type(default).__name__})")
             raise ManifestError(f"{key} must be {kind}, got {value!r}") from None
 
     @property
@@ -438,15 +427,17 @@ def stage_dgp(manifest: Manifest, out: Path) -> None:
 @_stage("protocol", "metrics")
 def stage_protocol(manifest: Manifest, out: Path) -> None:
     proto = manifest.doc["protocol"]
-    # the manifest's modes and thresholds are checked before any fit or write
+    # the manifest's modes, thresholds and switches are checked before any fit or write
     if unknown := [mode for mode in proto["modes"] if mode not in learner.MODES]:
         raise ManifestError(f"protocol.modes: unknown modes {unknown}")
     taus, tau_int = manifest.number("protocol.tau_sweep"), manifest.number("dgp.tau_int")
+    include_null = manifest.number("protocol.include_null")
+    supplement = manifest.number("protocol.supplement")
     ds, folds = _load_frames(manifest)
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
     config = model_config_from_json(proto.get("model") or {})
-    supplement, prov = bool(proto.get("supplement")), manifest.provenance("protocol")
+    prov = manifest.provenance("protocol")
     # seed and config are fixed, so runs on the same training frames train the
     # same model: each distinct set trains once, for every mode and threshold
     runs: dict[frozenset | None, learner.ProtocolResult] = {}
@@ -457,7 +448,7 @@ def stage_protocol(manifest: Manifest, out: Path) -> None:
         if key not in runs:
             runs[key] = learner.run_protocol(
                 ds, folds, config, dgp=model, mode=mode, seed=manifest.stage_seed("protocol"),
-                include_null=bool(proto.get("include_null")), supplement=supplement)
+                include_null=include_null, supplement=supplement)
         return replace(runs[key], mode=mode)
 
     results = {}

@@ -328,15 +328,16 @@ def generate(deployment: Deployment, planted: PlantedDgp, frames_per_activity: i
 
 def _resolve_stride(stride, window_len: int) -> int:
     """float in (0,1] is a fraction of the window; int >= 1 is samples (an
-    integral float > 1 counts as samples, any other float is rejected)."""
+    integral float > 1 counts as samples; any other float, and any value
+    that is not an int or a float, a bool included, is rejected)."""
     if stride is None:
         return window_len
-    if isinstance(stride, float):
-        if 0.0 < stride <= 1.0:
-            return max(1, round(stride * window_len))
-        if not stride.is_integer():
-            raise SensorError(f"stride {stride!r} is neither a fraction in (0, 1] "
-                              "nor a whole number of samples")
+    if isinstance(stride, float) and 0.0 < stride <= 1.0:
+        return max(1, round(stride * window_len))
+    if isinstance(stride, bool) or not isinstance(stride, (int, float)) \
+            or not float(stride).is_integer():
+        raise SensorError(f"stride {stride!r} is neither a fraction in (0, 1] "
+                          "nor a whole number of samples")
     stride = int(stride)
     if not (0 < stride <= window_len):
         raise SensorError("stride must satisfy 0 < stride <= window_len")

@@ -639,6 +639,11 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
     ("explore", "trials", "explore.model.epochs", 2.5, "model.epochs"),
     ("generate", "data", "generate.sensor", 5, "sensor: expected an object"),
     ("protocol", "metrics", "protocol.model", "x", "model: expected an object"),
+    # a boolean is read only for a boolean default, and only from a JSON boolean
+    ("protocol", "metrics", "protocol.include_null", "false",
+     "protocol.include_null must be a boolean"),
+    ("protocol", "metrics", "protocol.supplement", 0, "protocol.supplement must be a boolean"),
+    ("analyze", "reports", "analyze.n_trees", True, "analyze.n_trees must be a number"),
 ])
 def test_manifest_non_numeric_nested_value_exits_2_naming_stage_and_key(
         demo_run, tmp_path, stage, out_key, key, value, named):
@@ -719,6 +724,32 @@ def test_unknown_strategy_setting_exits_2(demo_run, tmp_path):
     assert exc.value.stage == "explore" and isinstance(exc.value.cause, StrategyError)
     assert run_cli("pipeline", "--manifest", manifest) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("setting", ["gamma=abc", "population_size=2.5",
+                                     "n_candidates=2.5", "n_pool=0"])
+def test_bad_strategy_setting_value_exits_2_naming_it(tmp_path, setting):
+    space = tmp_path / "space.json"
+    save_space(SearchSpace(params=(ParamSpec("x0", "continuous", 0.0, 1.0),)), space)
+    strategy = {"gamma": "tpe", "population_size": "evolution", "n_candidates": "tpe",
+                "n_pool": "gp"}[setting.partition("=")[0]]
+    assert run_cli("explore", "--space", space, "--strategy", strategy, "--budget", 4,
+                   "--out", tmp_path / "t.jsonl", "--objective", "sphere",
+                   "--set", setting) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
+
+
+@pytest.mark.parametrize("stride", ["20", True, "abc"])
+def test_manifest_bad_stride_exits_2_naming_generate(demo_run, tmp_path, stride):
+    from harvana.pipeline import StageError, run_pipeline
+    from harvana.sensors import SensorError
+    manifest = demo_stage_manifest(demo_run, tmp_path, "generate", "data", "data",
+                                   {"generate": {"stride": stride}})
+    with pytest.raises(StageError, match="stride") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "generate" and isinstance(exc.value.cause, SensorError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["manifest.json"]
 
 
 @pytest.mark.parametrize("stage", ["generate", "partition", "dgp", "protocol", "report"])

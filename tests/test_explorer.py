@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,6 +55,30 @@ def test_strategy_validation():
         Strategy("tpe", {"gama": 0.3})  # a misspelt setting would leave gamma at 0.25
     assert Strategy("tpe").settings["gamma"] == 0.25
     assert Strategy("gp").settings["n_pool"] == 500
+
+
+@pytest.mark.parametrize("kind, settings, named", [
+    ("tpe", {"gamma": "abc"}, "gamma='abc' does not convert"),
+    ("tpe", {"gamma": True}, "gamma=True does not convert"),
+    ("evolution", {"population_size": 2.5}, "population_size=2.5 does not convert"),
+    ("tpe", {"n_candidates": 2.5}, "n_candidates=2.5 does not convert"),
+    ("bohb", {"n_min": 2.5}, "n_min=2.5 does not convert"),
+    ("grid", {"points_per_dim": "x"}, "points_per_dim='x' does not convert"),
+    ("gp", {"n_pool": 0}, "n_pool must be >= 1"),
+    ("tpe", {"n_candidates": 0}, "n_candidates must be >= 1"),
+    ("evolution", {"population_size": 0}, "population_size must be >= 1"),
+])
+def test_strategy_rejects_a_bad_setting_value_naming_it(kind, settings, named):
+    with pytest.raises(StrategyError, match=re.escape(named)):
+        Strategy(kind, settings)
+
+
+def test_strategy_settings_take_the_type_of_their_default():
+    s = Strategy("bohb", {"R": 9.0, "gamma": 1 / 3, "n_min": 5.0}).settings
+    assert (s["R"], s["gamma"], s["n_min"]) == (9, 1 / 3, 5)
+    assert type(s["R"]) is int and type(s["n_min"]) is int
+    assert Strategy("bohb", {"n_min": None}).settings["n_min"] is None
+    assert type(Strategy("gp", {"length_scale": 1}).settings["length_scale"]) is float
 
 
 def test_tpe_good_count():
@@ -398,6 +424,8 @@ def mixed_space():
     (Strategy("tpe"), 60),
     (Strategy("gp"), 40),
     (Strategy("bohb", {"R": 9, "eta": 3, "n_min": 5}), 60),
+    (Strategy("anneal"), 60),
+    (Strategy("hyperband", {"R": 9, "eta": 3}), 60),
 ])
 def test_run_encodes_each_trial_once(strategy, budget, monkeypatch, tmp_path):
     import harvana.explorer as ex
@@ -413,48 +441,59 @@ def test_run_encodes_each_trial_once(strategy, budget, monkeypatch, tmp_path):
 
     monkeypatch.setattr(ex, "to_unit", counting_to_unit)
     kept = tmp_path / "kept.jsonl"
-    run(space, strategy, ev, budget_B=budget, seed=4, out_path=kept)
-    assert 0 < len(calls) <= budget
+    trials = run(space, strategy, ev, budget_B=budget, seed=4, out_path=kept)
+    # hyperband's proposals are prior samples: nothing reads the unit rows
+    assert (0 < len(calls) <= budget) if strategy.kind != "hyperband" else not calls
+    # a config is encoded at most once per trial that holds it (a BOHB
+    # survivor's config object is shared by its trials at each rung)
+    holders = Counter(id(t.config) for t in trials)
+    assert all(n <= holders[c] for c, n in Counter(id(c) for c in calls).items())
 
-    # the same run with proposals that see only a bare history
-    real_tpe, real_gp = ex.tpe_propose, ex.gp_propose
+    # the same run with proposals that see only a bare list of the history
     monkeypatch.setattr(ex, "to_unit", real_to_unit)
-    monkeypatch.setattr(ex, "tpe_propose", lambda *a, units=None, **k: real_tpe(*a, **k))
-    monkeypatch.setattr(ex, "gp_propose",
-                        lambda *a, units=None, cache=None, **k: real_gp(*a, **k))
+    for name in ("tpe_propose", "gp_propose", "anneal_propose"):
+        real = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda h, *a, real=real, **k: real(list(h), *a, **k))
     bare = tmp_path / "bare.jsonl"
     run(space, strategy, ev, budget_B=budget, seed=4, out_path=bare)
     assert kept.read_bytes() == bare.read_bytes()
 
 
 # ---------------------------------------------------------------------------
-# GP per-run cache
+# History: a run's trials with their unit rows and squared distances
 
-def test_gp_cache_distances_match_full_broadcast():
-    from harvana.explorer import GPCache
+def test_history_rows_and_distances_match_a_full_rebuild():
+    from harvana.explorer import History
     space = mixed_space()
-    history = history_from(space, lambda u: float(u.sum()) / 4, 40, seed=3)
-    cache = GPCache(space)
-    for n in range(1, len(history) + 1):
-        cache.sync(history[:n])
-        X = cache.X
-        assert np.array_equal(X, np.stack([to_unit(space, t.config) for t in history[:n]]))
-        assert np.array_equal(cache.sq, ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-        assert cache.distinct == {t.config.key() for t in history[:n]}
+    trials = history_from(space, lambda u: float(u.sum()) / 4, 40, seed=3)
+    history = History(space)
+    for n, trial in enumerate(trials, start=1):
+        history.append(trial)
+        X = history.rows()
+        assert np.array_equal(X, np.stack([to_unit(space, t.config) for t in trials[:n]]))
+        assert np.array_equal(history.sq(), ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        assert list(history) == trials[:n] and history[-1] is trial
+    # a history read once, as a bare list's is, grows to the same rows and distances
+    fresh = History(space, trials)
+    assert np.array_equal(fresh.sq(), history.sq()) and np.array_equal(fresh.rows(), X)
 
 
-def test_gp_cache_rebuilds_for_a_history_that_does_not_extend_it():
-    from harvana.explorer import GPCache
+@pytest.mark.parametrize("rule", ["tpe", "gp", "anneal"])
+def test_bare_list_and_history_propose_the_same(rule):
+    from harvana.explorer import History
     space = mixed_space()
-    history = history_from(space, lambda u: float(((u - 0.4) ** 2).sum()), 30, seed=5)
-    cache = GPCache(space)
-    gp_propose(history, space, np.random.default_rng(0), cache=cache)
-    reordered = history[::-1]
-    sublist = [t for t in history if t.trial_id % 3]  # a BOHB-style rung subset
-    for other in (reordered, sublist, history[:10], history):
-        got = gp_propose(other, space, np.random.default_rng(1), cache=cache)
-        assert got == gp_propose(other, space, np.random.default_rng(1))
-        assert cache.trials == list(other)
+    trials = history_from(space, lambda u: float(((u - 0.4) ** 2).sum()), 30, seed=5)
+    propose = {
+        "tpe": lambda h, rng: tpe_propose(h, space, 0.25, 24, rng),
+        "gp": lambda h, rng: gp_propose(h, space, rng),
+        "anneal": lambda h, rng: anneal_propose(h, space, rng, t=40, p_min=0.0, p0=0.0),
+    }[rule]
+    history = History(space)
+    for trial in trials:
+        history.append(trial)
+        for seed in range(3):
+            got = propose(history, np.random.default_rng(seed))
+            assert got == propose(list(history), np.random.default_rng(seed))
 
 
 def test_gp_pool_distances_match_broadcast_and_stay_nonnegative():
