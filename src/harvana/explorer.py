@@ -36,7 +36,8 @@ from .hyperspace import (
     Configuration,
     SearchSpace,
     Trial,
-    convert,
+    atomic_open,
+    convert_key,
     derive_rng,
     from_unit,
     grid,
@@ -82,11 +83,7 @@ class Strategy:
             raise StrategyError(f"unknown {self.kind} settings {unknown}")
         s = dict(defaults)
         for key, value in self.settings.items():
-            try:
-                s[key] = convert(defaults[key], value)
-            except (TypeError, ValueError):
-                raise StrategyError(f"{self.kind} setting {key}={value!r} does not convert "
-                                    f"to the type of its default {defaults[key]!r}") from None
+            s[key] = convert_key(f"{self.kind} setting {key}", defaults[key], value, StrategyError)
         object.__setattr__(self, "settings", s)
         if self.kind in ("hyperband", "bohb") and (s["eta"] < 2 or s["R"] < s["eta"]):
             raise StrategyError("hyperband requires R >= eta >= 2")
@@ -349,22 +346,6 @@ def evolution_propose(history: Sequence[Trial], space: SearchSpace,
 # ---------------------------------------------------------------------------
 # run loop
 
-class _TrialLog:
-    """Append-only JSONL writer, flushed after every trial."""
-
-    def __init__(self, path: str | Path | None):
-        self.fh = open(path, "w") if path is not None else None
-
-    def append(self, trial: Trial) -> None:
-        if self.fh is not None:
-            self.fh.write(trial_to_line(trial) + "\n")
-            self.fh.flush()
-
-    def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
-
-
 def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
         budget_B: int, seed: int, out_path: str | Path | None = None,
         full_budget: float = 1.0, workers: int = 1) -> list[Trial]:
@@ -372,28 +353,30 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
 
     Non-multi-fidelity strategies evaluate at `full_budget` and return exactly
     budget_B trials; hyperband/bohb record every rung evaluation with its rung
-    resource in Trial.budget. Evaluator exceptions abort with the partial log
-    already flushed to out_path. Batch strategies (random, grid) may evaluate
-    with `workers` threads; trials are merged in id order, so the log is
-    byte-identical regardless of worker timing. Sequential strategies ignore
-    workers (their proposals depend on every previous result).
+    resource in Trial.budget. Each trial is flushed to `<out_path>.partial`
+    as it is recorded, renamed to `out_path` when the run completes
+    (hyperspace.atomic_open); an evaluator exception aborts the run with the
+    ordered prefix in the partial and no `out_path`. Batch strategies (random,
+    grid) may evaluate with `workers` threads; trials are merged in id order,
+    so the log is byte-identical regardless of worker timing. Sequential
+    strategies ignore workers (their proposals depend on every previous
+    result).
     """
     validate_space(space)
     if budget_B < 1:
         raise StrategyError("budget_B must be >= 1")
-    log = _TrialLog(out_path)
     trials: list[Trial] = []
+    with atomic_open(out_path) if out_path is not None else nullcontext() as log:
+        def record(trial: Trial) -> Trial:
+            trial = replace(trial, trial_id=len(trials))
+            trials.append(trial)
+            if log is not None:
+                print(trial_to_line(trial), file=log, flush=True)
+            return trial
 
-    def record(trial: Trial) -> Trial:
-        trial = replace(trial, trial_id=len(trials))
-        trials.append(trial)
-        log.append(trial)
-        return trial
+        def evaluate(config: Configuration, budget: float) -> Trial:
+            return record(evaluator(config, budget, _trial_seed(seed, len(trials))))
 
-    def evaluate(config: Configuration, budget: float) -> Trial:
-        return record(evaluator(config, budget, _trial_seed(seed, len(trials))))
-
-    try:
         if strategy.kind in ("hyperband", "bohb"):
             _run_multifidelity(space, strategy, evaluate, budget_B, seed)
         elif strategy.kind in ("random", "grid"):
@@ -407,8 +390,6 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
                     record(trial)
         else:
             _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget)
-    finally:
-        log.close()
     return trials
 
 

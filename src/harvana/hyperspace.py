@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -245,22 +246,33 @@ def grid(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP_DEFAULT) -
 
 def convert(default, value):
     """`value` as the type of `default`, the rule for every JSON setting:
-    never truncated, a bool only for a bool default and never for a number,
-    an int or null for a None default, per element for a tuple (which must
-    not be empty). Raises TypeError or ValueError."""
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)) or not value:
+    never truncated; a bool, a string or an object only for a default of
+    its own type, and never for a number; an int or null for a None default;
+    per element for a list (which must not be empty) or a tuple (which must
+    be as long as the default). Raises TypeError or ValueError."""
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, (list, tuple)) or not value \
+                or (isinstance(default, tuple) and len(value) != len(default)):
             raise ValueError(value)
-        return tuple(convert(default[0], v) for v in value)
+        return type(default)(convert(default[0], v) for v in value)
     if default is None:
         return None if value is None else convert(0, value)
-    if isinstance(default, bool) or isinstance(value, bool):
+    if isinstance(default, (bool, str, dict)) or isinstance(value, (bool, str, dict)):
         if type(value) is not type(default):
             raise ValueError(value)
         return value
     if type(default) is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return type(default)(value)
+
+
+def convert_key(key: str, default, value, error: type[Exception]):
+    """convert(default, value), or `error` naming `key` if it does not convert."""
+    try:
+        return convert(default, value)
+    except (TypeError, ValueError):
+        raise error(f"{key}={value!r} does not convert to the type of its default "
+                    f"{default!r}") from None
 
 
 def space_to_json(space: SearchSpace) -> dict:
@@ -291,13 +303,22 @@ def space_from_json(doc: Mapping) -> SearchSpace:
     return SearchSpace(params=tuple(params))
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write `text` to a sibling `<name>.partial` and rename it into place,
-    so a write cut short leaves `path` as it was."""
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(text)
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None):
+    """Open a sibling `<name>.partial` for writing and rename it to `path`
+    when the block exits cleanly; a block that raises leaves the partial and
+    `path` as they were. Every file the pipeline writes goes through here,
+    so a file under its final name is complete."""
+    partial = f"{path}.partial"
+    with open(partial, "w", newline=newline) as fh:
+        yield fh
     os.replace(partial, path)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """`text` as the file `path`, written through atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_json(path: str | Path, doc: Mapping, provenance: Mapping | None = None) -> None:
@@ -363,7 +384,7 @@ def trial_to_line(trial: Trial) -> str:
 
 
 def write_trials(trials: Iterable[Trial], path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for t in trials:
             fh.write(trial_to_line(t) + "\n")
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .dgp import DgpModel
-from .hyperspace import Configuration, derive_rng
+from .hyperspace import Configuration, convert_key, derive_rng
 from .sensors import Dataset, Deployment, FoldAssignment, Frame
 
 logger = logging.getLogger(__name__)
@@ -97,7 +97,8 @@ def config_from_values(values: Mapping[str, float | int | str] | Configuration,
 
     Known names map to fields (lr, ks1..ks3, n_f, s, p_d, n_u, ...); params
     named gain_<source_id> become per-source input gains; any other name
-    raises ConfigError.
+    raises ConfigError, as does a value that does not convert to the type
+    of the field it sets.
     """
     if isinstance(values, Configuration):
         values = values.values
@@ -106,24 +107,19 @@ def config_from_values(values: Mapping[str, float | int | str] | Configuration,
     ks = list(cfg.kernel_sizes)
     gains = dict(cfg.source_gains)
     for name, v in values.items():
+        key = f"hyperparameter {name}"
         if name in _FIELD_MAP:
-            updates[_FIELD_MAP[name]] = v
+            f = _FIELD_MAP[name]
+            updates[f] = convert_key(key, getattr(cfg, f), v, ConfigError)
         elif name in ("ks1", "ks2", "ks3"):
-            ks[int(name[-1]) - 1] = int(v)
+            i = int(name[-1]) - 1
+            ks[i] = convert_key(key, ks[i], v, ConfigError)
         elif name.startswith("gain_"):
-            gains[name[len("gain_"):]] = float(v)
+            gains[name[len("gain_"):]] = convert_key(key, 0.0, v, ConfigError)
         else:
             raise ConfigError(f"unknown hyperparameter {name!r}")
     updates["kernel_sizes"] = tuple(ks)
     updates["source_gains"] = gains
-    if "n_conv_blocks" in updates:
-        updates["n_conv_blocks"] = int(updates["n_conv_blocks"])
-    if "dense_units" in updates:
-        updates["dense_units"] = int(updates["dense_units"])
-    if "n_filters" in updates:
-        updates["n_filters"] = int(updates["n_filters"])
-    if "epochs" in updates:
-        updates["epochs"] = int(updates["epochs"])
     return replace(cfg, **updates)
 
 

@@ -4,11 +4,12 @@ dgp -> protocol -> report, driven by a JSON manifest.
 Stages are idempotent: each one is skipped when its output already exists
 unless force=True. The rule lives in one place, the `_stage` declaration:
 each stage names the manifest path it writes and, if that is a directory,
-the file it writes last, and is done when that file exists. Exploration
-streams to a side file renamed on success, and every JSON artifact is
-written the same way, so a crashed stage never passes for done. Every JSON artifact embeds a provenance block (stage seed plus a
-hash of the manifest) and all outputs are byte-deterministic for a fixed
-manifest, so two runs produce identical trial logs, reports, and SVGs.
+the file it writes last, and is done when that file exists. Every file is
+written through hyperspace.atomic_open, to a side file renamed on success,
+so a crashed stage never passes for done. Every JSON artifact embeds a
+provenance block (stage seed plus a hash of the manifest) and all outputs
+are byte-deterministic for a fixed manifest, so two runs produce identical
+trial logs, reports, and SVGs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -53,11 +53,8 @@ def _fields(cls, doc: Mapping, where: str, **given):
         if key in given:
             continue
         f = known[key]
-        try:
-            given[key] = hyperspace.convert(f.default if f.default is not MISSING
-                                  else f.default_factory(), value)
-        except (TypeError, ValueError):
-            raise ManifestError(f"{where}.{key}: bad value {value!r}") from None
+        default = f.default if f.default is not MISSING else f.default_factory()
+        given[key] = hyperspace.convert_key(f"{where}.{key}", default, value, ManifestError)
     return cls(**given)
 
 
@@ -150,12 +147,12 @@ DEFAULT_MANIFEST: dict = {
     },
     "partition": {"k": 4, "meta_len": 1},
     "explore": {"strategy": "random", "budget": 24, "settings": {},
-                "val_fold": 0, "model": {}, "lr_bounds": [0.005, 0.5]},
+                "val_fold": 0, "model": {}, "lr_bounds": (0.005, 0.5)},
     "analyze": {"n_trees": 32, "max_depth": 10, "min_leaf": 3},
     "dgp": {"tau_imp": 0.2, "tau_int": 0.2},
     "protocol": {"modes": ["wo-DGP", "w-DGP"], "model": {}, "hexp": None,
                  "include_null": False, "supplement": False,
-                 "tau_sweep": (0.0, 0.2, 0.4, 0.6)},
+                 "tau_sweep": [0.0, 0.2, 0.4, 0.6]},
     "report": {"pairwise": [], "resolution": 20},
 }
 
@@ -208,8 +205,10 @@ class Manifest:
         try:
             return hyperspace.convert(default, value)
         except (TypeError, ValueError):
-            kind = ("a non-empty list of numbers" if isinstance(default, tuple) else
+            kind = (f"a list of {len(default)} numbers" if isinstance(default, tuple) else
+                    "a non-empty list" if isinstance(default, list) else
                     "a boolean" if isinstance(default, bool) else
+                    "an object" if isinstance(default, dict) else
                     f"a number ({type(default).__name__})")
             raise ManifestError(f"{key} must be {kind}, got {value!r}") from None
 
@@ -378,24 +377,20 @@ def stage_partition(manifest: Manifest, out: Path) -> None:
 
 @_stage("explore", "trials")
 def stage_explore(manifest: Manifest, out: Path, workers: int = 1) -> None:
-    ds, folds = _load_frames(manifest)
+    """Explore the gain space of the deployment; space.json is rewritten after
+    each complete run, so a crashed run leaves it matching the old trial log."""
     exp = manifest.doc["explore"]
-    space_path = manifest.path("space")
-    if space_path.exists():
-        space = hyperspace.load_space(space_path)
-    else:
-        space = gain_space(ds.deployment, tuple(exp["lr_bounds"]))
-        hyperspace.save_space(space, space_path)
+    # the manifest's settings are checked before anything is loaded or written
+    lr_bounds = manifest.number("explore.lr_bounds")
+    strategy = explorer.Strategy(exp["strategy"], manifest.number("explore.settings"))
     base = model_config_from_json(exp.get("model") or {})
-    evaluator = LearnerEvaluator(ds, folds, base,
-                                 val_fold=manifest.number("explore.val_fold"))
-    strategy = explorer.Strategy(exp["strategy"], dict(exp.get("settings") or {}))
-    # stream to a side file: a crashed run must not leave a log that passes for done
-    partial = out.with_name(out.name + ".partial")
-    explorer.run(space, strategy, evaluator, manifest.number("explore.budget"),
-                 manifest.stage_seed("explore"), out_path=partial,
-                 full_budget=float(base.epochs), workers=workers)
-    os.replace(partial, out)
+    budget, val_fold = manifest.number("explore.budget"), manifest.number("explore.val_fold")
+    ds, folds = _load_frames(manifest)
+    space = gain_space(ds.deployment, lr_bounds)
+    evaluator = LearnerEvaluator(ds, folds, base, val_fold=val_fold)
+    explorer.run(space, strategy, evaluator, budget, manifest.stage_seed("explore"),
+                 out_path=out, full_budget=float(base.epochs), workers=workers)
+    hyperspace.save_space(space, manifest.path("space"))
 
 
 @_stage("analyze", "reports", last="report_nu.json")
@@ -428,7 +423,8 @@ def stage_dgp(manifest: Manifest, out: Path) -> None:
 def stage_protocol(manifest: Manifest, out: Path) -> None:
     proto = manifest.doc["protocol"]
     # the manifest's modes, thresholds and switches are checked before any fit or write
-    if unknown := [mode for mode in proto["modes"] if mode not in learner.MODES]:
+    modes = manifest.number("protocol.modes")
+    if unknown := [mode for mode in modes if mode not in learner.MODES]:
         raise ManifestError(f"protocol.modes: unknown modes {unknown}")
     taus, tau_int = manifest.number("protocol.tau_sweep"), manifest.number("dgp.tau_int")
     include_null = manifest.number("protocol.include_null")
@@ -452,7 +448,7 @@ def stage_protocol(manifest: Manifest, out: Path) -> None:
         return replace(runs[key], mode=mode)
 
     results = {}
-    for mode in proto["modes"]:
+    for mode in modes:
         model = None
         if mode == "w-DGP":
             model = dgp_mod.load_dgp(manifest.path("dgp"))

@@ -14,14 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hyperspace import derive_rng, write_json
+from .hyperspace import atomic_open, convert_key, derive_rng, write_json
 
 NULL_LABEL = "null"
 
@@ -448,16 +447,29 @@ def meta_segment_partition(frames: Sequence[Frame], k: int, meta_len: int,
 # recordings) + one CSV per position
 
 def deployment_from_json(doc: Mapping) -> Deployment:
-    sources = tuple(DataSource(id=s["id"], position=s["position"], modality=s["modality"],
-                               channels=int(s.get("channels", DataSource.channels)))
-                    for s in doc["sources"])
-    return Deployment(sources=sources, sampling_rate=float(doc["sampling_rate"]))
+    """The deployment `doc` describes; a value of the wrong type raises SensorError."""
+    sources = []
+    for i, s in enumerate(doc["sources"]):
+        s = {"channels": DataSource.channels, **s}
+        sources.append(DataSource(*(
+            convert_key(f"deployment.sources[{i}].{key}", default, s[key], SensorError)
+            for key, default in (("id", ""), ("position", ""), ("modality", ""), ("channels", 1)))))
+    rate = convert_key("deployment.sampling_rate", 0.0, doc["sampling_rate"], SensorError)
+    return Deployment(sources=tuple(sources), sampling_rate=rate)
 
 
 def deployment_to_json(dep: Deployment) -> dict:
     return {"sampling_rate": dep.sampling_rate,
             "sources": [{"id": s.id, "position": s.position, "modality": s.modality,
                          "channels": s.channels} for s in dep.sources]}
+
+
+def position_columns(deployment: Deployment, position: str) -> dict[str, int]:
+    """The data columns of `<position>.csv`, each name (`<source id>_c<i>`)
+    to its channel row, in deployment order; the label column follows them."""
+    return {f"{s.id}_c{ci}": deployment.channel_slice(s.id).start + ci
+            for s in deployment.sources if s.position == position
+            for ci in range(s.channels)}
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
@@ -472,29 +484,24 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     }
     write_json(out / "meta.json", meta)
     for position in dep.positions():
-        cols: list[tuple[str, int]] = []  # (source_id, channel index)
-        for s in dep.sources:
-            if s.position == position:
-                cols.extend((s.id, ci) for ci in range(s.channels))
-        rows = [dep.channel_slice(sid).start + ci for sid, ci in cols]
-        # streamed to a sibling .partial and renamed, so a write cut short
-        # leaves no truncated <position>.csv
-        partial = out / f"{position}.csv.partial"
-        with open(partial, "w", newline="") as fh:
+        columns = position_columns(dep, position)
+        with atomic_open(out / f"{position}.csv", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f"{sid}_c{ci}" for sid, ci in cols] + ["label"])
+            writer.writerow([*columns, "label"])
             for rec in dataset.recordings:
-                writer.writerows(
-                    ["" if math.isnan(v) else repr(v) for v in values] + [str(label)]
-                    for values, label in zip(rec.signals[rows].T.tolist(), rec.labels))
-        os.replace(partial, out / f"{position}.csv")
+                values = rec.signals[list(columns.values())].T.tolist()
+                writer.writerows(["" if math.isnan(v) else repr(v) for v in row] + [str(label)]
+                                 for row, label in zip(values, rec.labels))
 
 
 def ingest_csv(path: str | Path) -> Dataset:
     """Load a dataset directory (meta.json sidecar + per-position CSVs).
 
-    Streams are aligned by row index across position files; ragged or short
-    rows are rejected with their line number.
+    Columns are matched by name, in any order, against position_columns of
+    meta.json's deployment, with `label` last; files align by row index and
+    carry the first file's labels. A missing, unknown or duplicated column,
+    a ragged or short row or a differing label raises IngestError naming
+    the file.
     """
     root = Path(path)
     meta_path = root / "meta.json"
@@ -504,44 +511,40 @@ def ingest_csv(path: str | Path) -> Dataset:
     dep = deployment_from_json(meta)
     activities = tuple(meta["activities"])
 
-    per_position: dict[str, tuple[list[str], np.ndarray, list[str]]] = {}
-    n_rows = None
+    signals = labels = first = None
     for position in dep.positions():
         fpath = root / f"{position}.csv"
         if not fpath.exists():
             raise IngestError(f"missing position file {fpath}")
+        columns = position_columns(dep, position)
         with open(fpath, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            width = len(header)
-            rows = []
-            labels = []
+            header = next(reader, [])
+            names = header[:-1]
+            if header[-1:] != ["label"] or sorted(names) != sorted(columns):
+                raise IngestError(f"{fpath}: columns {header} are not {list(columns)} "
+                                  "in some order, each once, then 'label'")
+            rows, file_labels = [], []
             for lineno, row in enumerate(reader, start=2):
-                if len(row) != width:
+                if len(row) != len(header):
                     raise IngestError(f"{fpath}:{lineno}: ragged row "
-                                      f"({len(row)} fields, expected {width})")
-                labels.append(row[-1])
+                                      f"({len(row)} fields, expected {len(header)})")
+                file_labels.append(row[-1])
                 rows.append([float(v) if v != "" else math.nan for v in row[:-1]])
-            data = np.array(rows, dtype=float).reshape(len(rows), width - 1)
-        per_position[position] = (header[:-1], data, labels)
-        if n_rows is None:
-            n_rows = len(rows)
-        elif len(rows) != n_rows:
-            raise IngestError(f"{fpath}: {len(rows)} rows, expected {n_rows} "
-                              "(positions must align by row index)")
+        if signals is None:
+            signals = np.empty((dep.n_channels, len(rows)))
+            labels, first = file_labels, fpath
+        elif file_labels != labels:
+            raise IngestError(f"{fpath}: its {len(rows)} rows are not labelled as the "
+                              f"{len(labels)} of {first} (positions align by row index)")
+        signals[[columns[name] for name in names]] = \
+            np.array(rows, dtype=float).reshape(len(rows), len(names)).T
+    n_rows = len(labels)
 
-    labels0 = per_position[dep.positions()[0]][2]
-    for lineno, lab in enumerate(labels0, start=2):
+    for lineno, lab in enumerate(labels, start=2):
         if lab not in activities and lab != NULL_LABEL and lab != "":
             raise IngestError(f"unknown label {lab!r} at line {lineno}")
-    labels_arr = np.array([lab if lab else NULL_LABEL for lab in labels0], dtype=object)
-
-    signals = np.full((dep.n_channels, n_rows), np.nan)
-    for position in dep.positions():
-        header, data, _ = per_position[position]
-        for col, name in enumerate(header):
-            sid, _, ci = name.rpartition("_c")
-            signals[dep.channel_slice(sid).start + int(ci)] = data[:, col]
+    labels_arr = np.array([lab if lab else NULL_LABEL for lab in labels], dtype=object)
 
     bounds = []
     offset = 0

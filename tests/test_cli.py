@@ -609,6 +609,9 @@ def test_manifest_bad_report_pairs_exit_2_and_write_nothing(demo_run, tmp_path, 
     # a fractional integer is not truncated
     ("analyze", "reports", "analyze", "n_trees", 2.5),
     ("partition", "folds", "partition", "k", 3.5),
+    # a string is read only for a string default
+    ("analyze", "reports", "analyze", "n_trees", "20"),
+    ("explore", "trials", "explore", "val_fold", "0"),
 ])
 def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
         demo_run, tmp_path, stage, out_key, section, key, value):
@@ -635,6 +638,9 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
     ("protocol", "metrics", "protocol.model.epochs", "x", "model.epochs"),
     ("protocol", "metrics", "protocol.model.n_filters", "six", "model.n_filters"),
     ("protocol", "metrics", "protocol.model.kernel_sizes", [9, 9.5, 9], "model.kernel_sizes"),
+    # a tuple default takes exactly as many values, and a number no string
+    ("protocol", "metrics", "protocol.model.kernel_sizes", [9, 9], "model.kernel_sizes"),
+    ("protocol", "metrics", "protocol.model.learning_rate", "0.1", "model.learning_rate"),
     ("protocol", "metrics", "protocol.model.source_gains", "loud", "model.source_gains"),
     ("explore", "trials", "explore.model.epochs", 2.5, "model.epochs"),
     ("generate", "data", "generate.sensor", 5, "sensor: expected an object"),
@@ -644,6 +650,19 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
      "protocol.include_null must be a boolean"),
     ("protocol", "metrics", "protocol.supplement", 0, "protocol.supplement must be a boolean"),
     ("analyze", "reports", "analyze.n_trees", True, "analyze.n_trees must be a number"),
+    # lr_bounds holds exactly two numbers; settings is an object; modes a list
+    ("explore", "trials", "explore.lr_bounds", ["a", 1],
+     "explore.lr_bounds must be a list of 2 numbers"),
+    ("explore", "trials", "explore.lr_bounds", [0.5],
+     "explore.lr_bounds must be a list of 2 numbers"),
+    ("explore", "trials", "explore.lr_bounds", "ab",
+     "explore.lr_bounds must be a list of 2 numbers"),
+    ("explore", "trials", "explore.lr_bounds", [0.005, 0.5, 1],
+     "explore.lr_bounds must be a list of 2 numbers"),
+    ("explore", "trials", "explore.settings", [1], "explore.settings must be an object"),
+    ("explore", "trials", "explore.settings", "x", "explore.settings must be an object"),
+    ("protocol", "metrics", "protocol.modes", "wo-DGP",
+     "protocol.modes must be a non-empty list"),
 ])
 def test_manifest_non_numeric_nested_value_exits_2_naming_stage_and_key(
         demo_run, tmp_path, stage, out_key, key, value, named):
@@ -739,6 +758,97 @@ def test_bad_strategy_setting_value_exits_2_naming_it(tmp_path, setting):
     assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
 
 
+@pytest.mark.parametrize("edit, named", [
+    ({"channels": 1.5}, "deployment.sources[0].channels"),
+    ({"id": 7}, "deployment.sources[0].id"),
+    ({"sampling_rate": "50"}, "deployment.sampling_rate"),
+])
+def test_bad_deployment_value_exits_2_naming_it(demo_run, tmp_path, edit, named):
+    from harvana.pipeline import StageError, run_pipeline
+    from harvana.sensors import SensorError
+    manifest = demo_stage_manifest(demo_run, tmp_path, "generate", "data", "data", {})
+    doc = json.loads(manifest.read_text())
+    dep = doc["generate"]["deployment"]
+    (dep if "sampling_rate" in edit else dep["sources"][0]).update(edit)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=re.escape(named)) as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "generate" and isinstance(exc.value.cause, SensorError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps({k: doc["generate"][k] for k in ("deployment", "planted")}))
+    assert run_cli("generate", "--planted", planted, "--out", tmp_path / "out") == 2
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == \
+        ["manifest.json", "planted.json"]
+
+
+def test_explore_space_param_the_learner_cannot_take_exits_2_naming_it(demo_run, tmp_path,
+                                                                       caplog):
+    # n_filters is an integer: a continuous n_f proposes values like 16.7
+    space = tmp_path / "space.json"
+    save_space(SearchSpace(params=(ParamSpec("n_f", "continuous", 4.0, 8.0),)), space)
+    out = tmp_path / "t.jsonl"
+    assert run_cli("explore", "--data", demo_run / "data", "--folds", demo_run / "folds.json",
+                   "--window", 80, "--space", space, "--budget", 2, "--out", out) == 2
+    assert any("hyperparameter n_f=" in r.getMessage() for r in caplog.records)
+    assert not out.exists()
+
+
+def test_cli_explore_crash_leaves_only_the_partial_log(demo_run, tmp_path, monkeypatch):
+    from harvana.pipeline import LearnerEvaluator
+    evaluate, calls = LearnerEvaluator.__call__, []
+
+    def flaky(self, config, budget, seed):
+        calls.append(seed)
+        if len(calls) == 3:
+            raise RuntimeError("evaluator crashed at trial 3")
+        return evaluate(self, config, budget, seed)
+
+    monkeypatch.setattr(LearnerEvaluator, "__call__", flaky)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"n_conv_blocks": 0, "epochs": 1}))
+    out = tmp_path / "t.jsonl"
+    assert run_cli("explore", "--data", demo_run / "data", "--folds", demo_run / "folds.json",
+                   "--window", 80, "--space", demo_run / "space.json", "--model", model,
+                   "--budget", 4, "--out", out) == 3
+    assert not out.exists()
+    lines = (tmp_path / "t.jsonl.partial").read_text().splitlines()
+    assert [json.loads(line)["trial_id"] for line in lines] == [0, 1]
+
+
+def test_forced_explore_writes_the_edited_lr_bounds_to_the_space(tmp_path, monkeypatch):
+    from harvana.hyperspace import load_space
+    from harvana.pipeline import LearnerEvaluator, stage_explore
+    manifest = small_demo(tmp_path, ["generate", "partition", "explore"])
+    old = {key: manifest.path(key).read_bytes() for key in ("space", "trials")}
+    manifest.doc["explore"]["lr_bounds"] = [0.02, 0.04]
+    # a forced run that crashes leaves the space and the trial log it explored
+    with monkeypatch.context() as patch:
+        patch.setattr(LearnerEvaluator, "__call__", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            stage_explore(manifest, force=True)
+    assert {key: manifest.path(key).read_bytes() for key in old} == old
+    stage_explore(manifest, force=True)
+    lr = load_space(manifest.path("space"))["lr"]
+    assert (lr.lower, lr.upper) == (0.02, 0.04)
+    assert all(0.02 <= t.config["lr"] <= 0.04 for t in read_trials(manifest.path("trials")))
+
+
+def test_source_added_to_the_deployment_gets_a_gain_dim(tmp_path):
+    from harvana.hyperspace import load_space
+    from harvana.pipeline import stage_explore, stage_generate, stage_partition
+    manifest = small_demo(tmp_path, ["generate", "partition", "explore"])
+    assert "gain_bag_acc" not in load_space(manifest.path("space")).names
+    manifest.doc["generate"]["deployment"]["sources"].append(
+        {"id": "bag_acc", "position": "bag", "modality": "acc", "channels": 1})
+    for stage in (stage_generate, stage_partition, stage_explore):
+        stage(manifest, force=True)
+    space = load_space(manifest.path("space"))
+    assert space["gain_bag_acc"].source_tag == "bag_acc"
+    trials = read_trials(manifest.path("trials"))
+    assert len(trials) == 8 and all("gain_bag_acc" in t.config.values for t in trials)
+
+
 @pytest.mark.parametrize("stride", ["20", True, "abc"])
 def test_manifest_bad_stride_exits_2_naming_generate(demo_run, tmp_path, stride):
     from harvana.pipeline import StageError, run_pipeline
@@ -759,24 +869,32 @@ def test_json_write_cut_short_leaves_no_done_file(pristine_demo, tmp_path, monke
     # half-way must not leave that file behind
     import shutil
     from pathlib import Path
+    from harvana import hyperspace
     from harvana.pipeline import STAGES, Manifest
     root = tmp_path / "demo"
     shutil.copytree(pristine_demo, root)
     done = root / DONE_FILES[stage]
     want = done.read_bytes()
     done.unlink()
-    write_text = Path.write_text
 
-    def killed(path, text, *args, **kwargs):
-        if path.name.startswith(done.name):
-            write_text(path, text[:len(text) // 2], *args, **kwargs)
-            raise OSError("write killed half-way")
-        return write_text(path, text, *args, **kwargs)
+    def killed(path, *args, **kwargs):
+        # the file atomic_open writes the done-file through takes half of
+        # the first text written to it, then fails
+        fh = open(path, *args, **kwargs)
+        if Path(path).name.startswith(done.name):
+            write = fh.write
+
+            def half(text):
+                write(text[:len(text) // 2])
+                raise OSError("write killed half-way")
+
+            fh.write = half
+        return fh
 
     run_stage = dict(STAGES)[stage]
     manifest = Manifest.load(root / "manifest.json")
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_text", killed)
+        patch.setattr(hyperspace, "open", killed, raising=False)
         with pytest.raises(OSError, match="half-way"):
             run_stage(manifest)
     assert not done.exists()

@@ -199,7 +199,9 @@ def test_run_evaluator_failure_preserves_partial_log(unit_space_2d, tmp_path):
         with pytest.raises(RuntimeError, match="boom"):
             run(unit_space_2d, Strategy("random"), flaky, budget_B=10, seed=0,
                 out_path=path, workers=workers)
-        lines = path.read_text().splitlines()
+        # the log streams to <path>.partial, renamed only on success
+        assert not path.exists()
+        lines = path.with_name(path.name + ".partial").read_text().splitlines()
         assert [json.loads(line)["trial_id"] for line in lines] == [0, 1, 2], workers
 
 

@@ -11,6 +11,7 @@ from harvana.hyperspace import (
     SearchSpace,
     SpaceError,
     Trial,
+    convert,
     from_unit,
     grid,
     read_trials,
@@ -206,3 +207,31 @@ def test_trial_jsonl_round_trip(tmp_path):
     assert back == trials
     doc = json.loads(path.read_text().splitlines()[0])
     assert set(doc) == {"trial_id", "config", "budget", "nu", "per_activity_nu", "f1", "seed"}
+
+
+@pytest.mark.parametrize("default, value, want", [
+    (32, 20.0, 20),
+    (0.5, 1, 1.0),
+    ("relu", "tanh", "tanh"),
+    ({}, {"gamma": 0.3}, {"gamma": 0.3}),
+    (None, 4, 4),
+    ((0.005, 0.5), [0.01, 1], (0.01, 1.0)),
+    ([0.0, 0.2], [0.4], [0.4]),
+])
+def test_convert_reads_a_value_as_the_type_of_its_default(default, value, want):
+    got = convert(default, value)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("default, value", [
+    # a string only for a string default, and a non-string only for a non-string one
+    (32, "20"), (0.5, "0.1"), ("relu", 5), (None, "3"),
+    ({}, [1]), ({}, "x"), (32, {"n": 1}),
+    (32, 2.5), (True, 1), (1, True),
+    # a tuple is as long as its default, a list is not empty
+    ((0.005, 0.5), [0.5]), ((0.005, 0.5), [0.005, 0.5, 1]), ((0.005, 0.5), "ab"),
+    ((0.005, 0.5), ["a", 1]), ([0.0], []), (["wo-DGP"], "wo-DGP"),
+])
+def test_convert_rejects_what_it_would_have_to_guess_at(default, value):
+    with pytest.raises((TypeError, ValueError)):
+        convert(default, value)

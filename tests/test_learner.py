@@ -90,6 +90,23 @@ def test_config_from_values_source_gains():
     assert cfg.source_gains == {"hips_acc": 0.4, "hips_gyr": 1.0}
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_f", 16.7), ("epochs", 3.9), ("batch_size", 8.5), ("n_u", "64"), ("ks2", 9.5),
+    ("lr", "0.1"), ("gain_hips_acc", "1"), ("activation", 1),
+])
+def test_config_from_values_rejects_values_it_would_have_to_guess_at(name, value):
+    with pytest.raises(ConfigError, match=f"hyperparameter {name}={value!r} does not convert"):
+        config_from_values({name: value})
+
+
+def test_config_from_values_converts_whole_numbers_and_ints():
+    cfg = config_from_values({"n_f": 16.0, "epochs": 3.0, "ks1": 11.0, "lr": 1,
+                              "gain_hips_acc": 1})
+    assert (cfg.n_filters, cfg.epochs, cfg.kernel_sizes[0]) == (16, 3, 11)
+    assert type(cfg.n_filters) is int and type(cfg.epochs) is int
+    assert type(cfg.learning_rate) is float and cfg.source_gains == {"hips_acc": 1.0}
+
+
 def test_config_unknown_param_rejected():
     with pytest.raises(ConfigError, match="unknown hyperparameter"):
         config_from_values({"bogus": 1})

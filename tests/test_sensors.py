@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from harvana.sensors import (
     SensorError,
     SensorModel,
     SignalSpec,
+    deployment_from_json,
     folds_from_json,
     generate,
     ingest_csv,
@@ -355,6 +358,98 @@ def test_ingest_unknown_label(tmp_path):
     path.write_text(text)
     with pytest.raises(IngestError, match="unknown label 'flying'"):
         ingest_csv(tmp_path / "data")
+
+
+def rewrite_csv(path, edit):
+    """Apply `edit` to the rows of the CSV at `path` and write them back."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def two_position_data(tmp_path):
+    dep = simple_deployment(2, modalities=("acc", "gyr"))
+    ds = generate(dep, simple_planted(dep), 3, 30, seed=4)
+    write_dataset(ds, tmp_path / "data")
+    return ds, tmp_path / "data"
+
+
+def drop_column(rows):
+    for row in rows:
+        del row[1]
+
+
+def rename_column(rows):
+    rows[0][1] = "hips_mag_c0"
+
+
+def duplicate_column(rows):
+    rows[0][1] = rows[0][0]
+
+
+def label_last(rows):
+    for row in rows:
+        row.insert(0, row.pop())
+
+
+@pytest.mark.parametrize("edit", [drop_column, rename_column, duplicate_column, label_last],
+                         ids=["dropped", "unknown", "duplicated", "label_first"])
+def test_ingest_bad_columns_name_the_file(tmp_path, edit):
+    # a column missing from meta.json's layout would read 0 in every frame
+    _, data = two_position_data(tmp_path)
+    rewrite_csv(data / "hips.csv", edit)
+    with pytest.raises(IngestError, match=r"hips\.csv: columns"):
+        ingest_csv(data)
+
+
+def relabel_row_7(rows):
+    rows[7][-1] = "run" if rows[7][-1] == "walk" else "walk"
+
+
+def drop_last_row(rows):
+    rows.pop()
+
+
+@pytest.mark.parametrize("edit", [relabel_row_7, drop_last_row], ids=["relabelled", "short"])
+def test_ingest_labels_differing_from_first_position_file_name_it(tmp_path, edit):
+    _, data = two_position_data(tmp_path)
+    rewrite_csv(data / "hand.csv", edit)
+    with pytest.raises(IngestError,
+                       match=r"hand\.csv: its \d+ rows are not labelled as the \d+ of .*hips\.csv"):
+        ingest_csv(data)
+
+
+def test_ingest_matches_columns_by_name_in_any_order(tmp_path):
+    ds, data = two_position_data(tmp_path)
+
+    def swap(rows):
+        for row in rows:
+            row[0], row[1] = row[1], row[0]
+
+    rewrite_csv(data / "hand.csv", swap)
+    back = ingest_csv(data)
+    for ra, rb in zip(ds.recordings, back.recordings):
+        np.testing.assert_array_equal(ra.signals, rb.signals)
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"channels": 1.5}, "sources[0].channels"),
+    ({"channels": "2"}, "sources[0].channels"),
+    ({"id": 5}, "sources[0].id"),
+    ({"sampling_rate": "50"}, "deployment.sampling_rate"),
+    ({"sampling_rate": True}, "deployment.sampling_rate"),
+])
+def test_deployment_values_are_not_guessed_at(edit, key):
+    doc = {"sampling_rate": 50.0,
+           "sources": [{"id": "hips_acc", "position": "hips", "modality": "acc"}]}
+    if "sampling_rate" in edit:
+        doc.update(edit)
+    else:
+        doc["sources"][0].update(edit)
+    with pytest.raises(SensorError, match=re.escape(key)):
+        deployment_from_json(doc)
 
 
 def test_ingest_shl_preview_shape(tmp_path):
