@@ -73,10 +73,14 @@ class Deployment:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        if self.sampling_rate <= 0 or not self.sources:
-            raise SensorError("deployment needs a positive rate and >= 1 source")
+        if not (math.isfinite(self.sampling_rate) and self.sampling_rate > 0):
+            raise SensorError(f"sampling_rate must be finite and > 0, got {self.sampling_rate!r}")
+        if not self.sources:
+            raise SensorError("deployment needs >= 1 source")
         seen = set()
         for s in self.sources:
+            if s.channels < 1:
+                raise SensorError(f"source {s.id!r} needs channels >= 1, got {s.channels!r}")
             if (s.position, s.modality) in seen:
                 raise SensorError(f"duplicate (position, modality): {s.position}/{s.modality}")
             seen.add((s.position, s.modality))
@@ -115,6 +119,9 @@ class SensorModel:
     transfer: str = "linear"  # linear | thermocouple
 
     def __post_init__(self):
+        for name in ("gain", "offset", "noise_sigma", "drift_per_second"):
+            if not math.isfinite(getattr(self, name)):
+                raise SensorError(f"sensor {name} must be finite, got {getattr(self, name)!r}")
         if self.noise_sigma < 0 or not (0.0 <= self.dropout_prob < 1.0):
             raise SensorError("noise_sigma >= 0 and dropout_prob in [0,1) required")
         if self.transfer not in ("linear", "thermocouple"):
@@ -172,7 +179,8 @@ class Recording:
 class Frame:
     frame_id: int
     activity: str | None  # None for the null class
-    samples: np.ndarray   # (n_channels, window_len), gaps zero-filled
+    samples: np.ndarray   # (n_channels, window_len), read-only: a view into its
+                          # recording's stream, or a copy with gaps zero-filled
     time_index: int       # start sample within its recording
     recording: str
     gap_fraction: float = 0.0
@@ -355,6 +363,13 @@ def moving_average(signals: np.ndarray, window: int) -> np.ndarray:
     return np.stack([np.convolve(ch, kernel, mode="same") for ch in filled])
 
 
+def _window_counts(mask: np.ndarray, starts: np.ndarray, window_len: int) -> np.ndarray:
+    """The number of True entries of a (channels, T) mask in each window
+    that begins at one of `starts`."""
+    cum = np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
+    return cum[starts + window_len] - cum[starts]
+
+
 def segment(dataset: Dataset, window_len: int, stride: int | float | None = None,
             gap_max_frac: float = 0.1, smooth_window: int = 1) -> list[Frame]:
     """Cut every recording into windows starting at 0, stride, 2*stride, ...
@@ -362,31 +377,41 @@ def segment(dataset: Dataset, window_len: int, stride: int | float | None = None
     The frame label is the majority label of its samples (ties resolved to
     the alphabetically first label); majority-null frames keep activity=None.
     Trailing partial windows are dropped. Frames whose dropout-gap fraction
-    exceeds gap_max_frac are excluded; surviving gaps are zero-filled.
-    smooth_window > 1 applies the moving-average preprocessing first (gap
-    fractions are still measured on the raw stream).
+    exceeds gap_max_frac are excluded. smooth_window > 1 applies the
+    moving-average preprocessing first (gap fractions are still measured on
+    the raw stream).
+
+    A frame's samples are a read-only view into its recording's stream (the
+    raw signals, or the one smoothed stream per recording), so overlapping
+    frames share their samples; only a window holding a gap or another
+    non-finite value gets a copy, with gaps zero-filled.
     """
     stride_s = _resolve_stride(stride, window_len)
     frames: list[Frame] = []
     frame_id = 0
     for rec in dataset.recordings:
-        T = rec.signals.shape[1]
+        n_channels, T = rec.signals.shape
         if window_len > T:
             raise SensorError(f"window {window_len} longer than recording {rec.id} ({T})")
-        smoothed = moving_average(rec.signals, smooth_window)
-        for start in range(0, T - window_len + 1, stride_s):
-            raw = rec.signals[:, start:start + window_len]
-            labels, counts = np.unique(rec.labels[start:start + window_len],
-                                       return_counts=True)
-            majority = str(labels[int(np.argmax(counts))])
-            gap = float(np.isnan(raw).mean())
-            frame_id_here = frame_id
-            frame_id += 1
+        stream = moving_average(rec.signals, smooth_window).view()
+        stream.flags.writeable = False
+        starts = np.arange(0, T - window_len + 1, stride_s)
+        n_gap = _window_counts(np.isnan(rec.signals), starts, window_len)
+        n_bad = _window_counts(~np.isfinite(stream), starts, window_len)
+        names, codes = np.unique(rec.labels.astype(str), return_inverse=True)
+        ids = range(frame_id, frame_id + len(starts))
+        frame_id += len(starts)
+        for fid, start, gaps, bad in zip(ids, starts.tolist(), n_gap.tolist(), n_bad.tolist()):
+            gap = gaps / (n_channels * window_len)
             if gap > gap_max_frac:
                 continue
-            samples = np.nan_to_num(smoothed[:, start:start + window_len], nan=0.0)
+            majority = str(names[np.bincount(codes[start:start + window_len]).argmax()])
+            samples = stream[:, start:start + window_len]
+            if bad:
+                samples = np.nan_to_num(samples, nan=0.0)
+                samples.flags.writeable = False
             frames.append(Frame(
-                frame_id=frame_id_here,
+                frame_id=fid,
                 activity=None if majority == NULL_LABEL else majority,
                 samples=samples,
                 time_index=start,

@@ -762,6 +762,8 @@ def test_bad_strategy_setting_value_exits_2_naming_it(tmp_path, setting):
     ({"channels": 1.5}, "deployment.sources[0].channels"),
     ({"id": 7}, "deployment.sources[0].id"),
     ({"sampling_rate": "50"}, "deployment.sampling_rate"),
+    ({"channels": 0}, "needs channels >= 1"),
+    ({"sampling_rate": float("nan")}, "sampling_rate must be finite and > 0"),
 ])
 def test_bad_deployment_value_exits_2_naming_it(demo_run, tmp_path, edit, named):
     from harvana.pipeline import StageError, run_pipeline
@@ -780,6 +782,21 @@ def test_bad_deployment_value_exits_2_naming_it(demo_run, tmp_path, edit, named)
     assert run_cli("generate", "--planted", planted, "--out", tmp_path / "out") == 2
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == \
         ["manifest.json", "planted.json"]
+
+
+@pytest.mark.parametrize("name", ["gain", "offset", "noise_sigma", "drift_per_second"])
+def test_non_finite_sensor_value_exits_2_naming_it(demo_run, tmp_path, name):
+    from harvana.pipeline import StageError, run_pipeline
+    from harvana.sensors import SensorError
+    manifest = demo_stage_manifest(demo_run, tmp_path, "generate", "data", "data", {})
+    doc = json.loads(manifest.read_text())
+    doc["generate"]["sensor"][name] = float("nan")
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=f"sensor {name} must be finite") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "generate" and isinstance(exc.value.cause, SensorError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["manifest.json"]
 
 
 def test_explore_space_param_the_learner_cannot_take_exits_2_naming_it(demo_run, tmp_path,

@@ -2,13 +2,16 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harvana.learner import mask_augment
 from harvana.sensors import (
+    NULL_LABEL,
     DataSource,
     Dataset,
     Deployment,
@@ -24,6 +27,7 @@ from harvana.sensors import (
     generate,
     ingest_csv,
     meta_segment_partition,
+    moving_average,
     segment,
     segment_count,
     thermocouple_transfer,
@@ -249,6 +253,106 @@ def test_segment_count_formula(window, stride, n):
     assert len(frames) == segment_count(n, window, stride) == (n - window) // stride + 1
 
 
+def reference_segment(dataset, window_len, stride_s, gap_max_frac=0.1, smooth_window=1):
+    """Segmentation frame by frame, each frame its own copy: a nan_to_num
+    copy of the window, an np.unique majority and an isnan().mean() gap."""
+    frames, frame_id = [], 0
+    for rec in dataset.recordings:
+        T = rec.signals.shape[1]
+        smoothed = moving_average(rec.signals, smooth_window)
+        for start in range(0, T - window_len + 1, stride_s):
+            labels, counts = np.unique(rec.labels[start:start + window_len],
+                                       return_counts=True)
+            majority = str(labels[int(np.argmax(counts))])
+            gap = float(np.isnan(rec.signals[:, start:start + window_len]).mean())
+            frame_id += 1
+            if gap > gap_max_frac:
+                continue
+            frames.append(Frame(
+                frame_id=frame_id - 1,
+                activity=None if majority == NULL_LABEL else majority,
+                samples=np.nan_to_num(smoothed[:, start:start + window_len], nan=0.0),
+                time_index=start, recording=rec.id, gap_fraction=gap))
+    return frames
+
+
+def gapped_dataset():
+    """Two 3-channel recordings with window-100 cases: null-majority and
+    two-label tie windows, sparse NaN gaps (10 of 300 values) and a dense
+    one (up to 60 of 300), and one infinite sample."""
+    dep = simple_deployment(1, channels=3)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 600))
+    a[1, 310:320] = np.nan
+    a[0, 450:510] = np.nan
+    labels_a = np.array(["walk"] * 130 + ["null"] * 70 + ["run"] * 50 + ["walk"] * 350,
+                        dtype=object)
+    b = rng.normal(size=(3, 300))
+    b[2, 20] = np.inf
+    labels_b = np.array(["run"] * 150 + ["null"] * 150, dtype=object)
+    return Dataset(dep, ("walk", "run"), [Recording("a", a, labels_a),
+                                          Recording("b", b, labels_b)])
+
+
+@pytest.mark.parametrize("stride, stride_s, smooth_window", [
+    (100, 100, 1), (50, 50, 1), (0.5, 50, 1), (100, 100, 3), (0.5, 50, 3),
+])
+def test_segment_matches_per_frame_copy_reference(stride, stride_s, smooth_window):
+    ds = gapped_dataset()
+    got = segment(ds, 100, stride, smooth_window=smooth_window)
+    want = reference_segment(ds, 100, stride_s, smooth_window=smooth_window)
+    # every case is present: gaps kept and dropped, null frames, both ties
+    assert any(0 < f.gap_fraction for f in want)
+    assert len(want) < sum((r.signals.shape[1] - 100) // stride_s + 1 for r in ds.recordings)
+    assert any(f.is_null for f in want)
+    assert any(f.recording == "a" and f.time_index == 200 and f.activity == "run" for f in want)
+    assert any(f.recording == "b" and f.time_index == 100 and f.is_null for f in want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.samples, w.samples)
+        assert (g.frame_id, g.activity, g.gap_fraction, g.time_index, g.recording) == \
+            (w.frame_id, w.activity, w.gap_fraction, w.time_index, w.recording)
+
+
+def test_segment_frames_are_read_only_views_into_the_recording():
+    ds = gapped_dataset()
+    rec = ds.recordings[0]
+    before = rec.signals.copy()
+    frames = [f for f in segment(ds, 100, 50) if f.recording == "a"]
+    clean = next(f for f in frames if f.gap_fraction == 0.0)
+    assert np.shares_memory(clean.samples, rec.signals)
+    with pytest.raises(ValueError, match="read-only"):
+        clean.samples[0, 0] = 1.0
+    gapped = next(f for f in frames if f.gap_fraction > 0.0)
+    assert not np.shares_memory(gapped.samples, rec.signals)
+    window = rec.signals[:, gapped.time_index:gapped.time_index + 100]
+    assert (gapped.samples[np.isnan(window)] == 0.0).all()
+    assert np.isnan(rec.signals).sum() == np.isnan(before).sum() > 0
+    # masked frames are the learner's own copies; the recording is untouched
+    walk = [f for f in frames if f.activity == "walk"]
+    masked = mask_augment(walk, {"walk": frozenset()}, 0.5, seed=0, deployment=ds.deployment)
+    assert all(f.samples.flags.writeable for f in masked)
+    masked[0].samples[:] = 7.0
+    np.testing.assert_array_equal(rec.signals, before)
+
+
+def test_overlapping_frames_hold_no_copy_of_the_stream():
+    dep = simple_deployment(1, channels=12)
+    rec = Recording("r", np.random.default_rng(0).normal(size=(12, 100_000)),
+                    np.full(100_000, "walk", dtype=object))
+    ds = Dataset(dep, ("walk",), [rec])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frames = segment(ds, 1000, 500)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == 199
+    # a copy per frame would hold twice the recording
+    assert held < 0.05 * rec.signals.nbytes
+
+
 # ---------------------------------------------------------------------------
 # partitioning
 
@@ -450,6 +554,25 @@ def test_deployment_values_are_not_guessed_at(edit, key):
         doc["sources"][0].update(edit)
     with pytest.raises(SensorError, match=re.escape(key)):
         deployment_from_json(doc)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_deployment_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(SensorError, match="sampling_rate must be finite and > 0"):
+        simple_deployment(fs=rate)
+
+
+@pytest.mark.parametrize("channels", [0, -1])
+def test_deployment_rejects_a_source_without_channels(channels):
+    with pytest.raises(SensorError, match="'hips_acc' needs channels >= 1"):
+        simple_deployment(1, channels=channels)
+
+
+@pytest.mark.parametrize("name", ["gain", "offset", "noise_sigma", "drift_per_second"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sensor_model_rejects_non_finite_values(name, value):
+    with pytest.raises(SensorError, match=f"sensor {name} must be finite"):
+        SensorModel(**{name: value})
 
 
 def test_ingest_shl_preview_shape(tmp_path):
