@@ -524,9 +524,10 @@ def ingest_csv(path: str | Path) -> Dataset:
 
     Columns are matched by name, in any order, against position_columns of
     meta.json's deployment, with `label` last; files align by row index and
-    carry the first file's labels. A missing, unknown or duplicated column,
-    a ragged or short row or a differing label raises IngestError naming
-    the file.
+    carry the first file's labels. An empty cell is a gap (NaN). A missing,
+    unknown or duplicated column, a ragged or short row, a differing label or
+    a cell that is not a finite number (`nan`, `inf`, `1e400`, text) raises
+    IngestError naming the file, and the line for a bad row or cell.
     """
     root = Path(path)
     meta_path = root / "meta.json"
@@ -549,21 +550,32 @@ def ingest_csv(path: str | Path) -> Dataset:
             if header[-1:] != ["label"] or sorted(names) != sorted(columns):
                 raise IngestError(f"{fpath}: columns {header} are not {list(columns)} "
                                   "in some order, each once, then 'label'")
-            rows, file_labels = [], []
+            rows, gaps, file_labels = [], [], []
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise IngestError(f"{fpath}:{lineno}: ragged row "
                                       f"({len(row)} fields, expected {len(header)})")
                 file_labels.append(row[-1])
-                rows.append([float(v) if v != "" else math.nan for v in row[:-1]])
+                cells = row[:-1]
+                gaps.append(cells.count(""))
+                try:
+                    rows.append([float(v) if v != "" else math.nan for v in cells])
+                except ValueError:
+                    raise IngestError(f"{fpath}:{lineno}: a value is not a number") from None
+        block = np.array(rows, dtype=float).reshape(len(rows), len(names))
+        # a gap is only ever an empty cell: any other NaN, and any infinity,
+        # was written as text such as 'nan', 'inf' or '1e400'
+        bad = np.isinf(block).any(axis=1) | (np.isnan(block).sum(axis=1) != gaps)
+        if bad.any():
+            raise IngestError(f"{fpath}:{int(bad.argmax()) + 2}: a value is not finite "
+                              "(a gap is an empty cell)")
         if signals is None:
             signals = np.empty((dep.n_channels, len(rows)))
             labels, first = file_labels, fpath
         elif file_labels != labels:
             raise IngestError(f"{fpath}: its {len(rows)} rows are not labelled as the "
                               f"{len(labels)} of {first} (positions align by row index)")
-        signals[[columns[name] for name in names]] = \
-            np.array(rows, dtype=float).reshape(len(rows), len(names)).T
+        signals[[columns[name] for name in names]] = block.T
     n_rows = len(labels)
 
     for lineno, lab in enumerate(labels, start=2):

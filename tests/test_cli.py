@@ -362,6 +362,30 @@ def test_demo_pipeline_byte_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_non_finite_csv_cell_exits_2_naming_stage_file_and_line(tmp_path, caplog):
+    from harvana.pipeline import Manifest, StageError, demo_manifest, run_pipeline
+    from harvana.sensors import IngestError
+    path = demo_manifest(tmp_path / "demo")
+    doc = json.loads(path.read_text())
+    doc["stages"] = ["generate"]
+    path.write_text(json.dumps(doc))
+    run_pipeline(path)
+    csv_path = sorted(Manifest.load(path).path("data").glob("*.csv"))[0]
+    lines = csv_path.read_text().splitlines()
+    lines[9] = "inf" + lines[9][lines[9].index(","):]
+    csv_path.write_text("\n".join(lines) + "\n")
+    doc["stages"] = ["partition"]
+    path.write_text(json.dumps(doc))
+    named = re.escape(f"{csv_path.name}:10: a value is not finite")
+    with pytest.raises(StageError, match=named) as exc:
+        run_pipeline(path)
+    assert exc.value.stage == "partition" and isinstance(exc.value.cause, IngestError)
+    with caplog.at_level("ERROR"):
+        assert run_cli("pipeline", "--manifest", path) == 2
+    assert any(re.search(r"stage 'partition' failed: .*" + named, r.getMessage())
+               for r in caplog.records)
+
+
 def test_folds_not_covering_frames_names_stage_and_exits_2(tmp_path):
     from harvana.pipeline import Manifest, StageError, demo_manifest, run_pipeline
     path = demo_manifest(tmp_path / "demo")

@@ -294,7 +294,7 @@ def test_gradient_check_split_channels_two_blocks(n_filters):
                       kernel_sizes=(5, 3, 3), n_filters=n_filters, stride_fraction=0.5,
                       dropout=0.0, activation="tanh", classifier_head="softmax_linear")
     net = build(cfg, dep, ("a", "b"), window_len=60, seed=7)
-    assert [conv.patches for conv in net.stacks[0][::3]] == [True, n_filters == 1]
+    assert [conv.patches for conv in stack_convs(net.stacks[0])] == [True, n_filters == 1]
     rng = np.random.default_rng(4)
     X = rng.normal(size=(6, 2, 60))
     y = np.array([0, 1, 0, 1, 0, 1])
@@ -424,7 +424,7 @@ def skip_case_network(case, activation="tanh"):
 def test_skipped_input_gradient_leaves_parameter_gradients_unchanged(case):
     net, ref = skip_case_network(case), skip_case_network(case)
     for stack in ref.stacks:
-        for conv in stack[::3]:
+        for conv in stack_convs(stack):
             conv.input_grad = True  # the reference computes every dx
     rng = np.random.default_rng(5)
     X = rng.normal(size=(6, 4, 60))
@@ -454,7 +454,7 @@ def test_first_conv_of_each_stack_computes_no_input_gradient(case):
     X = rng.normal(size=(32, 4, 60))
     net.features(X)
     for stack in net.stacks:
-        for b, conv in enumerate(stack[::3]):
+        for b, conv in enumerate(stack_convs(stack)):
             dy = rng.normal(size=(len(X), len(conv.W), conv.out_len(conv._x.shape[2])))
             assert conv.patches or conv._block is not None
             dx, peak = backward_peak(conv, dy)
@@ -497,19 +497,84 @@ def pool_shape_network(shape, activation="relu", n_filters=4, dense_units=8):
     return build(cfg, dep, ("a", "b", "c"), L, seed=3)
 
 
+class RefLayer:
+    def params(self):
+        return []
+
+    def grads(self):
+        return []
+
+
+class RefMaxPool2(RefLayer):
+    """The separate max-pool layer that preceded the fused one."""
+
+    def forward(self, x, keep=True):
+        L = x.shape[2] - x.shape[2] % 2
+        self._in_len = x.shape[2]
+        a, b = x[:, :, 0:L:2], x[:, :, 1:L:2]
+        left = a >= b
+        self._left = left if keep else None
+        return np.where(left, a, b)
+
+    def backward(self, dy):
+        dx = np.zeros(dy.shape[:2] + (self._in_len,))
+        dx[:, :, 0:2 * dy.shape[2]:2] = dy * self._left
+        dx[:, :, 1:2 * dy.shape[2]:2] = dy * ~self._left
+        return dx
+
+
+class RefActivation(RefLayer):
+    """The separate activation layer that followed it in every conv block."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def forward(self, x, keep=True):
+        if self.kind == "relu":
+            mask = x > 0
+            self._mask = mask if keep else None
+            return x * mask
+        out = np.tanh(x)
+        self._out = out if keep else None
+        return out
+
+    def backward(self, dy):
+        if self.kind == "relu":
+            return dy * self._mask
+        return dy * (1.0 - self._out ** 2)
+
+
+def stack_convs(stack):
+    return [layer for layer in stack if isinstance(layer, _Conv1d)]
+
+
+def convs(net):
+    return [conv for stack in net.stacks for conv in stack_convs(stack)]
+
+
+def unfused(net, order):
+    """Replace every fused pool-activation layer of `net` by the reference
+    layers, as conv, pool, act (order "pool_act") or conv, act, pool."""
+    for stack in net.stacks:
+        for i in reversed(range(len(stack))):
+            if isinstance(stack[i], learner._MaxPool2):
+                pool, act = RefMaxPool2(), RefActivation(stack[i].kind)
+                stack[i:i + 1] = [pool, act] if order == "pool_act" else [act, pool]
+    return net
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
 def test_pool_before_activation_matches_activation_before_pool(shape, activation):
     # max-pool commutes with a monotone activation, ties included, so the
-    # losses and gradients of three SGD steps equal those of the old
-    # conv, activation, pool order
-    net, ref = (pool_shape_network(shape, activation) for _ in range(2))
-    dep, L = net.deployment, net.window_len
-    for stack in ref.stacks:
-        for i in range(0, len(stack), 3):
-            _, pool, act = stack[i:i + 3]
-            assert isinstance(pool, learner._MaxPool2) and isinstance(act, learner._Activation)
-            stack[i + 1:i + 3] = [act, pool]
+    # fused layer's losses, gradients and probabilities over three SGD steps
+    # equal those of separate layers in either order, to the bit: the fused
+    # relu writes +0.0 where x * (x > 0) wrote -0.0, and a signed zero only
+    # ever meets a multiply or a sum with a nonzero term
+    nets = [pool_shape_network(shape, activation)]
+    nets += [unfused(pool_shape_network(shape, activation), order)
+             for order in ("pool_act", "act_pool")]
+    dep, L = nets[0].deployment, nets[0].window_len
     rng = np.random.default_rng(9)
     X = rng.normal(size=(6, dep.n_channels, L))
     # constant frames make every window of a stack's first conv equal, so
@@ -518,17 +583,116 @@ def test_pool_before_activation_matches_activation_before_pool(shape, activation
     X[2] = rng.normal(size=(dep.n_channels, 1))
     y = np.array([0, 1, 2, 0, 1, 2])
     for _ in range(3):
-        losses = [n.loss_and_grads(X, y, training=True, rng=np.random.default_rng(2))
-                  for n in (net, ref)]
-        assert losses[0] == losses[1]
-        for got, want in zip(net.gradients(), ref.gradients()):
-            np.testing.assert_array_equal(got, want)
-        for n in (net, ref):
+        losses = [np.float64(n.loss_and_grads(X, y, training=True, rng=np.random.default_rng(2)))
+                  for n in nets]
+        grads = [n.gradients() for n in nets]
+        for ref_loss, ref_grads in zip(losses[1:], grads[1:]):
+            assert losses[0].tobytes() == ref_loss.tobytes()
+            assert len(grads[0]) == len(ref_grads)
+            for got, want in zip(grads[0], ref_grads):
+                assert got.tobytes() == want.tobytes()
+        for n in nets:
             n.sgd_step(0.5)
+    probs = [n.predict_proba(X).tobytes() for n in nets]
+    assert probs[0] == probs[1] == probs[2]
 
 
-def convs(net):
-    return [layer for stack in net.stacks for layer in stack[::3]]
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("L", [10, 11])
+def test_fused_pool_layer_matches_reference_layers(L, activation):
+    # an odd last input sample is dropped and gets zero gradient
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(3, 4, L))
+    x[0, :, 2:6] = 0.0  # ties at relu's kink
+    x[1, 1, 4:8] = 0.7  # ties away from it
+    dy = rng.normal(size=(3, 4, L // 2))
+    dy[2, 0] = 0.0
+    layer = learner._MaxPool2(activation)
+    out = layer.forward(x)
+    dx = layer.backward(dy)
+    for order in ("pool_act", "act_pool"):
+        pool, act = RefMaxPool2(), RefActivation(activation)
+        layers = [pool, act] if order == "pool_act" else [act, pool]
+        h, g = x, dy
+        for ref in layers:
+            h = ref.forward(h)
+        for ref in reversed(layers):
+            g = ref.backward(g)
+        np.testing.assert_array_equal(out, h)  # -0.0 == +0.0 here
+        assert dx.tobytes() == g.tobytes()
+    assert dx.shape == x.shape
+    if L % 2:
+        assert np.signbit(dx[:, :, -1]).sum() == 0 and not dx[:, :, -1].any()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_fused_pool_layer_inference_keeps_nothing(activation):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(2, 3, 9))
+    layer = learner._MaxPool2(activation)
+    layer.forward(x)
+    want = ["_left", "_right"] if activation == "relu" else ["_left", "_out"]
+    assert sorted(held_arrays(layer)) == want
+    out = layer.forward(x, keep=False)
+    assert held_arrays(layer) == {}
+    assert out.shape == (2, 3, 4)
+
+
+def forward_peak(layer, x, keep):
+    """(output, peak bytes traced) of one forward."""
+    tracemalloc.start()
+    try:
+        out = layer.forward(x, keep)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_fused_pool_layer_allocations_at_paper_shape(activation):
+    # the first conv output of the paper_scale network at batch 8: 28
+    # filters over (6000 - 9) // 4 + 1 = 1498 windows
+    x = np.random.default_rng(12).normal(size=(8, 28, 1498))
+    layer = learner._MaxPool2(activation)
+    out, peak = forward_peak(layer, x, keep=False)
+    assert peak <= 1.1 * out.nbytes, (peak, out.nbytes)
+    out, peak = forward_peak(layer, x, keep=True)
+    assert peak <= 1.1 * (out.nbytes + 2 * out.size), (peak, out.nbytes)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_nan_frame_diverges_at_first_epoch(activation):
+    frames = toy_frames(n_per_class=6, window=40, n_channels=4, seed=5)
+    frames[3].samples[2, 17] = np.nan
+    dep = deployment(2, channels=2)
+    cfg = ModelConfig(n_conv_blocks=2, kernel_sizes=(5, 3, 3), n_filters=3, dropout=0.0,
+                      epochs=3, batch_size=4, activation=activation)
+    net = build(cfg, dep, ("a", "b"), 40, seed=2)
+    with pytest.raises(TrainingDiverged) as info:
+        train(net, frames, seed=1)
+    assert info.value.epoch == 0
+
+
+@pytest.mark.parametrize("mode", learner.CONV_MODES)
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_every_stack_is_conv_then_pool_per_block(mode, blocks):
+    # perfbench's conv_cost walks each stack by layer: a layer with W is a
+    # conv, and the sequence halves at a layer whose class is _MaxPool2
+    dep = deployment(2, channels=3)
+    cfg = ModelConfig(conv_mode=mode, n_conv_blocks=blocks, kernel_sizes=(5, 3, 3),
+                      n_filters=4, stride_fraction=0.5, classifier_head="mlp")
+    net = build(cfg, dep, ("a", "b"), 200, seed=1)
+    feat_dim = 0
+    for stack in net.stacks:
+        assert [type(layer) for layer in stack] == [_Conv1d, learner._MaxPool2] * blocks
+        L = net.window_len
+        for layer in stack:
+            if getattr(layer, "W", None) is not None:
+                L = (L - layer.W.shape[2]) // layer.stride + 1
+            elif type(layer).__name__ == "_MaxPool2":
+                L //= 2
+        feat_dim += cfg.n_filters * L
+    assert feat_dim == net.feat_dim
 
 
 def rebuild_blocks(net):

@@ -28,6 +28,7 @@ from harvana.sensors import (
     ingest_csv,
     meta_segment_partition,
     moving_average,
+    position_columns,
     segment,
     segment_count,
     thermocouple_transfer,
@@ -462,6 +463,34 @@ def test_ingest_unknown_label(tmp_path):
     path.write_text(text)
     with pytest.raises(IngestError, match="unknown label 'flying'"):
         ingest_csv(tmp_path / "data")
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan", "NaN", "abc"])
+def test_ingest_rejects_a_cell_that_is_not_a_finite_number(tmp_path, cell):
+    # the writer encodes a gap only as an empty cell, so a NaN, an infinity
+    # or an overflowing literal is never a gap or a value
+    _, data = two_position_data(tmp_path)
+
+    def edit(rows):
+        rows[5][1] = cell
+
+    rewrite_csv(data / "hand.csv", edit)
+    with pytest.raises(IngestError, match=r"hand\.csv:6: a value is not"):
+        ingest_csv(data)
+
+
+def test_ingest_keeps_empty_cells_as_gaps_beside_finite_values(tmp_path):
+    _, data = two_position_data(tmp_path)
+
+    def edit(rows):
+        rows[5][0] = ""
+        rows[5][1] = "1e300"
+
+    rewrite_csv(data / "hand.csv", edit)
+    back = ingest_csv(data)
+    signals = np.concatenate([r.signals for r in back.recordings], axis=1)
+    gap, value = position_columns(back.deployment, "hand").values()
+    assert math.isnan(signals[gap, 4]) and signals[value, 4] == 1e300
 
 
 def rewrite_csv(path, edit):
