@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["sphere"],
                    help="built-in synthetic objective instead of the learner")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel evaluator calls (batch strategies only)")
+                   help="processes that evaluate trials, this one included (random "
+                        "and grid only; forked, so each holds the evaluator once)")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("analyze", help="forest fANOVA over a trial log")
@@ -303,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="materialize the bundled demo manifest into DIR and run it")
     p.add_argument("--force", action="store_true")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel evaluator calls in the explore stage")
+                   help="processes that evaluate the explore stage's trials, this "
+                        "one included (random and grid only)")
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

@@ -6,6 +6,13 @@ minimize the overall validation loss nu; f1 is recorded but never optimized.
 `run` is a pure function of (space, strategy, evaluator, budget, seed): two
 runs with the same arguments produce byte-identical trial logs.
 
+Random and grid fix their configs up front. With `workers > 1` their trials
+run on forked processes (hyperspace.fork_map): this one and each child take
+a contiguous range of trial ids, every child holds the evaluator once by
+fork inheritance, and the results are logged in id order, so the log does
+not depend on `workers`. Processes, not threads: the learner's many small
+numpy calls hold the GIL, and a thread pool was no faster than one thread.
+
 A run keeps its trials in one History, shared by every proposal rule (one
 per rung resource for hyperband and BOHB). It encodes each trial to the unit
 cube the first time a proposal reads its rows, and grows the rows' squared
@@ -21,10 +28,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
 from typing import Protocol
 
@@ -39,6 +44,7 @@ from .hyperspace import (
     atomic_open,
     convert_key,
     derive_rng,
+    fork_map,
     from_unit,
     grid,
     sample,
@@ -357,14 +363,17 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
     as it is recorded, renamed to `out_path` when the run completes
     (hyperspace.atomic_open); an evaluator exception aborts the run with the
     ordered prefix in the partial and no `out_path`. Batch strategies (random,
-    grid) may evaluate with `workers` threads; trials are merged in id order,
-    so the log is byte-identical regardless of worker timing. Sequential
+    grid) evaluate on `workers` processes, this one included, each taking a
+    contiguous range of trials (hyperspace.fork_map); trials are merged in id
+    order, so the log is byte-identical for any number of workers. Sequential
     strategies ignore workers (their proposals depend on every previous
-    result).
+    result), but it must still be >= 1.
     """
     validate_space(space)
     if budget_B < 1:
         raise StrategyError("budget_B must be >= 1")
+    if workers < 1:
+        raise StrategyError(f"workers must be >= 1, got {workers}")
     trials: list[Trial] = []
     with atomic_open(out_path) if out_path is not None else nullcontext() as log:
         def record(trial: Trial) -> Trial:
@@ -381,13 +390,11 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
             _run_multifidelity(space, strategy, evaluate, budget_B, seed)
         elif strategy.kind in ("random", "grid"):
             configs = _batch_configs(space, strategy, budget_B, seed)
-            seeds = [_trial_seed(seed, i) for i in range(len(configs))]
-            # one worker evaluates lazily on this thread; results come back in
-            # id order either way, so a failure leaves the ordered prefix logged
-            with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-                for trial in (pool.map if pool else map)(evaluator, configs,
-                                                         repeat(full_budget), seeds):
-                    record(trial)
+            calls = [(c, full_budget, _trial_seed(seed, i)) for i, c in enumerate(configs)]
+            # results come back in id order, so a failure leaves the ordered
+            # prefix logged
+            for trial in fork_map(lambda call: evaluator(*call), calls, workers):
+                record(trial)
         else:
             _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget)
     return trials

@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hyperspace import Configuration, SearchSpace, Trial, derive_rng, to_unit, validate_space
+from .hyperspace import (Configuration, SearchSpace, Trial, derive_rng, fork_map, to_unit,
+                         usable_cpus, validate_space)
 
 
 class ForestError(ValueError):
@@ -261,7 +262,9 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
     """Fit a regression forest of axis-aligned trees by variance reduction.
 
     Bootstrap per tree, random feature subset of size ceil(d*feature_frac)
-    per node. Deterministic for a fixed seed.
+    per node. Deterministic for a fixed seed: tree t draws only from
+    derive_rng(seed, t), so the forest does not depend on which process
+    (hyperspace.fork_map) fitted which tree.
     """
     validate_space(space)
     if not (n_trees >= 1 and min_leaf >= 1 and max_depth >= 0 and 0.0 < feature_frac <= 1.0):
@@ -281,7 +284,8 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
         return _tree_data(_build_tree(Z[rows], y[rows], cat_dims, max_depth, min_leaf,
                                       n_features, rng), space)
 
-    trees = [one_tree(t) for t in range(n_trees)]
+    # one process per usable CPU, each fitting a contiguous range of trees
+    trees = list(fork_map(one_tree, range(n_trees), usable_cpus()))
     return Forest(trees=trees, space=space, response=response,
                   n_trials=len(trials), seed=seed)
 

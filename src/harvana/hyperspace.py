@@ -19,11 +19,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -40,6 +46,108 @@ class SpaceError(ValueError):
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for (seed, key...) tuples."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key)))
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fork_map(fn: Callable, items: Iterable, processes: int) -> Iterator:
+    """fn(item) for every item, yielded in item order.
+
+    The items are cut into `processes` contiguous ranges, at most one per
+    item. This process computes the first range while a forked child computes
+    each of the others; fn reaches the children by fork inheritance and is
+    never pickled. Each child pickles back its range's results and the
+    exception that cut the range short, if one did. That exception is raised
+    here, with its own type, after the results before it were yielded, so a
+    failing item leaves exactly the ordered prefix behind. A child that dies
+    raises RuntimeError. Every child is killed if need be and reaped before
+    this generator finishes or is closed.
+
+    Runs inline for one process, without the `fork` start method, or while
+    the process runs other threads: a fork copies only the calling thread,
+    and a lock another thread held would stay locked in the child."""
+    items = list(items)
+    processes = min(processes, len(items))
+    if (processes <= 1 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        yield from map(fn, items)
+        return
+    cuts = [len(items) * p // processes for p in range(processes + 1)]
+    # a child would otherwise write out again what is buffered at the fork
+    _flush_stdio()
+    children = []  # (pid, the read end of its pipe)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            reader = os.fdopen(r, "rb")  # closed by its collection if the fork fails
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fork_child(fn, items[lo:hi], reader, w)
+                children.append((pid, reader))
+            finally:
+                os.close(w)
+        yield from map(fn, items[:cuts[1]])
+        while children:
+            pid, fh = children[0]
+            with fh:
+                blob = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0:
+                raise RuntimeError(f"worker process {pid} died "
+                                   f"({f'signal {-code}' if code < 0 else f'exit code {code}'})")
+            results, error = pickle.loads(blob)
+            yield from results
+            if error is not None:
+                raise error
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_child(fn: Callable, items: list, reader, w: int) -> NoReturn:
+    """A fork_map child: compute fn over `items`, stopping at the first
+    exception, pickle (results, exception) into the pipe `w` and exit without
+    running the parent's exit handlers or flushing its files."""
+    code = 1
+    try:
+        reader.close()
+        results, error = [], None
+        try:
+            for item in items:
+                results.append(fn(item))
+        except Exception as e:
+            error = e
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:  # an exception that does not round-trip goes as its text
+            error = RuntimeError(f"{type(error).__name__}: {error}")
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump((results, error), fh)
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        try:
+            _flush_stdio()
+        finally:
+            os._exit(code)
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # None or closed
+            pass
 
 
 @dataclass(frozen=True)

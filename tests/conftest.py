@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -56,3 +59,10 @@ def trials_from_function(space, fn, n, seed=0):
         u = to_unit(space, config)
         out.append(make_trial(config, float(np.clip(fn(u), 0.0, 1.0)), trial_id=i))
     return out
+
+
+def assert_no_children() -> None:
+    """No child process is left running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

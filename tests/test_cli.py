@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from harvana.cli import main
 from harvana import pipeline
 from harvana.hyperspace import ParamSpec, SearchSpace, read_trials, save_space
+
+from conftest import assert_no_children
 
 
 PLANTED_SPEC = {
@@ -128,6 +131,19 @@ def test_explore_workers_flag(tmp_path):
                    "--budget", 10, "--seed", 5, "--out", b,
                    "--objective", "sphere", "--workers", 4) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_explore_fewer_than_one_worker_exits_2(tmp_path, workers, caplog):
+    import logging
+    space_path = tmp_path / "space.json"
+    save_space(SearchSpace(params=(ParamSpec("x0", "continuous", 0.0, 1.0),)), space_path)
+    out = tmp_path / "t.jsonl"
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("explore", "--space", space_path, "--budget", 4, "--out", out,
+                       "--objective", "sphere", "--workers", workers) == 2
+    assert any(f"workers must be >= 1, got {workers}" in r.getMessage() for r in caplog.records)
+    assert not out.exists()
 
 
 def test_invalid_space_exits_2(tmp_path):
@@ -522,6 +538,79 @@ def test_runtime_failure_names_its_stage_and_exits_3(tmp_path, monkeypatch, capl
         assert run_cli("pipeline", "--manifest", path) == 3
     assert any("stage 'explore' failed: evaluator crashed" in r.getMessage()
                for r in caplog.records)
+
+
+def test_pipeline_fewer_than_one_worker_exits_2_naming_explore(tmp_path, caplog):
+    import logging
+    path = explore_only(tmp_path)
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("pipeline", "--manifest", path, "--workers", 0) == 2
+    assert any("stage 'explore' failed: workers must be >= 1, got 0" in r.getMessage()
+               for r in caplog.records)
+    assert not list((tmp_path / "demo").glob("trials.jsonl*"))
+
+
+def test_demo_trial_log_is_byte_identical_with_one_and_two_workers(tmp_path):
+    from harvana.pipeline import stage_explore
+    manifest = small_demo(tmp_path, ["generate", "partition"])
+    logs = []
+    for workers in (1, 2):
+        stage_explore(manifest, force=True, workers=workers)
+        logs.append(manifest.path("trials").read_bytes())
+    assert logs[0] == logs[1] and len(logs[0].splitlines()) == 8
+    assert_no_children()
+
+
+def forest_worker_fault(monkeypatch, fault):
+    """Run `fault` in place of every tree build in a forked forest worker."""
+    from harvana import forest
+    parent, build = os.getpid(), forest._build_tree
+
+    def build_or_fault(*args):
+        if os.getpid() != parent:
+            fault()
+        return build(*args)
+
+    monkeypatch.setattr(forest, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "_build_tree", build_or_fault)
+
+
+def test_forest_worker_that_dies_exits_3_naming_analyze(demo_run, tmp_path, monkeypatch,
+                                                        caplog):
+    import logging
+    from harvana.pipeline import StageError, run_pipeline
+    manifest = demo_stage_manifest(demo_run, tmp_path, "analyze", "reports", "reports", {})
+    forest_worker_fault(monkeypatch, lambda: os._exit(9))
+    with pytest.raises(StageError, match=r"worker process \d+ died \(exit code 9\)") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "analyze" and type(exc.value.cause) is RuntimeError
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("pipeline", "--manifest", manifest) == 3
+    assert any("stage 'analyze' failed: worker process" in r.getMessage()
+               for r in caplog.records)
+    assert not (tmp_path / "reports" / "report_nu.json").exists()
+    assert_no_children()
+
+
+def test_forest_error_in_a_worker_exits_2_naming_analyze(demo_run, tmp_path, monkeypatch,
+                                                          caplog):
+    import logging
+    from harvana.forest import ForestError
+    from harvana.pipeline import StageError, run_pipeline
+    manifest = demo_stage_manifest(demo_run, tmp_path, "analyze", "reports", "reports", {})
+
+    def fault():
+        raise ForestError("raised in a forest worker")
+
+    forest_worker_fault(monkeypatch, fault)
+    with pytest.raises(StageError, match="raised in a forest worker") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "analyze" and type(exc.value.cause) is ForestError
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert any("stage 'analyze' failed: raised in a forest worker" in r.getMessage()
+               for r in caplog.records)
+    assert_no_children()
 
 
 def test_caller_signal_from_a_hook_passes_through_unwrapped(tmp_path, monkeypatch):

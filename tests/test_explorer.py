@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from collections import Counter
 
@@ -28,7 +29,7 @@ from harvana.hyperspace import (
     to_unit,
 )
 
-from conftest import make_trial, sphere_evaluator, unit_space
+from conftest import assert_no_children, make_trial, sphere_evaluator, unit_space
 
 
 def history_from(space, fn, n, seed=0):
@@ -184,25 +185,56 @@ def test_run_monotone_incumbent(unit_space_2d):
     assert (np.diff(best) <= 0).all()
 
 
-def test_run_evaluator_failure_preserves_partial_log(unit_space_2d, tmp_path):
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("k", [3, 7])
+def test_run_evaluator_failure_preserves_partial_log(unit_space_2d, tmp_path, workers, k):
     from harvana.explorer import _trial_seed
-    # fail on the 4th trial's seed, not the 4th call: threads reorder the calls
-    fourth = _trial_seed(0, 3)
+    # fail on trial k's seed, not the k-th call: each process counts its own
+    # calls. With two workers this process evaluates trials 0-4 and a child
+    # 5-9, so k = 3 fails here and k = 7 in the child
+    failing = _trial_seed(0, k)
 
     def flaky(config, budget, seed):
-        if seed == fourth:
-            raise RuntimeError("boom")
+        if seed == failing:
+            raise RuntimeError(f"trial {k} failed")
         return make_trial(config, 0.5, trial_id=-1, budget=budget, seed=seed)
 
-    for workers in (1, 4):
-        path = tmp_path / f"partial_w{workers}.jsonl"
-        with pytest.raises(RuntimeError, match="boom"):
-            run(unit_space_2d, Strategy("random"), flaky, budget_B=10, seed=0,
-                out_path=path, workers=workers)
-        # the log streams to <path>.partial, renamed only on success
-        assert not path.exists()
-        lines = path.with_name(path.name + ".partial").read_text().splitlines()
-        assert [json.loads(line)["trial_id"] for line in lines] == [0, 1, 2], workers
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(RuntimeError, match=f"trial {k} failed"):
+        run(unit_space_2d, Strategy("random"), flaky, budget_B=10, seed=0,
+            out_path=path, workers=workers)
+    # the log streams to <path>.partial, renamed only on success
+    assert not path.exists()
+    lines = path.with_name(path.name + ".partial").read_text().splitlines()
+    assert [json.loads(line)["trial_id"] for line in lines] == list(range(k))
+    assert_no_children()
+
+
+@pytest.mark.parametrize("kind", ["random", "tpe"])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_rejects_fewer_than_one_worker(unit_space_2d, tmp_path, kind, workers):
+    ev = sphere_evaluator(unit_space_2d, [0.5, 0.5])
+    with pytest.raises(StrategyError, match=f"workers must be >= 1, got {workers}"):
+        run(unit_space_2d, Strategy(kind), ev, budget_B=4, seed=0,
+            out_path=tmp_path / "t.jsonl", workers=workers)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_batch_run_forks_at_most_one_process_per_trial(unit_space_2d, monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    ev = sphere_evaluator(unit_space_2d, [0.5, 0.5])
+    trials = run(unit_space_2d, Strategy("random"), ev, budget_B=3, seed=0, workers=64)
+    # three processes for three trials: this one and two children
+    assert len(trials) == 3 and len(forks) == 2
+    run(unit_space_2d, Strategy("tpe"), ev, budget_B=3, seed=0, workers=64)
+    assert len(forks) == 2  # sequential strategies evaluate here
+    assert_no_children()
 
 
 def test_run_proposals_always_valid():

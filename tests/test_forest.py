@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from harvana import forest as forest_mod
 from harvana.forest import (
     ForestError,
     NodeTable,
@@ -15,7 +17,7 @@ from harvana.forest import (
 )
 from harvana.hyperspace import Configuration, ParamSpec, SearchSpace, derive_rng
 
-from conftest import make_trial, trials_from_function, unit_space
+from conftest import assert_no_children, make_trial, trials_from_function, unit_space
 
 
 def leaf(pred: float) -> NodeTable:
@@ -465,3 +467,71 @@ def test_fit_accepts_range_edges():
     forest = fit_forest(mixed_trials(20), mixed_space(), n_trees=1, min_leaf=1, max_depth=0,
                         feature_frac=1.0)
     assert len(forest.trees[0].predictions) == 1
+
+
+# ---------------------------------------------------------------------------
+# trees fitted in forked worker processes against the inline fit
+
+def assert_same_forest(got, want) -> None:
+    assert got.n_trees == want.n_trees
+    for tg, tw in zip(got.trees, want.trees):
+        for name in ("split_dim", "threshold", "left", "right", "value"):
+            a, b = getattr(tg.nodes, name), getattr(tw.nodes, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+        assert tg.nodes.subset == tw.nodes.subset
+        for name in ("predictions", "lo", "hi", "extents", "volumes"):
+            a, b = getattr(tg, name), getattr(tw, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert sorted(tg.cat_masks) == sorted(tw.cat_masks)
+        for dim in tw.cat_masks:
+            assert np.array_equal(tg.cat_masks[dim], tw.cat_masks[dim])
+
+
+def fit_on(monkeypatch, processes, trials, space, **fit):
+    """fit_forest as if `processes` CPUs were usable; also returns the number
+    of distinct processes that built its trees."""
+    real, pids = forest_mod.fork_map, set()
+
+    def spy(fn, items, n):
+        for pid, tree in real(lambda t: (os.getpid(), fn(t)), items, n):
+            pids.add(pid)
+            yield tree
+
+    monkeypatch.setattr(forest_mod, "usable_cpus", lambda: processes)
+    monkeypatch.setattr(forest_mod, "fork_map", spy)
+    return fit_forest(trials, space, **fit), len(pids)
+
+
+GAIN_TRIALS = trials_from_function(
+    gain_space(), lambda u: 0.3 * u[1] + 0.4 * u[2] * u[3] + 0.2 * (u[0] - 0.5) ** 2, 100, seed=3)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("space, trials, fit", [
+    (gain_space(), GAIN_TRIALS, dict(n_trees=16, seed=1)),
+    (mixed_space(), mixed_trials(80, seed=2), dict(n_trees=8, seed=2)),
+    (mixed_space(), mixed_trials(80, seed=2), dict(n_trees=8, seed=2, bootstrap=False)),
+    (gain_space(), GAIN_TRIALS, dict(n_trees=1, seed=4)),
+    (mixed_space(), mixed_trials(60, seed=4), dict(n_trees=3, seed=4, min_leaf=1)),
+], ids=["gain_space", "mixed", "mixed_no_bootstrap", "one_tree", "three_trees"])
+def test_forked_fit_equals_inline_fit(monkeypatch, space, trials, fit, processes):
+    want, inline = fit_on(monkeypatch, 1, trials, space, **fit)
+    got, used = fit_on(monkeypatch, processes, trials, space, **fit)
+    assert inline == 1 and used == min(fit["n_trees"], processes)
+    assert_same_forest(got, want)
+    assert_no_children()
+
+
+def test_forest_worker_that_dies_raises_runtime_error(monkeypatch):
+    parent, build = os.getpid(), forest_mod._build_tree
+
+    def die_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return build(*args)
+
+    monkeypatch.setattr(forest_mod, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest_mod, "_build_tree", die_in_child)
+    with pytest.raises(RuntimeError, match="worker process .* died"):
+        fit_forest(mixed_trials(40), mixed_space(), n_trees=4)
+    assert_no_children()

@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from harvana.hyperspace import (
     SpaceError,
     Trial,
     convert,
+    fork_map,
     from_unit,
     grid,
     read_trials,
@@ -25,6 +32,8 @@ from harvana.hyperspace import (
     validate_space,
     write_trials,
 )
+
+from conftest import assert_no_children
 
 MIXED = SearchSpace(params=(
     ParamSpec("lr", "continuous", 0.001, 0.1, prior="log"),
@@ -235,3 +244,115 @@ def test_convert_reads_a_value_as_the_type_of_its_default(default, value, want):
 def test_convert_rejects_what_it_would_have_to_guess_at(default, value):
     with pytest.raises((TypeError, ValueError)):
         convert(default, value)
+
+
+# ---------------------------------------------------------------------------
+# fork_map: an order-preserving map over forked worker processes
+
+def square_and_pid(i):
+    return i * i, os.getpid()
+
+
+@pytest.mark.parametrize("n, processes", [(1, 2), (2, 2), (5, 2), (5, 3), (7, 3), (4, 1)])
+def test_fork_map_yields_in_order_one_contiguous_range_per_process(n, processes):
+    got = list(fork_map(square_and_pid, range(n), processes))
+    assert [v for v, _ in got] == [i * i for i in range(n)]
+    pids = [pid for _, pid in got]
+    # this process takes the first range; each range runs in one process
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == min(n, processes)
+    assert [pids[i] for i in range(n) if i == 0 or pids[i] != pids[i - 1]] == list(
+        dict.fromkeys(pids))
+    assert_no_children()
+
+
+def test_fork_map_holds_at_most_one_process_per_item():
+    assert len({pid for _, pid in fork_map(square_and_pid, range(2), 8)}) == 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize("k", [1, 4], ids=["in_this_process", "in_a_child"])
+def test_fork_map_reraises_an_items_error_with_its_type_after_the_prefix(k):
+    def fail_at_k(i):
+        if i == k:
+            raise SpaceError(f"item {i} failed")
+        return i
+
+    got = []
+    with pytest.raises(SpaceError, match=f"item {k} failed"):
+        for v in fork_map(fail_at_k, range(6), 2):
+            got.append(v)
+    assert got == list(range(k))
+    assert_no_children()
+
+
+def test_fork_map_sends_an_error_that_does_not_pickle_as_its_text():
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def fail(i):
+        if i == 3:
+            raise Local("no way back")
+        return i
+
+    with pytest.raises(RuntimeError, match="Local: no way back"):
+        list(fork_map(fail, range(4), 2))
+    assert_no_children()
+
+
+def test_fork_map_child_that_dies_raises_runtime_error():
+    parent = os.getpid()
+
+    def die_in_child(i):
+        if os.getpid() != parent:
+            os._exit(7)
+        return i
+
+    with pytest.raises(RuntimeError, match=r"worker process \d+ died \(exit code 7\)"):
+        list(fork_map(die_in_child, range(4), 2))
+    assert_no_children()
+
+
+def test_fork_map_closed_early_kills_and_reaps_its_children():
+    import time
+
+    def slow(i):
+        if i >= 2:
+            time.sleep(60)
+        return i
+
+    results = fork_map(slow, range(4), 2)
+    assert next(results) == 0
+    results.close()
+    assert_no_children()
+
+
+def test_fork_map_runs_inline_beside_other_threads():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert {pid for _, pid in fork_map(square_and_pid, range(4), 2)} == {os.getpid()}
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_fork_map_children_never_flush_the_parents_buffered_output():
+    # stdout is a pipe here, so the first line sits in the buffer at the fork;
+    # a child that flushed it again would print it twice
+    script = (
+        "from harvana.hyperspace import fork_map\n"
+        "print('buffered before the fork')\n"
+        "def show(i):\n"
+        "    print(f'item {i}')\n"
+        "    return i\n"
+        "assert list(fork_map(show, range(4), 2)) == [0, 1, 2, 3]\n"
+        "print('after')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert Counter(out.splitlines()) == Counter(
+        ["buffered before the fork", "item 0", "item 1", "item 2", "item 3", "after"])
