@@ -243,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth-window", type=int, default=1)
     p.add_argument("--objective", choices=["sphere"],
                    help="built-in synthetic objective instead of the learner")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=int, default=None,
                    help="processes that evaluate trials, this one included (random "
-                        "and grid only; forked, so each holds the evaluator once)")
+                        "and grid only; forked, so each holds the evaluator once); "
+                        "default: one per usable CPU")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("analyze", help="forest fANOVA over a trial log")
@@ -303,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", metavar="DIR",
                    help="materialize the bundled demo manifest into DIR and run it")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=int, default=None,
                    help="processes that evaluate the explore stage's trials, this "
-                        "one included (random and grid only)")
+                        "one included (random and grid only); default: one per "
+                        "usable CPU")
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

@@ -6,12 +6,13 @@ minimize the overall validation loss nu; f1 is recorded but never optimized.
 `run` is a pure function of (space, strategy, evaluator, budget, seed): two
 runs with the same arguments produce byte-identical trial logs.
 
-Random and grid fix their configs up front. With `workers > 1` their trials
-run on forked processes (hyperspace.fork_map): this one and each child take
-a contiguous range of trial ids, every child holds the evaluator once by
-fork inheritance, and the results are logged in id order, so the log does
-not depend on `workers`. Processes, not threads: the learner's many small
-numpy calls hold the GIL, and a thread pool was no faster than one thread.
+Random and grid fix their configs up front, and their trials run on forked
+processes (hyperspace.fork_map), by default one per usable CPU: this one and
+each child take a contiguous range of trial ids, every child holds the
+evaluator once by fork inheritance, and the results are logged in id order,
+so the log does not depend on `workers`. Processes, not threads: the
+learner's many small numpy calls hold the GIL, and a thread pool was no
+faster than one thread.
 
 A run keeps its trials in one History, shared by every proposal rule (one
 per rung resource for hyperband and BOHB). It encodes each trial to the unit
@@ -47,6 +48,7 @@ from .hyperspace import (
     fork_map,
     from_unit,
     grid,
+    grid_size,
     sample,
     to_unit,
     trial_to_line,
@@ -57,7 +59,7 @@ STRATEGY_KINDS = ("random", "grid", "evolution", "anneal", "hyperband", "bohb", 
 
 DEFAULTS: dict[str, dict] = {
     "random": {},
-    "grid": {"points_per_dim": None},  # None: smallest m with m^d >= budget
+    "grid": {"points_per_dim": None},  # None: the smallest grid of >= budget configs
     "evolution": {"population_size": 20},
     "anneal": {"p0": 0.5, "p_min": 0.05, "sigma0": 0.2, "decay": 0.97},
     "hyperband": {"R": 27, "eta": 3},
@@ -354,7 +356,7 @@ def evolution_propose(history: Sequence[Trial], space: SearchSpace,
 
 def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
         budget_B: int, seed: int, out_path: str | Path | None = None,
-        full_budget: float = 1.0, workers: int = 1) -> list[Trial]:
+        full_budget: float = 1.0, workers: int | None = None) -> list[Trial]:
     """Execute a strategy for budget_B evaluator calls; returns the trial log.
 
     Non-multi-fidelity strategies evaluate at `full_budget` and return exactly
@@ -364,16 +366,20 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
     (hyperspace.atomic_open); an evaluator exception aborts the run with the
     ordered prefix in the partial and no `out_path`. Batch strategies (random,
     grid) evaluate on `workers` processes, this one included, each taking a
-    contiguous range of trials (hyperspace.fork_map); trials are merged in id
-    order, so the log is byte-identical for any number of workers. Sequential
-    strategies ignore workers (their proposals depend on every previous
-    result), but it must still be >= 1.
+    contiguous range of trials (hyperspace.fork_map); None, the default, means
+    one per usable CPU. Trials are merged in id order, so the log is
+    byte-identical for any number of workers. Sequential strategies ignore
+    workers (their proposals depend on every previous result), but an int
+    must still be >= 1.
     """
     validate_space(space)
     if budget_B < 1:
         raise StrategyError("budget_B must be >= 1")
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise StrategyError(f"workers must be >= 1, got {workers}")
+    # a batch's configs are fixed, and a grid refused, before the log is opened
+    batch = (_batch_configs(space, strategy, budget_B, seed)
+             if strategy.kind in ("random", "grid") else None)
     trials: list[Trial] = []
     with atomic_open(out_path) if out_path is not None else nullcontext() as log:
         def record(trial: Trial) -> Trial:
@@ -388,9 +394,8 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
 
         if strategy.kind in ("hyperband", "bohb"):
             _run_multifidelity(space, strategy, evaluate, budget_B, seed)
-        elif strategy.kind in ("random", "grid"):
-            configs = _batch_configs(space, strategy, budget_B, seed)
-            calls = [(c, full_budget, _trial_seed(seed, i)) for i, c in enumerate(configs)]
+        elif batch is not None:
+            calls = [(c, full_budget, _trial_seed(seed, i)) for i, c in enumerate(batch)]
             # results come back in id order, so a failure leaves the ordered
             # prefix logged
             for trial in fork_map(lambda call: evaluator(*call), calls, workers):
@@ -421,16 +426,21 @@ def tpe_good_count(n: int, gamma: float) -> int:
 
 
 def _grid_configs(space, strategy, budget_B) -> list[Configuration]:
+    """The whole grid, whose size must equal the budget: a cut grid would
+    leave its slowest dims at their lower bounds in every trial."""
+    smallest = 2
+    while grid_size(space, smallest) < budget_B and smallest <= budget_B:
+        smallest += 1
     ppd = strategy.settings["points_per_dim"]
-    if ppd is None:
-        ppd = 2
-        while len(grid(space, ppd)) < budget_B and ppd <= budget_B:
-            ppd += 1
-    configs = grid(space, ppd)
-    if len(configs) < budget_B:
-        raise StrategyError(
-            f"grid of {len(configs)} configs cannot fill budget {budget_B}")
-    return configs[:budget_B]
+    ppd = smallest if ppd is None else ppd
+    size, whole = grid_size(space, ppd), grid_size(space, smallest)
+    if size != budget_B:
+        nearest = (f"the smallest whole grid at or above it has {whole} configs "
+                   f"({smallest} points per dim)" if whole >= budget_B
+                   else f"no grid of this space reaches it (the largest has {whole} configs)")
+        raise StrategyError(f"grid budget {budget_B} is not a whole grid: {ppd} points per "
+                            f"dim make {size} configs; {nearest}")
+    return grid(space, ppd)
 
 
 def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .hyperspace import (Configuration, SearchSpace, Trial, derive_rng, fork_map, to_unit,
-                         usable_cpus, validate_space)
+                         validate_space)
 
 
 class ForestError(ValueError):
@@ -285,7 +285,7 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
                                       n_features, rng), space)
 
     # one process per usable CPU, each fitting a contiguous range of trees
-    trees = list(fork_map(one_tree, range(n_trees), usable_cpus()))
+    trees = list(fork_map(one_tree, range(n_trees)))
     return Forest(trees=trees, space=space, response=response,
                   n_trials=len(trials), seed=seed)
 

@@ -55,24 +55,26 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fork_map(fn: Callable, items: Iterable, processes: int) -> Iterator:
+def fork_map(fn: Callable, items: Iterable, processes: int | None = None) -> Iterator:
     """fn(item) for every item, yielded in item order.
 
     The items are cut into `processes` contiguous ranges, at most one per
-    item. This process computes the first range while a forked child computes
-    each of the others; fn reaches the children by fork inheritance and is
-    never pickled. Each child pickles back its range's results and the
-    exception that cut the range short, if one did. That exception is raised
-    here, with its own type, after the results before it were yielded, so a
-    failing item leaves exactly the ordered prefix behind. A child that dies
-    raises RuntimeError. Every child is killed if need be and reaped before
-    this generator finishes or is closed.
+    item; None, the default, means one per usable CPU (usable_cpus), the one
+    CPU rule every caller shares. This process computes the first range
+    while a forked child computes each of the others; fn reaches the
+    children by fork inheritance and is never pickled. Each child pickles
+    back its range's results and the exception that cut the range short, if
+    one did. That exception is raised here, with its own type, after the
+    results before it were yielded, so a failing item leaves exactly the
+    ordered prefix behind. A child that dies raises RuntimeError. Every child
+    is killed if need be and reaped before this generator finishes or is
+    closed.
 
     Runs inline for one process, without the `fork` start method, or while
     the process runs other threads: a fork copies only the calling thread,
     and a lock another thread held would stay locked in the child."""
     items = list(items)
-    processes = min(processes, len(items))
+    processes = min(usable_cpus() if processes is None else processes, len(items))
     if (processes <= 1 or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         yield from map(fn, items)
@@ -336,12 +338,21 @@ def _axis_grid(p: ParamSpec, m: int) -> list:
     return [float(v) for v in pts]
 
 
-def grid(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP_DEFAULT) -> list[Configuration]:
-    """Cartesian product of per-dimension grids, row-major (last dim fastest)."""
+def _grid_axes(space: SearchSpace, points_per_dim: int) -> list[list]:
     validate_space(space)
     if points_per_dim < 2:
         raise SpaceError("points_per_dim must be >= 2")
-    axes = [_axis_grid(p, points_per_dim) for p in space.params]
+    return [_axis_grid(p, points_per_dim) for p in space.params]
+
+
+def grid_size(space: SearchSpace, points_per_dim: int) -> int:
+    """len(grid(space, points_per_dim)), without building the grid."""
+    return math.prod(len(a) for a in _grid_axes(space, points_per_dim))
+
+
+def grid(space: SearchSpace, points_per_dim: int, cap: int = GRID_CAP_DEFAULT) -> list[Configuration]:
+    """Cartesian product of per-dimension grids, row-major (last dim fastest)."""
+    axes = _grid_axes(space, points_per_dim)
     total = math.prod(len(a) for a in axes)
     if total > cap:
         raise SpaceError(f"grid size {total} exceeds cap {cap}")

@@ -376,7 +376,7 @@ def stage_partition(manifest: Manifest, out: Path) -> None:
 
 
 @_stage("explore", "trials")
-def stage_explore(manifest: Manifest, out: Path, workers: int = 1) -> None:
+def stage_explore(manifest: Manifest, out: Path, workers: int | None = None) -> None:
     """Explore the gain space of the deployment; space.json is rewritten after
     each complete run, so a crashed run leaves it matching the old trial log."""
     exp = manifest.doc["explore"]
@@ -538,12 +538,13 @@ STAGES: list[tuple[str, Callable[[Manifest, bool], Path]]] = [
 
 
 def run_pipeline(manifest_path: str | Path, force: bool = False,
-                 workers: int = 1) -> list[Path]:
+                 workers: int | None = None) -> list[Path]:
     """Run the manifest's stages in order; the first failure aborts with a
     StageError naming the stage (its partial artifacts are left in place).
 
     The optional manifest field "stages" (a list of stage names) toggles a
-    subset on; omitted or null means every stage."""
+    subset on; omitted or null means every stage. `workers` goes to the
+    explore stage's explorer.run; None means one process per usable CPU."""
     manifest = Manifest.load(manifest_path)
     enabled = manifest.doc.get("stages")
     if enabled is not None:

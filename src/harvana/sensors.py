@@ -434,37 +434,54 @@ def segment_count(n_samples: int, window_len: int, stride: int) -> int:
     return (n_samples - window_len) // stride + 1
 
 
+PARTITION_ATTEMPTS = 100
+
+
 def meta_segment_partition(frames: Sequence[Frame], k: int, meta_len: int,
                            seed: int) -> FoldAssignment:
     """Group adjacent frames (per recording) into runs of meta_len, shuffle
     the runs, and deal them to the least-loaded fold (round-robin whenever
     runs are equal-sized, which keeps fold sizes within +-meta_len of
     balance even with short tail runs). meta_len=1 reproduces plain random
-    frame-level partitioning. Runs never span recordings."""
+    frame-level partitioning. Runs never span recordings.
+
+    Every non-null activity must fall in at least 2 folds, so that every
+    fold's training side holds it. The first shuffle draws from
+    derive_rng(seed); a shuffle that misses this is redrawn from
+    derive_rng(seed, attempt), up to PARTITION_ATTEMPTS shuffles in all, and
+    SensorError names the activity if none succeeds."""
     if k < 2:
         raise SensorError("k must be >= 2")
     if meta_len < 1:
         raise SensorError("meta_len must be >= 1")
-    runs: list[list[int]] = []
+    runs: list[list[Frame]] = []
     by_rec: dict[str, list[Frame]] = {}
     for f in frames:
         by_rec.setdefault(f.recording, []).append(f)
     for rec_frames in by_rec.values():
         ordered = sorted(rec_frames, key=lambda f: f.time_index)
         for i in range(0, len(ordered), meta_len):
-            runs.append([f.frame_id for f in ordered[i:i + meta_len]])
+            runs.append(ordered[i:i + meta_len])
     if len(runs) < k:
         raise SensorError(f"fewer runs than folds ({len(runs)} < {k})")
-    rng = derive_rng(seed)
-    order = rng.permutation(len(runs))
-    loads = [0] * k
-    assignment: dict[int, int] = {}
-    for run_idx in order:
-        fold = loads.index(min(loads))
-        for fid in runs[run_idx]:
-            assignment[fid] = fold
-        loads[fold] += len(runs[run_idx])
-    return FoldAssignment(k=k, meta_len=meta_len, seed=seed, assignment=assignment)
+    for attempt in range(PARTITION_ATTEMPTS):
+        order = (derive_rng(seed, attempt) if attempt else derive_rng(seed)).permutation(len(runs))
+        loads = [0] * k
+        assignment: dict[int, int] = {}
+        folds_of: dict[str, set[int]] = {}
+        for run_idx in order:
+            fold = loads.index(min(loads))
+            for f in runs[run_idx]:
+                assignment[f.frame_id] = fold
+                if not f.is_null:
+                    folds_of.setdefault(f.activity, set()).add(fold)
+            loads[fold] += len(runs[run_idx])
+        thin = sorted(a for a, held in folds_of.items() if len(held) < 2)
+        if not thin:
+            return FoldAssignment(k=k, meta_len=meta_len, seed=seed, assignment=assignment)
+    raise SensorError(f"activity {thin[0]!r} falls in one fold in each of {PARTITION_ATTEMPTS} "
+                      f"draws (k={k}, meta_len={meta_len}), so that fold's training side "
+                      "would have none of it")
 
 
 # ---------------------------------------------------------------------------

@@ -457,13 +457,19 @@ def small_demo(tmp_path, stages):
 
 
 def test_crashed_explore_leaves_no_trial_log_and_reruns(tmp_path, monkeypatch):
+    from harvana.explorer import _trial_seed
     from harvana.pipeline import LearnerEvaluator, stage_explore
     manifest = small_demo(tmp_path, ["generate", "partition"])
-    evaluate, calls = LearnerEvaluator.__call__, []
+    evaluate, crash = LearnerEvaluator.__call__, True
+    # the trials run on forked workers by default, each counting its own
+    # calls: fail on trial 5's seed, and count calls in a file every process
+    # appends to
+    failing, calls = _trial_seed(manifest.stage_seed("explore"), 4), tmp_path / "calls"
 
     def flaky(self, config, budget, seed):
-        calls.append(seed)
-        if len(calls) == 5:
+        with open(calls, "a") as fh:
+            fh.write(f"{seed}\n")
+        if crash and seed == failing:
             raise RuntimeError("evaluator crashed at trial 5")
         return evaluate(self, config, budget, seed)
 
@@ -472,9 +478,11 @@ def test_crashed_explore_leaves_no_trial_log_and_reruns(tmp_path, monkeypatch):
         stage_explore(manifest)
     trials = manifest.path("trials")
     assert not trials.exists()
+    assert_no_children()
     # the rerun, without force, explores again instead of taking 4 trials as done
+    crash, before = False, len(calls.read_text().split())
     stage_explore(manifest)
-    assert len(calls) == 5 + 8 and len(read_trials(trials)) == 8
+    assert len(calls.read_text().split()) == before + 8 and len(read_trials(trials)) == 8
     assert [p.name for p in trials.parent.glob("trials.jsonl*")] == ["trials.jsonl"]
 
 
@@ -561,9 +569,67 @@ def test_demo_trial_log_is_byte_identical_with_one_and_two_workers(tmp_path):
     assert_no_children()
 
 
+def sha256_list(root):
+    """(relative path, SHA-256) of every file under root, sorted by path."""
+    import hashlib
+    return sorted((str(p.relative_to(root)), hashlib.sha256(p.read_bytes()).hexdigest())
+                  for p in root.rglob("*") if p.is_file())
+
+
+def test_demo_default_workers_write_what_one_worker_writes(tmp_path, monkeypatch):
+    from harvana import hyperspace
+    # without --workers, one process per usable CPU: two, even on a 1-CPU host
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: 2)
+    default, one = tmp_path / "default", tmp_path / "one"
+    assert run_cli("pipeline", "--demo", default) == 0
+    assert run_cli("pipeline", "--demo", one, "--workers", 1) == 0
+    assert sha256_list(default) == sha256_list(one)
+    assert len(sha256_list(one)) == 35 and not list(tmp_path.rglob("*.partial"))
+    assert_no_children()
+
+
+def test_grid_manifest_that_is_not_a_whole_grid_exits_2_naming_explore(demo_run, tmp_path,
+                                                                       caplog):
+    import logging
+    from harvana.explorer import StrategyError
+    from harvana.pipeline import StageError, run_pipeline
+    # the demo's 7-dim space: 64 trials would be the first half of the 2^7 grid
+    manifest = demo_stage_manifest(demo_run, tmp_path, "explore", "trials", "trials.jsonl",
+                                   {"explore": {"strategy": "grid"}})
+    with pytest.raises(StageError, match="grid budget 64 is not a whole grid") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "explore" and isinstance(exc.value.cause, StrategyError)
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert any("stage 'explore' failed: grid budget 64 is not a whole grid: 2 points per "
+               "dim make 128 configs" in r.getMessage() for r in caplog.records)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_activity_in_one_meta_segment_exits_2_naming_partition(demo_run, tmp_path, caplog):
+    import logging
+    from harvana.pipeline import StageError, run_pipeline
+    from harvana.sensors import SensorError
+    # the demo's one recording of 24 frames per activity, as one segment each:
+    # whichever fold holds an activity, its training side would have none
+    assert run_cli("partition", "--data", demo_run / "data", "--window", 80, "--k", 2,
+                   "--meta-len", 24, "--out", tmp_path / "folds.json") == 2
+    assert [p.name for p in tmp_path.iterdir()] == []
+    manifest = demo_stage_manifest(demo_run, tmp_path, "partition", "folds", "folds.json",
+                                   {"partition": {"k": 2, "meta_len": 24}})
+    with pytest.raises(StageError, match="falls in one fold") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "partition" and isinstance(exc.value.cause, SensorError)
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert any("stage 'partition' failed: activity 'run' falls in one fold" in r.getMessage()
+               for r in caplog.records)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def forest_worker_fault(monkeypatch, fault):
     """Run `fault` in place of every tree build in a forked forest worker."""
-    from harvana import forest
+    from harvana import forest, hyperspace
     parent, build = os.getpid(), forest._build_tree
 
     def build_or_fault(*args):
@@ -571,7 +637,7 @@ def forest_worker_fault(monkeypatch, fault):
             fault()
         return build(*args)
 
-    monkeypatch.setattr(forest, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: 2)
     monkeypatch.setattr(forest, "_build_tree", build_or_fault)
 
 
@@ -925,12 +991,14 @@ def test_explore_space_param_the_learner_cannot_take_exits_2_naming_it(demo_run,
 
 
 def test_cli_explore_crash_leaves_only_the_partial_log(demo_run, tmp_path, monkeypatch):
+    from harvana.explorer import _trial_seed
     from harvana.pipeline import LearnerEvaluator
-    evaluate, calls = LearnerEvaluator.__call__, []
+    # fail on the third trial's seed (--seed defaults to 42), not the third
+    # call: the trials run on forked workers, each counting its own calls
+    evaluate, failing = LearnerEvaluator.__call__, _trial_seed(42, 2)
 
     def flaky(self, config, budget, seed):
-        calls.append(seed)
-        if len(calls) == 3:
+        if seed == failing:
             raise RuntimeError("evaluator crashed at trial 3")
         return evaluate(self, config, budget, seed)
 
@@ -944,6 +1012,7 @@ def test_cli_explore_crash_leaves_only_the_partial_log(demo_run, tmp_path, monke
     assert not out.exists()
     lines = (tmp_path / "t.jsonl.partial").read_text().splitlines()
     assert [json.loads(line)["trial_id"] for line in lines] == [0, 1]
+    assert_no_children()
 
 
 def test_forced_explore_writes_the_edited_lr_bounds_to_the_space(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from harvana.explorer import (
     tpe_good_count,
     tpe_propose,
 )
+from harvana import hyperspace
 from harvana.hyperspace import (
     Configuration,
     ParamSpec,
@@ -160,6 +161,34 @@ def test_run_grid_row_major(unit_space_2d):
     assert [t.config for t in trials] == expected
 
 
+def test_run_grid_without_points_per_dim_takes_the_grid_of_the_budget(unit_space_2d):
+    ev = sphere_evaluator(unit_space_2d, [0.5, 0.5])
+    trials = run(unit_space_2d, Strategy("grid"), ev, budget_B=16, seed=0)
+    assert [t.config for t in trials] == grid(unit_space_2d, 4)
+
+
+@pytest.mark.parametrize("space, settings, budget, message", [
+    # 100 of 2^13 points would pin lr and five gains at their lower bound
+    (unit_space(13), {}, 100, "2 points per dim make 8192 configs; the smallest whole "
+                              "grid at or above it has 8192 configs (2 points per dim)"),
+    (unit_space(2), {}, 10, "4 points per dim make 16 configs; the smallest whole "
+                            "grid at or above it has 16 configs (4 points per dim)"),
+    (unit_space(2), {"points_per_dim": 3}, 8, "3 points per dim make 9 configs"),
+    (unit_space(2), {"points_per_dim": 3}, 10, "the smallest whole grid at or above "
+                                               "it has 16 configs"),
+    (SearchSpace(params=(ParamSpec("c", "categorical", choices=("a", "b", "c")),)), {}, 4,
+     "no grid of this space reaches it"),
+], ids=["d13_b100", "auto_above", "fixed_below", "fixed_above", "saturated"])
+def test_run_grid_refuses_a_budget_that_is_not_a_whole_grid(tmp_path, space, settings,
+                                                            budget, message):
+    ev = sphere_evaluator(space, [0.5] * space.dim)
+    with pytest.raises(StrategyError, match=re.escape(
+            f"grid budget {budget} is not a whole grid: ") + ".*" + re.escape(message)):
+        run(space, Strategy("grid", settings), ev, budget_B=budget, seed=0,
+            out_path=tmp_path / "t.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_deterministic_logs(unit_space_2d, tmp_path):
     ev = sphere_evaluator(unit_space_2d, [0.3, 0.6])
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -218,6 +247,60 @@ def test_run_rejects_fewer_than_one_worker(unit_space_2d, tmp_path, kind, worker
         run(unit_space_2d, Strategy(kind), ev, budget_B=4, seed=0,
             out_path=tmp_path / "t.jsonl", workers=workers)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_defaults_to_one_process_per_usable_cpu(unit_space_2d, tmp_path, monkeypatch,
+                                                    cpus):
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: cpus)
+    ev = sphere_evaluator(unit_space_2d, [0.4, 0.2])
+    default, one = tmp_path / "default.jsonl", tmp_path / "one.jsonl"
+    run(unit_space_2d, Strategy("random"), ev, budget_B=12, seed=3, out_path=default)
+    # this process and one child per further CPU; one CPU runs the trials inline
+    assert len(forks) == cpus - 1
+    run(unit_space_2d, Strategy("random"), ev, budget_B=12, seed=3, out_path=one, workers=1)
+    assert len(forks) == cpus - 1
+    assert default.read_bytes() == one.read_bytes()
+    assert_no_children()
+
+
+def test_default_workers_log_equals_one_worker_on_a_learner(tmp_path, monkeypatch):
+    from harvana import pipeline
+    from harvana.learner import ModelConfig
+    from harvana.sensors import (DataSource, Deployment, PlantedDgp, SensorModel, SignalSpec,
+                                 generate, meta_segment_partition)
+    # the recovery benchmark's shape (12 sources x 100 samples, 4 activities),
+    # cut to 6 frames per activity, 6 trials and 2 epochs
+    dep = Deployment(sources=tuple(DataSource(f"{p}_{m}", p, m, 1)
+                                   for p in ("hips", "hand", "torso", "bag")
+                                   for m in ("acc", "gyr", "mag")), sampling_rate=50.0)
+    planted = PlantedDgp(activities=("walk", "run", "still", "cycle"), informative={
+        "walk": {"hips_acc": SignalSpec(3.0, 1.0)}, "run": {"hips_gyr": SignalSpec(7.0, 1.0)},
+        "still": {"torso_acc": SignalSpec(5.0, 1.0)}, "cycle": {"bag_gyr": SignalSpec(4.0, 1.0)}})
+    ds = generate(dep, planted, 6, window_len=100,
+                  sensor_models=SensorModel(noise_sigma=0.3), seed=5)
+    folds = meta_segment_partition(ds.frames, k=4, meta_len=1, seed=5)
+    base = ModelConfig(conv_mode="grouped_modalities", n_conv_blocks=1, kernel_sizes=(9, 9, 9),
+                       n_filters=6, stride_fraction=0.5, dropout=0.0, epochs=2,
+                       classifier_head="softmax_linear")
+    evaluator = pipeline.LearnerEvaluator(ds, folds, base, val_fold=0)
+    space = pipeline.gain_space(dep)
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: 2)  # fork even on one CPU
+    logs = []
+    for name, workers in (("default", None), ("one", 1)):
+        path = tmp_path / f"{name}.jsonl"
+        run(space, Strategy("random"), evaluator, 6, seed=5, out_path=path,
+            full_budget=float(base.epochs), workers=workers)
+        logs.append(path.read_bytes())
+    assert logs[0] == logs[1] and len(logs[0].splitlines()) == 6
+    assert_no_children()
 
 
 def test_batch_run_forks_at_most_one_process_per_trial(unit_space_2d, monkeypatch):

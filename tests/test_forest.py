@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from harvana import forest as forest_mod
+from harvana import forest as forest_mod, hyperspace
 from harvana.forest import (
     ForestError,
     NodeTable,
@@ -492,12 +492,12 @@ def fit_on(monkeypatch, processes, trials, space, **fit):
     of distinct processes that built its trees."""
     real, pids = forest_mod.fork_map, set()
 
-    def spy(fn, items, n):
+    def spy(fn, items, n=None):
         for pid, tree in real(lambda t: (os.getpid(), fn(t)), items, n):
             pids.add(pid)
             yield tree
 
-    monkeypatch.setattr(forest_mod, "usable_cpus", lambda: processes)
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: processes)
     monkeypatch.setattr(forest_mod, "fork_map", spy)
     return fit_forest(trials, space, **fit), len(pids)
 
@@ -530,7 +530,7 @@ def test_forest_worker_that_dies_raises_runtime_error(monkeypatch):
             os._exit(3)
         return build(*args)
 
-    monkeypatch.setattr(forest_mod, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: 2)
     monkeypatch.setattr(forest_mod, "_build_tree", die_in_child)
     with pytest.raises(RuntimeError, match="worker process .* died"):
         fit_forest(mixed_trials(40), mixed_space(), n_trees=4)

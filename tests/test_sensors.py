@@ -408,6 +408,32 @@ def test_partition_disjoint_and_exhaustive(k, meta_len, seed):
     assert counts.max() - counts.min() <= meta_len
 
 
+def test_partition_redraws_until_every_fold_trains_on_every_activity():
+    # seed 2101 first deals all eight walk frames to fold 0 (k = 2), which
+    # would leave fold 0's training side without walk; the partition redraws
+    dep = simple_deployment(1, modalities=("acc", "gyr", "mag"))
+    planted = simple_planted(dep, activities=("walk", "run", "still", "cycle"))
+    ds = generate(dep, planted, 8, 20, seed=2101)
+    folds = meta_segment_partition(ds.frames, k=2, meta_len=1, seed=2101)
+    for fold in range(2):
+        train, _ = folds.split(ds.frames, fold)
+        assert {f.activity for f in train} == set(planted.activities)
+
+
+def test_partition_refuses_an_activity_held_by_one_run():
+    def frame(i, activity, recording):
+        return Frame(frame_id=i, activity=activity, samples=np.zeros((1, 2)),
+                     time_index=0, recording=recording)
+
+    # a null frame may sit in one fold: only activities need a training side
+    folds = meta_segment_partition(frames_stub(20) + [frame(20, None, "n")], k=4,
+                                   meta_len=1, seed=0)
+    assert len(folds.assignment) == 21
+    with pytest.raises(SensorError, match="activity 'run' falls in one fold"):
+        meta_segment_partition(frames_stub(20) + [frame(20, "run", "r2")], k=4,
+                               meta_len=1, seed=0)
+
+
 def test_folds_json_round_trip():
     folds = meta_segment_partition(frames_stub(40), k=4, meta_len=5, seed=2)
     back = folds_from_json(json.loads(json.dumps(folds.to_json())))
