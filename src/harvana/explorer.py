@@ -1,8 +1,8 @@
 """Exploration strategies over a search space and the budgeted run loop.
 
-Three families: exhaustive (random, grid), heuristic (evolution, anneal,
-hyperband), and sequential model-based (bohb, tpe, gp). All strategies
-minimize the overall validation loss nu; f1 is recorded but never optimized.
+Three families: exhaustive (random, grid), multi-fidelity (hyperband), and
+sequential model-based (bohb, tpe, gp). All strategies minimize the overall
+validation loss nu; f1 is recorded but never optimized.
 `run` is a pure function of (space, strategy, evaluator, budget, seed): two
 runs with the same arguments produce byte-identical trial logs.
 
@@ -55,13 +55,11 @@ from .hyperspace import (
     validate_space,
 )
 
-STRATEGY_KINDS = ("random", "grid", "evolution", "anneal", "hyperband", "bohb", "tpe", "gp")
+STRATEGY_KINDS = ("random", "grid", "hyperband", "bohb", "tpe", "gp")
 
 DEFAULTS: dict[str, dict] = {
     "random": {},
     "grid": {"points_per_dim": None},  # None: the smallest grid of >= budget configs
-    "evolution": {"population_size": 20},
-    "anneal": {"p0": 0.5, "p_min": 0.05, "sigma0": 0.2, "decay": 0.97},
     "hyperband": {"R": 27, "eta": 3},
     "bohb": {"R": 27, "eta": 3, "gamma": 0.25, "n_candidates": 24, "n_min": None},
     "tpe": {"gamma": 0.25, "n_candidates": 24, "n_startup": 10},
@@ -97,9 +95,7 @@ class Strategy:
             raise StrategyError("hyperband requires R >= eta >= 2")
         if self.kind in ("tpe", "bohb") and not (0.0 < s["gamma"] < 1.0):
             raise StrategyError("TPE gamma must lie in (0,1)")
-        if self.kind == "anneal" and not (0.0 < s["decay"] <= 1.0):
-            raise StrategyError("anneal decay must lie in (0,1]")
-        for key in ("n_candidates", "n_pool", "population_size"):
+        for key in ("n_candidates", "n_pool"):
             if key in s and s[key] < 1:
                 raise StrategyError(f"{self.kind} setting {key} must be >= 1")
 
@@ -312,45 +308,6 @@ def gp_propose(history: Sequence[Trial], space: SearchSpace, rng: np.random.Gene
     return from_unit(space, pool[int(np.argmax(ei))])
 
 
-def anneal_propose(history: Sequence[Trial], space: SearchSpace,
-                   rng: np.random.Generator, t: int,
-                   p0: float = 0.5, p_min: float = 0.05,
-                   sigma0: float = 0.2, decay: float = 0.97) -> Configuration:
-    """Prior sample with probability max(p_min, p0*decay^t), otherwise a
-    Gaussian perturbation of the incumbent with scale sigma0*decay^t."""
-    if not history:
-        return sample(space, rng)
-    p_prior = max(p_min, p0 * decay ** t)
-    if rng.uniform() < p_prior:
-        return sample(space, rng)
-    best = min(range(len(history)), key=lambda i: (history[i].nu, history[i].trial_id))
-    u = _as_history(history, space).rows()[best]
-    sigma = sigma0 * decay ** t
-    return from_unit(space, np.clip(u + rng.normal(0.0, sigma, space.dim), 0.0, 1.0))
-
-
-def evolution_propose(history: Sequence[Trial], space: SearchSpace,
-                      rng: np.random.Generator, population_size: int = 20) -> Configuration:
-    """Uniform parent from the population of best trials; one uniformly chosen
-    dimension resampled from its prior (guaranteed to differ from the parent)."""
-    if not history:
-        return sample(space, rng)
-    pop = sorted(history, key=lambda t: (t.nu, t.trial_id))[:population_size]
-    parent = pop[int(rng.integers(0, len(pop)))]
-    dim = int(rng.integers(0, space.dim))
-    p = space.params[dim]
-    values = dict(parent.config.values)
-    current = values[p.name]
-    for _ in range(1000):
-        fresh = sample(space, rng)[p.name]
-        if fresh != current:
-            values[p.name] = fresh
-            break
-    else:  # single-choice degenerate dim cannot differ
-        values[p.name] = current
-    return Configuration(values)
-
-
 # ---------------------------------------------------------------------------
 # run loop
 
@@ -455,11 +412,6 @@ def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
             config = gp_propose(history, space, rng, length_scale=s["length_scale"],
                                 n_pool=s["n_pool"], jitter=s["jitter"],
                                 max_jitter=s["max_jitter"], n_startup=s["n_startup"])
-        elif strategy.kind == "anneal":
-            config = anneal_propose(history, space, rng, t, p0=s["p0"],
-                                    p_min=s["p_min"], sigma0=s["sigma0"], decay=s["decay"])
-        elif strategy.kind == "evolution":
-            config = evolution_propose(history, space, rng, population_size=s["population_size"])
         else:  # pragma: no cover
             raise StrategyError(strategy.kind)
         history.append(evaluate(config, full_budget))

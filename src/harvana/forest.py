@@ -4,11 +4,14 @@ Trees are fitted in feature space: numeric params (continuous/integer) use
 their unit-cube coordinate, categorical params their choice index. A tree is
 a flat node table in preorder whose leaves are also kept as boxes (interval
 per numeric dim, choice subset per categorical dim). Those leaf arrays are the
-one exact-marginal engine: both :func:`marginal_predict` here and the
-variance decomposition in :mod:`harvana.fanova` integrate them under the
-uniform measure instead of sampling (the leaf-partition fANOVA of Hutter,
-Hoos & Leyton-Brown, 2014). :func:`predict`, a walk of the node tables for
-all query points at once, is kept as the independent point reference.
+one exact-marginal engine: every marginal and variance is integrated from
+them under the uniform measure, with no sampling (the leaf-partition fANOVA
+of Hutter, Hoos & Leyton-Brown, 2014). A marginal at fixed values sums the
+leaves whose boxes hold them (:func:`marginal_predict` here, and
+:func:`harvana.fanova.pairwise_marginal_table` on a grid); a variance sums
+over pairs of leaves (:func:`harvana.fanova.decompose`). :func:`predict`, a
+walk of the node tables for all query points at once, is kept as the
+independent point reference.
 
 Split search is presorted (SLIQ; Mehta, Agrawal & Rissanen, 1996): a tree
 sorts its sample once per numeric dim with a stable argsort, and children
@@ -312,14 +315,15 @@ def predict(forest: Forest, Z: np.ndarray) -> np.ndarray:
     return out / forest.n_trees
 
 
-def _leaves_containing(tree: TreeData, dim: int, z: float) -> np.ndarray:
-    """Leaves whose box holds feature value z on dim.
+def _leaves_containing(tree: TreeData, dim: int, z: np.ndarray) -> np.ndarray:
+    """(L, len(z)) bool: whether each leaf's box holds each feature value z
+    on dim.
 
     Numeric boxes are half-open [lo, hi) like the walk's z < split_value,
     with the cube's top edge hi == 1.0 closed."""
     if dim in tree.cat_masks:
-        return tree.cat_masks[dim][:, int(z)]
-    lo, hi = tree.lo[:, dim], tree.hi[:, dim]
+        return tree.cat_masks[dim][:, z.astype(np.intp)]
+    lo, hi = tree.lo[:, dim, None], tree.hi[:, dim, None]
     return (lo <= z) & ((z < hi) | (hi == 1.0))
 
 
@@ -345,7 +349,7 @@ def marginal_predict(forest: Forest, subset: Sequence[str], theta: Sequence[floa
     for tree in forest.trees:
         inside = np.ones(len(tree.predictions), dtype=bool)
         for dim, z in fixed.items():
-            inside &= _leaves_containing(tree, dim, z)
+            inside &= _leaves_containing(tree, dim, np.array([z]))[:, 0]
         # extent product over the free dims, not volume / fixed extents: a
         # zero-width box then weighs 0 instead of 0/0
         total += float(tree.predictions[inside] @ tree.extents[inside][:, free].prod(axis=1))

@@ -924,17 +924,86 @@ def test_unknown_strategy_setting_exits_2(demo_run, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
-@pytest.mark.parametrize("setting", ["gamma=abc", "population_size=2.5",
-                                     "n_candidates=2.5", "n_pool=0"])
+@pytest.mark.parametrize("setting", ["gamma=abc", "n_candidates=2.5", "n_pool=0"])
 def test_bad_strategy_setting_value_exits_2_naming_it(tmp_path, setting):
     space = tmp_path / "space.json"
     save_space(SearchSpace(params=(ParamSpec("x0", "continuous", 0.0, 1.0),)), space)
-    strategy = {"gamma": "tpe", "population_size": "evolution", "n_candidates": "tpe",
-                "n_pool": "gp"}[setting.partition("=")[0]]
+    strategy = {"gamma": "tpe", "n_candidates": "tpe", "n_pool": "gp"}[setting.partition("=")[0]]
     assert run_cli("explore", "--space", space, "--strategy", strategy, "--budget", 4,
                    "--out", tmp_path / "t.jsonl", "--objective", "sphere",
                    "--set", setting) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
+
+
+@pytest.mark.parametrize("kind", ["anneal", "evolution"])
+def test_removed_strategy_exits_2(demo_run, tmp_path, kind, capsys):
+    from harvana.explorer import StrategyError
+    from harvana.pipeline import StageError, run_pipeline
+    with pytest.raises(SystemExit) as exc:
+        run_cli("explore", "--space", demo_run / "space.json", "--strategy", kind,
+                "--budget", 4, "--out", tmp_path / "t.jsonl", "--objective", "sphere")
+    assert exc.value.code == 2 and f"invalid choice: '{kind}'" in capsys.readouterr().err
+    manifest = demo_stage_manifest(demo_run, tmp_path, "explore", "trials", "trials.jsonl",
+                                   {"explore": {"strategy": kind}})
+    with pytest.raises(StageError, match=f"unknown strategy '{kind}'") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "explore" and isinstance(exc.value.cause, StrategyError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def drop_first_pair(doc):
+    del doc["pairwise"][0]
+
+
+def repeat_first_pair(doc):
+    doc["pairwise"][1] = doc["pairwise"][0]
+
+
+def swap_an_individual_key(doc):
+    doc["individual"]["gain_nosuch"] = doc["individual"].pop("lr")
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda doc: doc.pop("pairwise"), "missing keys ['pairwise']"),
+    (lambda doc: doc.pop("individual"), "missing keys ['individual']"),
+    (swap_an_individual_key, "individual keys"),
+    (drop_first_pair, "pairwise lacks 1 of 21 param pairs, first ('lr', 'gain_hips_acc')"),
+    (repeat_first_pair, "pairwise holds ('lr', 'gain_hips_acc') twice"),
+    (lambda doc: doc["individual"].update(lr=float("nan")),
+     "individual['lr'] = nan is not a share in [0, 1]"),
+    (lambda doc: doc["pairwise"][0].__setitem__(2, 1.5),
+     "pairwise['lr', 'gain_hips_acc'] = 1.5 is not a share in [0, 1]"),
+    (lambda doc: doc.update(total_variance=-0.5), "total_variance -0.5 is not a finite"),
+    (lambda doc: doc.update(total_variance=float("inf")), "total_variance inf is not a finite"),
+], ids=["no_pairwise", "no_individual", "individual_keys", "pair_missing", "pair_twice",
+        "nan_share", "share_above_1", "negative_variance", "infinite_variance"])
+def test_malformed_report_exits_2_naming_file_and_field(demo_run, tmp_path, caplog, corrupt,
+                                                        named):
+    import logging
+    import shutil
+    from harvana.forest import ForestError
+    from harvana.pipeline import StageError, run_pipeline
+    reports = tmp_path / "reports"
+    shutil.copytree(demo_run / "reports", reports)
+    bad = reports / "report_run.json"
+    doc = json.loads(bad.read_text())
+    corrupt(doc)
+    bad.write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("dgp", "--report", reports / "report_*.json",
+                       "--space", demo_run / "space.json", "--tau-imp", 0.2, "--tau-int", 0.2,
+                       "--out", tmp_path / "dgp.json") == 2
+    assert any(f"{bad}: {named}" in r.getMessage() for r in caplog.records)
+    manifest = demo_stage_manifest(demo_run, tmp_path, "dgp", "dgp", "dgp.json", {})
+    doc = json.loads(manifest.read_text())
+    doc["paths"]["reports"] = str(reports)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=re.escape(f"{bad}: {named}")) as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "dgp" and isinstance(exc.value.cause, ForestError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "reports"]
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -10,8 +10,6 @@ import pytest
 from harvana.explorer import (
     Strategy,
     StrategyError,
-    anneal_propose,
-    evolution_propose,
     expected_improvement,
     gp_propose,
     hyperband_schedule,
@@ -62,13 +60,11 @@ def test_strategy_validation():
 @pytest.mark.parametrize("kind, settings, named", [
     ("tpe", {"gamma": "abc"}, "gamma='abc' does not convert"),
     ("tpe", {"gamma": True}, "gamma=True does not convert"),
-    ("evolution", {"population_size": 2.5}, "population_size=2.5 does not convert"),
     ("tpe", {"n_candidates": 2.5}, "n_candidates=2.5 does not convert"),
     ("bohb", {"n_min": 2.5}, "n_min=2.5 does not convert"),
     ("grid", {"points_per_dim": "x"}, "points_per_dim='x' does not convert"),
     ("gp", {"n_pool": 0}, "n_pool must be >= 1"),
     ("tpe", {"n_candidates": 0}, "n_candidates must be >= 1"),
-    ("evolution", {"population_size": 0}, "population_size must be >= 1"),
 ])
 def test_strategy_rejects_a_bad_setting_value_naming_it(kind, settings, named):
     with pytest.raises(StrategyError, match=re.escape(named)):
@@ -209,7 +205,7 @@ def test_run_parallel_workers_log_identical(unit_space_2d, tmp_path):
 
 def test_run_monotone_incumbent(unit_space_2d):
     ev = sphere_evaluator(unit_space_2d, [0.2, 0.8])
-    trials = run(unit_space_2d, Strategy("anneal"), ev, budget_B=30, seed=1)
+    trials = run(unit_space_2d, Strategy("tpe"), ev, budget_B=30, seed=1)
     best = np.minimum.accumulate([t.nu for t in trials])
     assert (np.diff(best) <= 0).all()
 
@@ -328,7 +324,7 @@ def test_run_proposals_always_valid():
     ))
     from harvana.hyperspace import validate_config
     ev = sphere_evaluator(space, [0.5, 0.5, 0.5])
-    for kind in ("random", "tpe", "gp", "anneal", "evolution"):
+    for kind in ("random", "tpe", "gp"):
         for t in run(space, Strategy(kind), ev, budget_B=12, seed=5):
             validate_config(space, t.config)
     for kind in ("hyperband", "bohb"):
@@ -453,79 +449,6 @@ def test_gp_localizes_vee():
 
 
 # ---------------------------------------------------------------------------
-# anneal / evolution
-
-def test_anneal_empty_history_is_prior(unit_space_2d):
-    rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
-    assert anneal_propose([], unit_space_2d, rng1, t=0) == sample(unit_space_2d, rng2)
-
-
-def test_anneal_prior_probability_floors():
-    space = unit_space(1)
-    history = [make_trial(Configuration({"x0": 0.0}), 0.0, 0)]
-    prior_picks = 0
-    n = 2000
-    for seed in range(n):
-        rng = np.random.default_rng(seed)
-        prop = anneal_propose(history, space, rng, t=10_000, p_min=0.05)
-        # at t=10000 sigma is ~0, so perturbation stays at the incumbent 0.0;
-        # prior draws are uniform and almost surely > 0.05
-        if prop["x0"] > 0.05:
-            prior_picks += 1
-    assert 0.02 * n <= prior_picks <= 0.08 * n
-
-
-def test_anneal_perturbation_concentrates():
-    space = unit_space(1)
-    history = [make_trial(Configuration({"x0": 0.0}), 0.0, 0)]
-    t = 98  # sigma0 * 0.97^98 ~ 0.0101
-    inside = 0
-    total = 0
-    for seed in range(400):
-        rng = np.random.default_rng(seed)
-        if rng.uniform() < max(0.05, 0.5 * 0.97 ** t):
-            continue  # consume the same branch draw the proposal will make
-        rng = np.random.default_rng(seed)
-        prop = anneal_propose(history, space, rng, t=t)
-        total += 1
-        if prop["x0"] <= 0.05:
-            inside += 1
-    assert total > 200
-    assert inside / total >= 0.99
-
-
-def test_evolution_mutates_exactly_one_dim():
-    space = SearchSpace(params=(
-        ParamSpec("a", "continuous", 0.0, 1.0),
-        ParamSpec("k", "integer", 0, 5),
-        ParamSpec("m", "categorical", choices=("u", "v", "w")),
-    ))
-    history = history_from(space, lambda u: u[0], 30, seed=1)
-    pop = sorted(history, key=lambda t: (t.nu, t.trial_id))[:20]
-    keys = {t.config.key() for t in pop}
-    for seed in range(50):
-        prop = evolution_propose(history, space, np.random.default_rng(seed), 20)
-        diffs = []
-        for t in pop:
-            d = [n for n in space.names if prop[n] != t.config[n]]
-            diffs.append(len(d))
-        assert min(diffs) == 1  # exactly one dim away from some population member
-
-
-def test_evolution_single_dim_space():
-    space = unit_space(1)
-    history = history_from(space, lambda u: u[0], 5)
-    prop = evolution_propose(history, space, np.random.default_rng(2), 20)
-    assert all(prop["x0"] != t.config["x0"] for t in history)
-
-
-def test_evolution_small_history(unit_space_2d):
-    history = history_from(unit_space_2d, lambda u: u[0], 2)
-    prop = evolution_propose(history, unit_space_2d, np.random.default_rng(0), 20)
-    assert set(prop.values) == {"x0", "x1"}
-
-
-# ---------------------------------------------------------------------------
 # encode once: run() keeps one unit row per trial for the model-based rules
 
 def mixed_space():
@@ -541,7 +464,6 @@ def mixed_space():
     (Strategy("tpe"), 60),
     (Strategy("gp"), 40),
     (Strategy("bohb", {"R": 9, "eta": 3, "n_min": 5}), 60),
-    (Strategy("anneal"), 60),
     (Strategy("hyperband", {"R": 9, "eta": 3}), 60),
 ])
 def test_run_encodes_each_trial_once(strategy, budget, monkeypatch, tmp_path):
@@ -568,7 +490,7 @@ def test_run_encodes_each_trial_once(strategy, budget, monkeypatch, tmp_path):
 
     # the same run with proposals that see only a bare list of the history
     monkeypatch.setattr(ex, "to_unit", real_to_unit)
-    for name in ("tpe_propose", "gp_propose", "anneal_propose"):
+    for name in ("tpe_propose", "gp_propose"):
         real = getattr(ex, name)
         monkeypatch.setattr(ex, name, lambda h, *a, real=real, **k: real(list(h), *a, **k))
     bare = tmp_path / "bare.jsonl"
@@ -595,7 +517,7 @@ def test_history_rows_and_distances_match_a_full_rebuild():
     assert np.array_equal(fresh.sq(), history.sq()) and np.array_equal(fresh.rows(), X)
 
 
-@pytest.mark.parametrize("rule", ["tpe", "gp", "anneal"])
+@pytest.mark.parametrize("rule", ["tpe", "gp"])
 def test_bare_list_and_history_propose_the_same(rule):
     from harvana.explorer import History
     space = mixed_space()
@@ -603,7 +525,6 @@ def test_bare_list_and_history_propose_the_same(rule):
     propose = {
         "tpe": lambda h, rng: tpe_propose(h, space, 0.25, 24, rng),
         "gp": lambda h, rng: gp_propose(h, space, rng),
-        "anneal": lambda h, rng: anneal_propose(h, space, rng, t=40, p_min=0.0, p0=0.0),
     }[rule]
     history = History(space)
     for trial in trials:

@@ -258,90 +258,61 @@ def gain_forest(n_trees: int = 16) -> Forest:
     return fit_forest(trials, space, n_trees=n_trees, seed=1)
 
 
-def test_marginals_match_add_at_accumulation():
-    """The bincount marginals equal the per-corner np.add.at accumulation bit
-    for bit on a fitted mixed forest."""
-    from harvana.fanova import _dim_grids, _marginal_1d, _marginal_2d
-    forest = mixed_forest()
-    numeric = [0, 1, 2]
-    for tree in forest.trees:
-        grids = dict(zip(numeric, _dim_grids(tree, numeric)))
-        for u in numeric:
-            g = grids[u]
-            c = tree.predictions * tree.volumes / tree.extents[:, u]
-            D = np.zeros(g.n_segments + 1)
-            np.add.at(D, g.a, c)
-            np.add.at(D, g.b, -c)
-            assert np.array_equal(_marginal_1d(tree, g, u), np.cumsum(D)[: g.n_segments])
-            for v in numeric:
-                if v == u:
-                    continue
-                gv = grids[v]
-                c2 = tree.predictions * tree.volumes / (tree.extents[:, u] * tree.extents[:, v])
-                D2 = np.zeros((g.n_segments + 1, gv.n_segments + 1))
-                np.add.at(D2, (g.a, gv.a), c2)
-                np.add.at(D2, (g.b, gv.a), -c2)
-                np.add.at(D2, (g.a, gv.b), -c2)
-                np.add.at(D2, (g.b, gv.b), c2)
-                ref = np.cumsum(np.cumsum(D2, axis=0), axis=1)[: g.n_segments, : gv.n_segments]
-                assert np.array_equal(_marginal_2d(tree, g, gv, u, v), ref)
+def cat_cat_forest() -> Forest:
+    """Fitted forest over two categorical params and one continuous one."""
+    space = SearchSpace(params=(
+        ParamSpec("m", "categorical", choices=("a", "b", "c")),
+        ParamSpec("n", "categorical", choices=("p", "q", "r", "s")),
+        ParamSpec("x", "continuous", 0.0, 1.0),
+    ))
+    trials = trials_from_function(
+        space, lambda u: 0.4 * u[0] * u[1] + 0.3 * (u[1] > 0.5) + 0.2 * u[2], 80, seed=5)
+    return fit_forest(trials, space, n_trees=8, seed=5, min_leaf=1)
 
 
-def reference_tree_decomposition(tree: TreeData, names):
-    """One dim and one pair at a time: np.unique leaf edges, one bincount grid
-    per numeric marginal, each pair's on its own (n_a + 1, n_b + 1) grid. The
-    reference for the one-pass grids; categorical pieces reuse the module's
-    per-leaf paths."""
-    from harvana.fanova import _DimGrid, _marginal_1d, _marginal_2d
-    d = len(names)
+def segments(tree: TreeData, space: SearchSpace, dim: int):
+    """(unit-space points, lengths): a categorical dim's choices, or the
+    midpoints of a numeric dim's leaf-edge segments. Every marginal of the
+    tree is constant on each."""
+    p = space.params[dim]
+    if p.kind == "categorical":
+        k = p.n_choices
+        return np.arange(k) / max(k - 1, 1), np.full(k, 1.0 / k)
+    edges = np.unique(np.concatenate([[0.0, 1.0], tree.lo[:, dim], tree.hi[:, dim]]))
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+
+
+def reference_variances(tree: TreeData, space: SearchSpace):
+    """(V, V_u, V_uv per pair i < j) of one tree from marginal_predict at
+    the points of each dim's segments, weighted by the segments' lengths."""
+    forest = Forest(trees=[tree], space=space, response="nu", n_trials=0)
+    names, d = space.names, space.dim
     f0 = float(tree.predictions @ tree.volumes)
     V = float((tree.predictions ** 2) @ tree.volumes - f0 ** 2)
-    grids, marginals = [], []
-    for dim in range(d):
-        if dim in tree.cat_masks:
-            n = tree.cat_masks[dim].shape[1]
-            g = _DimGrid(n, np.full(n, 1.0 / n), mask=tree.cat_masks[dim])
-            marginals.append(_marginal_1d(tree, g, dim))
-        else:
-            edges = np.unique(np.concatenate([tree.lo[:, dim], tree.hi[:, dim]]))
-            g = _DimGrid(len(edges) - 1, np.diff(edges), edges=edges,
-                         a=np.searchsorted(edges, tree.lo[:, dim]),
-                         b=np.searchsorted(edges, tree.hi[:, dim]))
-            c = tree.predictions * tree.volumes / tree.extents[:, dim]
-            D = np.bincount(np.concatenate([g.a, g.b]), weights=np.concatenate([c, -c]),
-                            minlength=g.n_segments + 1)
-            marginals.append(np.cumsum(D)[: g.n_segments])
-        grids.append(g)
-    Vu = np.array([float(grids[dim].lengths @ (marginals[dim] - f0) ** 2) for dim in range(d)])
-    Vuv = {}
+    segs = [segments(tree, space, dim) for dim in range(d)]
+    marg = [np.array([marginal_predict(forest, [names[i]], [t]) for t in segs[i][0]])
+            for i in range(d)]
+    Vu = np.array([float(segs[i][1] @ (marg[i] - f0) ** 2) for i in range(d)])
+    Vuv = []
     for i in range(d):
         for j in range(i + 1, d):
-            a, b = (i, j) if names[i] <= names[j] else (j, i)
-            ga, gb = grids[a], grids[b]
-            if ga.categorical or gb.categorical:
-                M = _marginal_2d(tree, ga, gb, a, b)
-            else:
-                c = tree.predictions * tree.volumes / (tree.extents[:, a] * tree.extents[:, b])
-                shape = (ga.n_segments + 1, gb.n_segments + 1)
-                idx = np.concatenate([ga.a * shape[1] + gb.a, ga.b * shape[1] + gb.a,
-                                      ga.a * shape[1] + gb.b, ga.b * shape[1] + gb.b])
-                D = np.bincount(idx, weights=np.concatenate([c, -c, -c, c]),
-                                minlength=shape[0] * shape[1]).reshape(shape)
-                M = np.cumsum(np.cumsum(D, axis=0), axis=1)[: ga.n_segments, : gb.n_segments]
-            fij = M - marginals[a][:, None] - marginals[b][None, :] + f0
-            area = ga.lengths[:, None] * gb.lengths[None, :]
-            Vuv[(i, j)] = float((area * fij ** 2).sum())
-    return V, Vu, Vuv
+            M = np.array([[marginal_predict(forest, [names[i], names[j]], [s, t])
+                           for t in segs[j][0]] for s in segs[i][0]])
+            fij = M - marg[i][:, None] - marg[j][None, :] + f0
+            Vuv.append(float(segs[i][1] @ fij ** 2 @ segs[j][1]))
+    return V, Vu, np.array(Vuv)
 
 
 @pytest.mark.parametrize("case", [
-    "gain_space", "mixed", "unsplit_dims", "single_leaf", "one_dim", "permuted"])
-def test_one_pass_pair_grid_equals_per_pair_reference(case):
-    from harvana.fanova import _tree_decomposition
+    "gain_space", "mixed", "cat_cat", "unsplit_dims", "single_leaf", "one_dim", "permuted",
+    "zero_width_leaf"])
+def test_per_tree_variances_match_segment_marginal_reference(case):
     if case == "gain_space":
         forest = gain_forest()
     elif case == "mixed":
         forest = mixed_forest()
+    elif case == "cat_cat":
+        forest = cat_cat_forest()
     elif case == "unsplit_dims":
         # x1 and x3 are never split: one segment each
         forest = forest_from_tables(unit_space(4), [
@@ -351,18 +322,41 @@ def test_one_pass_pair_grid_equals_per_pair_reference(case):
         forest = forest_from_tables(unit_space(3), [leaf(0.4)])
     elif case == "one_dim":
         forest = forest_from_tables(unit_space(1), [split(0, 0.5, leaf(0.0), leaf(1.0))])
-    else:
+    elif case == "permuted":
         forest = permuted_forest(gain_forest(8), [3, 0, 12, 5, 1, 2, 4, 6, 11, 7, 8, 10, 9])
-    names = forest.space.names
-    n_pairs = len(names) * (len(names) - 1) // 2
-    for tree in forest.trees:
-        V, Vu, Vuv = _tree_decomposition(tree, names)
-        V_ref, Vu_ref, Vuv_ref = reference_tree_decomposition(tree, names)
+    else:
+        # the inner split repeats its parent's threshold: leaf 0.9 spans
+        # [0.5, 0.5) on x0, zero width, and must weigh 0, not 0/0
+        forest = forest_from_tables(unit_space(2), [
+            split(0, 0.5, split(0, 0.5, split(1, 0.4, leaf(0.2), leaf(0.6)), leaf(0.9)),
+                  split(1, 0.7, leaf(0.1), leaf(0.8)))])
+        assert (forest.trees[0].extents == 0.0).any()
+    _, per_tree = decompose(forest, return_per_tree=True)
+    for tree, (V, fu, fp) in zip(forest.trees, per_tree):
+        V_ref, Vu_ref, Vuv_ref = reference_variances(tree, forest.space)
         assert V == V_ref
-        assert np.array_equal(Vu, Vu_ref)
-        assert Vuv == Vuv_ref and len(Vuv) == n_pairs
+        assert np.isfinite(fu).all() and np.isfinite(fp).all()
+        # the per-tree variances are the shares times V
+        assert np.abs(fu * V - Vu_ref).max() <= 1e-12 * V
+        assert len(fp) == len(Vuv_ref)
+        if len(fp):
+            assert np.abs(fp * V - Vuv_ref).max() <= 1e-12 * V
     if case == "single_leaf":
         assert V == 0.0
+
+
+def test_dims_a_tree_never_splits_read_exactly_zero():
+    space = unit_space(4)
+    forest = forest_from_tables(space, [
+        split(0, 0.3, split(2, 0.6, leaf(0.1), leaf(0.7)), leaf(0.4)),
+        split(2, 0.25, leaf(0.9), split(0, 0.5, leaf(0.2), leaf(0.3)))])
+    report, per_tree = decompose(forest, return_per_tree=True)
+    for V, fu, fp in per_tree:
+        assert fu[1] == 0.0 and fu[3] == 0.0
+        # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): all but (0,2) hold x1 or x3
+        assert [fp[k] for k in (0, 2, 3, 4, 5)] == [0.0] * 5
+    assert report.individual["x1"] == report.individual["x3"] == 0.0
+    assert all(w == 0.0 for (u, v), w in report.pairwise.items() if {"x1", "x3"} & {u, v})
 
 
 def test_decompose_peak_memory_is_per_tree():
