@@ -121,8 +121,8 @@ def cmd_analyze(args) -> int:
             raise forest.ForestError("--pairwise needs --svg OUT")
         pair = [name.strip() for name in args.pairwise.split(",")]
         pipeline.check_pairs(space, [pair], args.resolution)
-    fr = pipeline.analysis_forest(trials, space, args.response, args.n_trees,
-                                  args.max_depth, args.min_leaf, args.seed)
+    fr, = pipeline.analysis_forests(trials, space, [args.response], args.n_trees,
+                                    args.max_depth, args.min_leaf, args.seed)
     rep = fanova.decompose(fr)
     if args.out:
         fanova.save_report(rep, args.out)

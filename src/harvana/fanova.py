@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .forest import Forest, ForestError, TreeData, _leaves_containing, unit_to_feature
+from .forest import Forest, ForestError, TreeData, _leaves_containing
 from .hyperspace import SearchSpace, write_json
 
 
@@ -129,21 +129,34 @@ def pair_dims(space: SearchSpace, u: str, v: str, resolution: int) -> tuple[int,
 def pairwise_marginal_table(forest: Forest, u: str, v: str, resolution: int = 20):
     """Marginal surface over params (u, v) on a resolution x resolution grid.
 
-    Returns (theta_u, theta_v, values) with theta at cell centers in unit
-    space. Each value is marginal_predict's box rule at its cell centre: per
-    tree, the leaves holding both coordinates, each weighted by its
-    prediction times its extent along every other dim.
+    Returns (theta_u, theta_v, values), one unit-space theta per row or
+    column: a numeric axis's cell centres, or on a categorical axis of k
+    choices the coordinate c / (k - 1) of the choice c = floor((i + 0.5) /
+    resolution * k) that row i shows, so every choice gets an equal share
+    of the rows, give or take one. Each value is marginal_predict's box
+    rule at its (theta_u, theta_v): per tree, the leaves holding both
+    coordinates, each weighted by its prediction times its extent along
+    every other dim.
     """
     du, dv = pair_dims(forest.space, u, v, resolution)
-    theta = (np.arange(resolution) + 0.5) / resolution
-    zu = np.array([unit_to_feature(forest.space, du, t) for t in theta])
-    zv = np.array([unit_to_feature(forest.space, dv, t) for t in theta])
+    (tu, zu), (tv, zv) = (_axis(forest.space, dim, resolution) for dim in (du, dv))
     free = [dim for dim in range(forest.space.dim) if dim not in (du, dv)]
     values = np.zeros((resolution, resolution))
     for tree in forest.trees:
         c = tree.predictions * tree.extents[:, free].prod(axis=1)
         values += (_leaves_containing(tree, du, zu).T * c) @ _leaves_containing(tree, dv, zv)
-    return theta, theta, values / forest.n_trees
+    return tu, tv, values / forest.n_trees
+
+
+def _axis(space: SearchSpace, dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """(unit theta, feature value) of each of the table's `resolution` rows on dim."""
+    p = space.params[dim]
+    if p.kind == "categorical":
+        # floor((i + 0.5) / resolution * k) in integers, so no row rounds across a choice
+        z = (2 * np.arange(resolution) + 1) * p.n_choices // (2 * resolution)
+        return z / (p.n_choices - 1), z.astype(float)
+    theta = (np.arange(resolution) + 0.5) / resolution
+    return theta, theta
 
 
 # ---------------------------------------------------------------------------

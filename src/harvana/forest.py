@@ -262,35 +262,51 @@ def fit_forest(trials: Sequence[Trial], space: SearchSpace, response: str = "nu"
                n_trees: int = 64, max_depth: int = 10, min_leaf: int = 3,
                feature_frac: float = 5 / 6, seed: int = 0,
                bootstrap: bool = True) -> Forest:
-    """Fit a regression forest of axis-aligned trees by variance reduction.
+    """The forest of one response: fit_forests with `[response]`."""
+    return fit_forests(trials, space, [response], n_trees, max_depth, min_leaf, feature_frac,
+                       seed, bootstrap)[0]
+
+
+def fit_forests(trials: Sequence[Trial], space: SearchSpace, responses: Sequence[str],
+                n_trees: int = 64, max_depth: int = 10, min_leaf: int = 3,
+                feature_frac: float = 5 / 6, seed: int = 0,
+                bootstrap: bool = True) -> list[Forest]:
+    """One regression forest of axis-aligned trees per response, fitted by
+    variance reduction on the same trials.
 
     Bootstrap per tree, random feature subset of size ceil(d*feature_frac)
-    per node. Deterministic for a fixed seed: tree t draws only from
-    derive_rng(seed, t), so the forest does not depend on which process
-    (hyperspace.fork_map) fitted which tree.
+    per node. Deterministic for a fixed seed: tree t of every response draws
+    only from derive_rng(seed, t), so a forest does not depend on which
+    process (hyperspace.fork_map) fitted which tree, nor on which other
+    responses were fitted with it. The trials are encoded once, and the
+    trees of all responses share one fork_map call.
     """
     validate_space(space)
+    if not responses:
+        raise ForestError("need at least one response")
     if not (n_trees >= 1 and min_leaf >= 1 and max_depth >= 0 and 0.0 < feature_frac <= 1.0):
         raise ForestError("need n_trees >= 1, min_leaf >= 1, max_depth >= 0, 0 < feature_frac <= 1;"
                           f" got {n_trees}, {min_leaf}, {max_depth}, {feature_frac}")
     if len({t.config.key() for t in trials}) < 2:
         raise ForestError("need at least 2 trials with distinct configs")
     Z = np.stack([encode_config(space, t.config) for t in trials])
-    y = np.array([response_value(t, response) for t in trials])
+    ys = [np.array([response_value(t, r) for t in trials]) for r in responses]
     d = space.dim
     cat_dims = {i: p.n_choices for i, p in enumerate(space.params) if p.kind == "categorical"}
     n_features = min(d, max(1, math.ceil(d * feature_frac)))
 
-    def one_tree(t: int) -> TreeData:
+    def one_tree(item: tuple[int, int]) -> TreeData:
+        y, t = ys[item[0]], item[1]
         rng = derive_rng(seed, t)
         rows = rng.integers(0, len(y), len(y)) if bootstrap else np.arange(len(y))
         return _tree_data(_build_tree(Z[rows], y[rows], cat_dims, max_depth, min_leaf,
                                       n_features, rng), space)
 
-    # one process per usable CPU, each fitting a contiguous range of trees
-    trees = list(fork_map(one_tree, range(n_trees)))
-    return Forest(trees=trees, space=space, response=response,
-                  n_trials=len(trials), seed=seed)
+    # one process per usable CPU, each fitting a contiguous range of
+    # (response, tree) items
+    trees = list(fork_map(one_tree, [(r, t) for r in range(len(ys)) for t in range(n_trees)]))
+    return [Forest(trees=trees[r * n_trees:(r + 1) * n_trees], space=space, response=response,
+                   n_trials=len(trials), seed=seed) for r, response in enumerate(responses)]
 
 
 # ---------------------------------------------------------------------------

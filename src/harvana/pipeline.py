@@ -268,15 +268,15 @@ def generate_dataset(spec: Mapping, out: str | Path, frames_per_activity: int,
     return ds
 
 
-def analysis_forest(trials: list[hyperspace.Trial], space: hyperspace.SearchSpace,
-                    response: str, n_trees: int, max_depth: int, min_leaf: int,
-                    seed: int) -> forest.Forest:
-    """The forest fANOVA reads: full-budget trials only (mixed fidelities
-    corrupt the surface)."""
+def analysis_forests(trials: list[hyperspace.Trial], space: hyperspace.SearchSpace,
+                     responses: list[str], n_trees: int, max_depth: int, min_leaf: int,
+                     seed: int) -> list[forest.Forest]:
+    """The forests fANOVA reads, one per response: full-budget trials only
+    (mixed fidelities corrupt the surface)."""
     full = max(t.budget for t in trials)
-    return forest.fit_forest([t for t in trials if t.budget == full], space,
-                             response=response, n_trees=n_trees, max_depth=max_depth,
-                             min_leaf=min_leaf, seed=seed)
+    return forest.fit_forests([t for t in trials if t.budget == full], space, responses,
+                              n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                              seed=seed)
 
 
 def check_pairs(space: hyperspace.SearchSpace, pairs: list, resolution: int) -> None:
@@ -325,40 +325,55 @@ def _stage(name: str, out_key: str, last: str | None = None):
     """Declare a stage that writes the manifest path `out_key`. It is done
     when `last`, the file it writes last, exists under that path (the path
     itself when `last` is None); a done stage is skipped unless force=True.
-    The body runs as body(manifest, out, **kw) and returns nothing."""
+    The body runs as body(manifest, out, built, **kw) and returns nothing.
+    `built` is the dict in which the stages of one run_pipeline call leave
+    what a later stage of that call reuses (see run_pipeline); a stage
+    called alone gets an empty one."""
     def declare(body: Callable[..., None]) -> Callable[..., Path]:
         @functools.wraps(body)
-        def stage(manifest: Manifest, force: bool = False, **kw) -> Path:
+        def stage(manifest: Manifest, force: bool = False, built: dict | None = None,
+                  **kw) -> Path:
             out = manifest.path(out_key)
             if (out / last if last else out).exists() and not force:
                 logger.info("%s: %s up-to-date", name, out)
                 return out
-            body(manifest, out, **kw)
+            body(manifest, out, {} if built is None else built, **kw)
             logger.info("%s: wrote %s", name, out)
             return out
         return stage
     return declare
 
 
-def _dataset(manifest: Manifest) -> sensors.Dataset:
-    gen = manifest.doc["generate"]
-    return sensors.load_frames(manifest.path("data"), manifest.number("generate.window_len"),
-                               gen.get("stride"), manifest.number("generate.smooth_window"))
+def _dataset(manifest: Manifest, built: dict) -> sensors.Dataset:
+    """The run's dataset: the data CSVs are parsed on first use, and the
+    later stages of the run share that parse."""
+    if "dataset" not in built:
+        gen = manifest.doc["generate"]
+        built["dataset"] = sensors.load_frames(
+            manifest.path("data"), manifest.number("generate.window_len"), gen.get("stride"),
+            manifest.number("generate.smooth_window"))
+    return built["dataset"]
 
 
-def _load_frames(manifest: Manifest) -> tuple[sensors.Dataset, sensors.FoldAssignment]:
+def _load_frames(manifest: Manifest,
+                 built: dict) -> tuple[sensors.Dataset, sensors.FoldAssignment]:
     folds = sensors.folds_from_json(json.loads(manifest.path("folds").read_text()))
-    return _dataset(manifest), folds
+    return _dataset(manifest, built), folds
 
 
 def _analyze_args(manifest: Manifest) -> dict:
-    """The manifest's analysis_forest arguments after the response."""
+    """The manifest's analysis_forests arguments after the responses."""
     args = {k: manifest.number(f"analyze.{k}") for k in ("n_trees", "max_depth", "min_leaf")}
     return {**args, "seed": manifest.stage_seed("analyze")}
 
 
+def _nu_forest_key(args: Mapping) -> tuple:
+    """Where stage_analyze leaves its nu forest in the run's `built` dict."""
+    return ("nu forest", *args.items())
+
+
 @_stage("generate", "data", last="provenance.json")
-def stage_generate(manifest: Manifest, out: Path) -> None:
+def stage_generate(manifest: Manifest, out: Path, built: dict) -> None:
     gen = manifest.doc["generate"]
     generate_dataset(gen, out, manifest.number("generate.frames_per_activity"),
                      manifest.number("generate.window_len"), manifest.stage_seed("generate"),
@@ -367,8 +382,8 @@ def stage_generate(manifest: Manifest, out: Path) -> None:
 
 
 @_stage("partition", "folds")
-def stage_partition(manifest: Manifest, out: Path) -> None:
-    frames = _dataset(manifest).frames
+def stage_partition(manifest: Manifest, out: Path, built: dict) -> None:
+    frames = _dataset(manifest, built).frames
     folds = sensors.meta_segment_partition(frames, manifest.number("partition.k"),
                                            manifest.number("partition.meta_len"),
                                            manifest.stage_seed("partition"))
@@ -376,7 +391,8 @@ def stage_partition(manifest: Manifest, out: Path) -> None:
 
 
 @_stage("explore", "trials")
-def stage_explore(manifest: Manifest, out: Path, workers: int | None = None) -> None:
+def stage_explore(manifest: Manifest, out: Path, built: dict,
+                  workers: int | None = None) -> None:
     """Explore the gain space of the deployment; space.json is rewritten after
     each complete run, so a crashed run leaves it matching the old trial log."""
     exp = manifest.doc["explore"]
@@ -385,7 +401,7 @@ def stage_explore(manifest: Manifest, out: Path, workers: int | None = None) -> 
     strategy = explorer.Strategy(exp["strategy"], manifest.number("explore.settings"))
     base = model_config_from_json(exp.get("model") or {})
     budget, val_fold = manifest.number("explore.budget"), manifest.number("explore.val_fold")
-    ds, folds = _load_frames(manifest)
+    ds, folds = _load_frames(manifest, built)
     space = gain_space(ds.deployment, lr_bounds)
     evaluator = LearnerEvaluator(ds, folds, base, val_fold=val_fold)
     explorer.run(space, strategy, evaluator, budget, manifest.stage_seed("explore"),
@@ -394,7 +410,7 @@ def stage_explore(manifest: Manifest, out: Path, workers: int | None = None) -> 
 
 
 @_stage("analyze", "reports", last="report_nu.json")
-def stage_analyze(manifest: Manifest, out: Path) -> None:
+def stage_analyze(manifest: Manifest, out: Path, built: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     trials = hyperspace.read_trials(manifest.path("trials"))
     space = hyperspace.load_space(manifest.path("space"))
@@ -403,15 +419,18 @@ def stage_analyze(manifest: Manifest, out: Path) -> None:
     # report_nu.json marks the stage done, so it is written last
     responses = [f"per_activity_nu[{a}]"
                  for a in sorted(trials[0].per_activity_nu)] + ["nu"]
-    for resp in responses:
-        rep = fanova.decompose(analysis_forest(trials, space, resp, **args))
+    forests = analysis_forests(trials, space, responses, **args)
+    for resp, fr in zip(responses, forests):
+        rep = fanova.decompose(fr)
         name = "nu" if resp == "nu" else forest.activity_of(resp)
         report.importance_csv(rep, out / f"report_{name}.csv", prov)
         hyperspace.write_json(out / f"report_{name}.json", fanova.report_to_json(rep), prov)
+    # the report stage of this run draws its heat maps from it
+    built[_nu_forest_key(args)] = forests[-1]
 
 
 @_stage("dgp", "dgp")
-def stage_dgp(manifest: Manifest, out: Path) -> None:
+def stage_dgp(manifest: Manifest, out: Path, built: dict) -> None:
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
     model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp"),
@@ -420,7 +439,7 @@ def stage_dgp(manifest: Manifest, out: Path) -> None:
 
 
 @_stage("protocol", "metrics")
-def stage_protocol(manifest: Manifest, out: Path) -> None:
+def stage_protocol(manifest: Manifest, out: Path, built: dict) -> None:
     proto = manifest.doc["protocol"]
     # the manifest's modes, thresholds and switches are checked before any fit or write
     modes = manifest.number("protocol.modes")
@@ -429,7 +448,7 @@ def stage_protocol(manifest: Manifest, out: Path) -> None:
     taus, tau_int = manifest.number("protocol.tau_sweep"), manifest.number("dgp.tau_int")
     include_null = manifest.number("protocol.include_null")
     supplement = manifest.number("protocol.supplement")
-    ds, folds = _load_frames(manifest)
+    ds, folds = _load_frames(manifest, built)
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
     config = model_config_from_json(proto.get("model") or {})
@@ -476,9 +495,10 @@ def stage_protocol(manifest: Manifest, out: Path) -> None:
 
 
 @_stage("report", "report", last="summary.md")
-def stage_report(manifest: Manifest, out: Path) -> None:
+def stage_report(manifest: Manifest, out: Path, built: dict) -> None:
     """Render the report bundle from space.json, trials.jsonl, reports/ and
-    metrics.json; nothing here trains."""
+    metrics.json; nothing here trains. The heat maps come from the nu forest
+    the analyze stage of the same run fitted, or from a refit of it."""
     space = hyperspace.load_space(manifest.path("space"))
     # the manifest's report settings are checked before any write or fit
     resolution = manifest.number("report.resolution")
@@ -486,7 +506,6 @@ def stage_report(manifest: Manifest, out: Path) -> None:
     check_pairs(space, pairs, resolution)
     out.mkdir(parents=True, exist_ok=True)
     prov = manifest.provenance("report")
-    trials = hyperspace.read_trials(manifest.path("trials"))
     overall = fanova.load_report(manifest.path("reports") / "report_nu.json")
     report.importance_csv(overall, out / "importance.csv", prov)
 
@@ -495,7 +514,11 @@ def stage_report(manifest: Manifest, out: Path) -> None:
         ranked = sorted(overall.pairwise.items(), key=lambda kv: -kv[1])
         pairs = [k for k, w in ranked[:2] if w > 0]
     if pairs:
-        fr = analysis_forest(trials, space, "nu", **_analyze_args(manifest))
+        args = _analyze_args(manifest)
+        fr = built.get(_nu_forest_key(args))
+        if fr is None:
+            fr, = analysis_forests(hyperspace.read_trials(manifest.path("trials")), space,
+                                   ["nu"], **args)
         for u, v in pairs:
             write_marginal(fr, u, v, resolution, out / f"marginal_{u}_{v}.svg",
                            out / f"marginal_{u}_{v}.csv", prov)
@@ -544,14 +567,20 @@ def run_pipeline(manifest_path: str | Path, force: bool = False,
 
     The optional manifest field "stages" (a list of stage names) toggles a
     subset on; omitted or null means every stage. `workers` goes to the
-    explore stage's explorer.run; None means one process per usable CPU."""
+    explore stage's explorer.run; None means one process per usable CPU.
+
+    The stages of one call share one `built` dict: the data CSVs are parsed
+    once for partition, explore and protocol, and the report draws its heat
+    maps from the nu forest analyze fitted. Nothing in it outlives the
+    call, and a stage that is skipped leaves nothing there, so a later stage
+    reads or refits from the artifacts."""
     manifest = Manifest.load(manifest_path)
     enabled = manifest.doc.get("stages")
     if enabled is not None:
         unknown = set(enabled) - {name for name, _ in STAGES}
         if unknown:
             raise ManifestError(f"unknown stages in manifest: {sorted(unknown)}")
-    artifacts = []
+    artifacts, built = [], {}
     for name, fn in STAGES:
         if enabled is not None and name not in enabled:
             logger.info("%s: toggled off in manifest", name)
@@ -559,7 +588,7 @@ def run_pipeline(manifest_path: str | Path, force: bool = False,
         try:
             # only exploration runs trials in parallel
             extra = {"workers": workers} if name == "explore" else {}
-            artifacts.append(fn(manifest, force, **extra))
+            artifacts.append(fn(manifest, force, built=built, **extra))
         except STAGE_FAILURES as e:
             raise StageError(name, e) from e
     return artifacts

@@ -1288,3 +1288,101 @@ def test_each_subcommand_reproduces_its_stage(demo_run, tmp_path):
                    "--seed", seed("protocol"), "--out", tmp_path / "metrics.json") == 0
     assert json.loads((tmp_path / "metrics.json").read_text())["results"]["w-DGP"] == \
         json.loads((demo_run / "metrics.json").read_text())["results"]["w-DGP"]
+
+
+# ---------------------------------------------------------------------------
+# what the stages of one run_pipeline call reuse
+
+def files_under(root) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def count_parses_and_trees(monkeypatch) -> tuple[list, list]:
+    """Count sensors.ingest_csv calls and forest trees built; every tree is
+    built in this process, where it is counted."""
+    from harvana import forest, hyperspace, sensors
+    parses, trees = [], []
+    ingest, build = sensors.ingest_csv, forest._build_tree
+    monkeypatch.setattr(sensors, "ingest_csv", lambda path: parses.append(path) or ingest(path))
+    monkeypatch.setattr(forest, "_build_tree", lambda *a: trees.append(1) or build(*a))
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: 1)
+    return parses, trees
+
+
+def test_one_run_parses_the_data_once_and_fits_each_forest_once(tmp_path, monkeypatch):
+    from harvana.pipeline import Manifest, demo_manifest, run_pipeline
+    parses, trees = count_parses_and_trees(monkeypatch)
+    path = demo_manifest(tmp_path / "demo")
+    run_pipeline(path)
+    manifest = Manifest.load(path)
+    assert list((tmp_path / "demo" / "report").glob("marginal_*.svg"))
+    # partition, explore and protocol share one parse, and the report draws
+    # its heat maps from analyze's nu forest: no sixth forest
+    responses = len(list(manifest.path("reports").glob("report_*.json")))
+    assert len(parses) == 1
+    assert len(trees) == responses * manifest.number("analyze.n_trees")
+
+
+def test_report_split_from_analyze_refits_the_same_bytes(pristine_demo, tmp_path, monkeypatch):
+    # the same manifest split in two calls by its "stages" toggle: the second
+    # call's report refits the nu forest. Each call's manifest differs by its
+    # stage list, and so does the manifest hash provenance embeds; the bytes
+    # match once that hash is masked. (A report rerun under the very same
+    # manifest refits too: see the rerun tests above, which compare bytes
+    # unmasked.)
+    from harvana.pipeline import STAGES, Manifest, demo_manifest, run_pipeline
+    path = demo_manifest(tmp_path / "demo")
+    doc = json.loads(path.read_text())
+    hashes = [Manifest.load(pristine_demo / "manifest.json").config_hash()]
+    _, trees = count_parses_and_trees(monkeypatch)
+    for stages in ([name for name, _ in STAGES if name != "report"], ["report"]):
+        doc["stages"] = stages
+        path.write_text(json.dumps(doc))
+        hashes.append(Manifest.load(path).config_hash())
+        before = len(trees)
+        run_pipeline(path)
+    assert len(trees) - before == doc["analyze"]["n_trees"]  # the report's refit
+
+    def masked(root):
+        out = {}
+        for rel, blob in files_under(root).items():
+            for h in hashes:
+                blob = blob.replace(h.encode(), b"<hash>")
+            out[rel] = blob
+        return out
+
+    split, whole = masked(tmp_path / "demo"), masked(pristine_demo)
+    del split["manifest.json"], whole["manifest.json"]  # the stage lists differ
+    assert len(split) == 34 and any(rel.startswith("report/marginal_") for rel in split)
+    for rel in sorted(set(split) | set(whole)):
+        assert split.get(rel) == whole.get(rel), rel
+
+
+def test_second_run_in_one_process_writes_what_a_fresh_process_writes(pristine_demo,
+                                                                       tmp_path):
+    # pristine_demo ran the demo in this process before; a second run with a
+    # new seed must not see anything the first one built
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import harvana
+    from harvana.pipeline import demo_manifest, run_pipeline
+    roots = []
+    for name in ("here", "fresh"):
+        path = demo_manifest(tmp_path / name)
+        doc = json.loads(path.read_text())
+        doc["seed"] = 8
+        path.write_text(json.dumps(doc))
+        roots.append(path.parent)
+    run_pipeline(roots[0] / "manifest.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(harvana.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", "import sys; from harvana.pipeline import "
+                    "run_pipeline; run_pipeline(sys.argv[1])", roots[1] / "manifest.json"],
+                   env=env, check=True)
+    here, fresh = files_under(roots[0]), files_under(roots[1])
+    assert len(here) == 35 and here.keys() == fresh.keys()
+    for rel in here:
+        assert here[rel] == fresh[rel], rel
+    assert here["trials.jsonl"] != (pristine_demo / "trials.jsonl").read_bytes()

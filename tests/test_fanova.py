@@ -143,6 +143,33 @@ def test_categorical_decomposition_matches_enumeration():
             assert vals[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("resolution", [20, 21])
+@pytest.mark.parametrize("k", [3, 4])
+def test_pairwise_table_gives_each_choice_an_equal_share_of_rows(k, resolution):
+    # row i shows choice floor((i + 0.5) / resolution * k) at its own
+    # coordinate c / (k - 1), on either axis of the table
+    space = SearchSpace(params=(
+        ParamSpec("m", "categorical", choices=tuple("abcd"[:k])),
+        ParamSpec("x", "continuous", 0.0, 1.0),
+    ))
+    root = split(0, {0, 2}, split(1, 0.25, leaf(0.1), leaf(0.9)), leaf(0.5))
+    forest = forest_from_tables(space, [root])
+    tu, tx, vals = pairwise_marginal_table(forest, "m", "x", resolution)
+    tx2, tu2, vals2 = pairwise_marginal_table(forest, "x", "m", resolution)
+    assert np.array_equal(tu2, tu) and np.array_equal(tx2, tx) and np.array_equal(vals2, vals.T)
+    choices = np.rint(tu * (k - 1)).astype(int)
+    assert np.array_equal(tu, choices / (k - 1))
+    assert np.array_equal(choices, np.sort(choices))
+    counts = np.bincount(choices, minlength=k)
+    assert counts.max() - counts.min() <= 1
+    if (k, resolution) == (3, 21):
+        assert counts.tolist() == [7, 7, 7]
+    for i in range(resolution):
+        for j in range(resolution):
+            assert vals[i, j] == pytest.approx(
+                marginal_predict(forest, ["m", "x"], [tu[i], tx[j]]), abs=1e-12)
+
+
 def test_shares_nonnegative_and_bounded_per_tree():
     space = unit_space(4)
     trials = trials_from_function(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -10,6 +11,7 @@ from harvana.forest import (
     NodeTable,
     encode_config,
     fit_forest,
+    fit_forests,
     forest_from_tables,
     marginal_predict,
     predict,
@@ -487,18 +489,25 @@ def assert_same_forest(got, want) -> None:
             assert np.array_equal(tg.cat_masks[dim], tw.cat_masks[dim])
 
 
-def fit_on(monkeypatch, processes, trials, space, **fit):
-    """fit_forest as if `processes` CPUs were usable; also returns the number
-    of distinct processes that built its trees."""
-    real, pids = forest_mod.fork_map, set()
+def spy_processes(monkeypatch, processes) -> set:
+    """Make `processes` CPUs look usable; the returned set collects the pid
+    of every process that builds a tree in the forest's fork_map."""
+    pids = set()
 
     def spy(fn, items, n=None):
-        for pid, tree in real(lambda t: (os.getpid(), fn(t)), items, n):
+        for pid, tree in hyperspace.fork_map(lambda t: (os.getpid(), fn(t)), items, n):
             pids.add(pid)
             yield tree
 
     monkeypatch.setattr(hyperspace, "usable_cpus", lambda: processes)
     monkeypatch.setattr(forest_mod, "fork_map", spy)
+    return pids
+
+
+def fit_on(monkeypatch, processes, trials, space, **fit):
+    """fit_forest as if `processes` CPUs were usable; also returns the number
+    of distinct processes that built its trees."""
+    pids = spy_processes(monkeypatch, processes)
     return fit_forest(trials, space, **fit), len(pids)
 
 
@@ -535,3 +544,59 @@ def test_forest_worker_that_dies_raises_runtime_error(monkeypatch):
     with pytest.raises(RuntimeError, match="worker process .* died"):
         fit_forest(mixed_trials(40), mixed_space(), n_trees=4)
     assert_no_children()
+
+
+# ---------------------------------------------------------------------------
+# several responses fitted in one fork_map call against one fit per response
+
+FIVE = ["nu", "f1", "per_activity_nu[walk]", "per_activity_nu[run]", "per_activity_nu[still]"]
+
+
+def with_activities(trials, seed: int = 0):
+    """`trials` with three per-activity responses, each its own mix of nu
+    and noise."""
+    rng = np.random.default_rng(seed)
+    return [dataclasses.replace(t, per_activity_nu={
+        a: float(np.clip(w * t.nu + (1 - w) * rng.uniform(), 0.0, 1.0))
+        for a, w in (("walk", 0.9), ("run", 0.5), ("still", 0.1))}) for t in trials]
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+@pytest.mark.parametrize("space, trials, fit", [
+    (gain_space(), with_activities(GAIN_TRIALS), dict(n_trees=8, seed=1)),
+    (mixed_space(), with_activities(mixed_trials(80, seed=2)), dict(n_trees=6, seed=2)),
+    (mixed_space(), with_activities(mixed_trials(80, seed=2)),
+     dict(n_trees=6, seed=2, bootstrap=False)),
+    (gain_space(), with_activities(GAIN_TRIALS), dict(n_trees=1, seed=4)),
+], ids=["gain_space", "mixed", "mixed_no_bootstrap", "one_tree"])
+def test_fit_forests_equals_one_fit_forest_per_response(monkeypatch, space, trials, fit,
+                                                         processes):
+    want = [fit_on(monkeypatch, 1, trials, space, response=r, **fit)[0] for r in FIVE]
+    pids = spy_processes(monkeypatch, processes)
+    got = fit_forests(trials, space, FIVE, **fit)
+    assert len(pids) == processes  # 5 responses give at least 5 items
+    assert [f.response for f in got] == FIVE
+    for g, w in zip(got, want):
+        assert (g.n_trials, g.seed) == (w.n_trials, w.seed)
+        assert_same_forest(g, w)
+    assert_no_children()
+
+
+def test_fit_forests_worker_that_dies_raises_runtime_error(monkeypatch):
+    parent, build = os.getpid(), forest_mod._build_tree
+
+    def die_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return build(*args)
+
+    monkeypatch.setattr(hyperspace, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest_mod, "_build_tree", die_in_child)
+    with pytest.raises(RuntimeError, match="worker process .* died"):
+        fit_forests(with_activities(mixed_trials(40)), mixed_space(), FIVE, n_trees=2)
+    assert_no_children()
+
+
+def test_fit_forests_needs_a_response():
+    with pytest.raises(ForestError, match="at least one response"):
+        fit_forests(mixed_trials(20), mixed_space(), [])
