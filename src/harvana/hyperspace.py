@@ -509,12 +509,20 @@ def write_trials(trials: Iterable[Trial], path: str | Path) -> None:
 
 
 def read_trials(path: str | Path) -> list[Trial]:
+    """The trials of the log at `path`; a line that does not parse as a
+    trial, or a log with none, raises SpaceError naming `path:line`."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(trial_from_json(json.loads(line)))
+                try:
+                    out.append(trial_from_json(json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError) as e:
+                    raise SpaceError(f"{path}:{n}: not a trial: "
+                                     f"{type(e).__name__}: {e}") from None
+    if not out:
+        raise SpaceError(f"{path}: no trials")
     return out
 
 

@@ -179,12 +179,23 @@ class Manifest:
             doc = json.loads(path.read_text())
         except FileNotFoundError:
             raise ManifestError(f"manifest not found: {path}")
+        # the shape is checked before any stage runs
+        if not isinstance(doc, dict):
+            raise ManifestError(f"{path}: expected an object, got {doc!r}")
+        for key, default in DEFAULT_MANIFEST.items():
+            if isinstance(default, Mapping) and not isinstance(doc.get(key, {}), Mapping):
+                raise ManifestError(f"{path}: {key} must be an object, got {doc[key]!r}")
+        names = [name for name, _ in STAGES]
+        stages = doc.get("stages")
+        if stages is not None and not (isinstance(stages, list)
+                                       and all(s in names for s in stages)):
+            raise ManifestError(f"{path}: stages must be null or a list of stage names"
+                                f" {names}, got {stages!r}")
         # a misspelt key would leave its default in force: reject it (sections
         # are checked one level deep; the codecs check what lies below)
         unknown = [key for key in doc if key not in DEFAULT_MANIFEST and key != "stages"]
         unknown += [f"{key}.{sub}" for key, section in doc.items()
-                    if isinstance(section, Mapping)
-                    and isinstance(DEFAULT_MANIFEST.get(key), Mapping)
+                    if isinstance(DEFAULT_MANIFEST.get(key), Mapping)
                     for sub in section if sub not in DEFAULT_MANIFEST[key]]
         if unknown:
             raise ManifestError(f"{path}: unknown manifest keys {unknown}")
@@ -217,16 +228,13 @@ class Manifest:
         return self.number("seed")
 
     def stage_seed(self, stage: str) -> int:
-        offsets = {"generate": 1, "partition": 2, "explore": 3, "analyze": 4,
-                   "dgp": 5, "protocol": 6, "report": 7}
-        return int(hyperspace.derive_rng(self.seed, offsets[stage]).integers(2 ** 31))
+        """The seed of `stage`, keyed by its place in STAGES (generate 1)."""
+        k = [name for name, _ in STAGES].index(stage) + 1
+        return int(hyperspace.derive_rng(self.seed, k).integers(2 ** 31))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def provenance(self, stage: str) -> dict:
-        return {"seed": self.stage_seed(stage), "config_hash": self.config_hash()}
 
 
 # What a failing stage raises: harvana's own errors derive from ValueError or
@@ -321,14 +329,19 @@ def activity_reports(patterns: list[str | Path]) -> dict[str, fanova.ImportanceR
 # ---------------------------------------------------------------------------
 # stages
 
+# (name, stage) in run order, one entry per _stage declaration
+STAGES: list[tuple[str, Callable[..., Path]]] = []
+
+
 def _stage(name: str, out_key: str, last: str | None = None):
-    """Declare a stage that writes the manifest path `out_key`. It is done
-    when `last`, the file it writes last, exists under that path (the path
-    itself when `last` is None); a done stage is skipped unless force=True.
-    The body runs as body(manifest, out, built, **kw) and returns nothing.
-    `built` is the dict in which the stages of one run_pipeline call leave
-    what a later stage of that call reuses (see run_pipeline); a stage
-    called alone gets an empty one."""
+    """Declare a stage that writes the manifest path `out_key`, next in
+    STAGES. It is done when `last`, the file it writes last, exists under
+    that path (the path itself when `last` is None); a done stage is skipped
+    unless force=True. The body runs as body(manifest, out, built, seed,
+    prov, **kw), given the stage's seed and the provenance its artifacts
+    embed. `built` is the dict in which the stages of one run_pipeline call
+    leave what a later stage of that call reuses (see run_pipeline); a
+    stage called alone gets an empty one."""
     def declare(body: Callable[..., None]) -> Callable[..., Path]:
         @functools.wraps(body)
         def stage(manifest: Manifest, force: bool = False, built: dict | None = None,
@@ -337,9 +350,12 @@ def _stage(name: str, out_key: str, last: str | None = None):
             if (out / last if last else out).exists() and not force:
                 logger.info("%s: %s up-to-date", name, out)
                 return out
-            body(manifest, out, {} if built is None else built, **kw)
+            seed = manifest.stage_seed(name)
+            prov = {"seed": seed, "config_hash": manifest.config_hash()}
+            body(manifest, out, {} if built is None else built, seed, prov, **kw)
             logger.info("%s: wrote %s", name, out)
             return out
+        STAGES.append((name, stage))
         return stage
     return declare
 
@@ -361,37 +377,29 @@ def _load_frames(manifest: Manifest,
     return _dataset(manifest, built), folds
 
 
-def _analyze_args(manifest: Manifest) -> dict:
-    """The manifest's analysis_forests arguments after the responses."""
-    args = {k: manifest.number(f"analyze.{k}") for k in ("n_trees", "max_depth", "min_leaf")}
-    return {**args, "seed": manifest.stage_seed("analyze")}
-
-
-def _nu_forest_key(args: Mapping) -> tuple:
-    """Where stage_analyze leaves its nu forest in the run's `built` dict."""
-    return ("nu forest", *args.items())
+def _tree_args(manifest: Manifest) -> dict:
+    """The manifest's analysis_forests tree settings."""
+    return {k: manifest.number(f"analyze.{k}") for k in ("n_trees", "max_depth", "min_leaf")}
 
 
 @_stage("generate", "data", last="provenance.json")
-def stage_generate(manifest: Manifest, out: Path, built: dict) -> None:
+def stage_generate(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     gen = manifest.doc["generate"]
     generate_dataset(gen, out, manifest.number("generate.frames_per_activity"),
-                     manifest.number("generate.window_len"), manifest.stage_seed("generate"),
-                     gen.get("stride"), manifest.number("generate.recordings_per_activity"),
-                     manifest.provenance("generate"))
+                     manifest.number("generate.window_len"), seed, gen.get("stride"),
+                     manifest.number("generate.recordings_per_activity"), prov)
 
 
 @_stage("partition", "folds")
-def stage_partition(manifest: Manifest, out: Path, built: dict) -> None:
+def stage_partition(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     frames = _dataset(manifest, built).frames
     folds = sensors.meta_segment_partition(frames, manifest.number("partition.k"),
-                                           manifest.number("partition.meta_len"),
-                                           manifest.stage_seed("partition"))
-    hyperspace.write_json(out, folds.to_json(), manifest.provenance("partition"))
+                                           manifest.number("partition.meta_len"), seed)
+    hyperspace.write_json(out, folds.to_json(), prov)
 
 
 @_stage("explore", "trials")
-def stage_explore(manifest: Manifest, out: Path, built: dict,
+def stage_explore(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict,
                   workers: int | None = None) -> None:
     """Explore the gain space of the deployment; space.json is rewritten after
     each complete run, so a crashed run leaves it matching the old trial log."""
@@ -404,42 +412,40 @@ def stage_explore(manifest: Manifest, out: Path, built: dict,
     ds, folds = _load_frames(manifest, built)
     space = gain_space(ds.deployment, lr_bounds)
     evaluator = LearnerEvaluator(ds, folds, base, val_fold=val_fold)
-    explorer.run(space, strategy, evaluator, budget, manifest.stage_seed("explore"),
-                 out_path=out, full_budget=float(base.epochs), workers=workers)
+    explorer.run(space, strategy, evaluator, budget, seed, out_path=out,
+                 full_budget=float(base.epochs), workers=workers)
     hyperspace.save_space(space, manifest.path("space"))
 
 
 @_stage("analyze", "reports", last="report_nu.json")
-def stage_analyze(manifest: Manifest, out: Path, built: dict) -> None:
+def stage_analyze(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     trials = hyperspace.read_trials(manifest.path("trials"))
     space = hyperspace.load_space(manifest.path("space"))
-    args = _analyze_args(manifest)
-    prov = manifest.provenance("analyze")
     # report_nu.json marks the stage done, so it is written last
     responses = [f"per_activity_nu[{a}]"
                  for a in sorted(trials[0].per_activity_nu)] + ["nu"]
-    forests = analysis_forests(trials, space, responses, **args)
+    forests = analysis_forests(trials, space, responses, **_tree_args(manifest), seed=seed)
     for resp, fr in zip(responses, forests):
         rep = fanova.decompose(fr)
         name = "nu" if resp == "nu" else forest.activity_of(resp)
         report.importance_csv(rep, out / f"report_{name}.csv", prov)
         hyperspace.write_json(out / f"report_{name}.json", fanova.report_to_json(rep), prov)
     # the report stage of this run draws its heat maps from it
-    built[_nu_forest_key(args)] = forests[-1]
+    built["nu forest"] = forests[-1]
 
 
 @_stage("dgp", "dgp")
-def stage_dgp(manifest: Manifest, out: Path, built: dict) -> None:
+def stage_dgp(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
     model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp"),
                                manifest.number("dgp.tau_int"))
-    hyperspace.write_json(out, dgp_mod.dgp_to_json(model), manifest.provenance("dgp"))
+    hyperspace.write_json(out, dgp_mod.dgp_to_json(model), prov)
 
 
 @_stage("protocol", "metrics")
-def stage_protocol(manifest: Manifest, out: Path, built: dict) -> None:
+def stage_protocol(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     proto = manifest.doc["protocol"]
     # the manifest's modes, thresholds and switches are checked before any fit or write
     modes = manifest.number("protocol.modes")
@@ -452,7 +458,6 @@ def stage_protocol(manifest: Manifest, out: Path, built: dict) -> None:
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
     config = model_config_from_json(proto.get("model") or {})
-    prov = manifest.provenance("protocol")
     # seed and config are fixed, so runs on the same training frames train the
     # same model: each distinct set trains once, for every mode and threshold
     runs: dict[frozenset | None, learner.ProtocolResult] = {}
@@ -462,7 +467,7 @@ def stage_protocol(manifest: Manifest, out: Path, built: dict) -> None:
         key = None if subsets is None else frozenset(subsets.items())
         if key not in runs:
             runs[key] = learner.run_protocol(
-                ds, folds, config, dgp=model, mode=mode, seed=manifest.stage_seed("protocol"),
+                ds, folds, config, dgp=model, mode=mode, seed=seed,
                 include_null=include_null, supplement=supplement)
         return replace(runs[key], mode=mode)
 
@@ -495,7 +500,7 @@ def stage_protocol(manifest: Manifest, out: Path, built: dict) -> None:
 
 
 @_stage("report", "report", last="summary.md")
-def stage_report(manifest: Manifest, out: Path, built: dict) -> None:
+def stage_report(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     """Render the report bundle from space.json, trials.jsonl, reports/ and
     metrics.json; nothing here trains. The heat maps come from the nu forest
     the analyze stage of the same run fitted, or from a refit of it."""
@@ -505,7 +510,6 @@ def stage_report(manifest: Manifest, out: Path, built: dict) -> None:
     pairs = manifest.doc["report"].get("pairwise") or []
     check_pairs(space, pairs, resolution)
     out.mkdir(parents=True, exist_ok=True)
-    prov = manifest.provenance("report")
     overall = fanova.load_report(manifest.path("reports") / "report_nu.json")
     report.importance_csv(overall, out / "importance.csv", prov)
 
@@ -514,11 +518,11 @@ def stage_report(manifest: Manifest, out: Path, built: dict) -> None:
         ranked = sorted(overall.pairwise.items(), key=lambda kv: -kv[1])
         pairs = [k for k, w in ranked[:2] if w > 0]
     if pairs:
-        args = _analyze_args(manifest)
-        fr = built.get(_nu_forest_key(args))
+        fr = built.get("nu forest")
         if fr is None:
             fr, = analysis_forests(hyperspace.read_trials(manifest.path("trials")), space,
-                                   ["nu"], **args)
+                                   ["nu"], **_tree_args(manifest),
+                                   seed=manifest.stage_seed("analyze"))
         for u, v in pairs:
             write_marginal(fr, u, v, resolution, out / f"marginal_{u}_{v}.svg",
                            out / f"marginal_{u}_{v}.csv", prov)
@@ -549,17 +553,6 @@ def stage_report(manifest: Manifest, out: Path, built: dict) -> None:
     report.summary_markdown(out / "summary.md", summary, prov)
 
 
-STAGES: list[tuple[str, Callable[[Manifest, bool], Path]]] = [
-    ("generate", stage_generate),
-    ("partition", stage_partition),
-    ("explore", stage_explore),
-    ("analyze", stage_analyze),
-    ("dgp", stage_dgp),
-    ("protocol", stage_protocol),
-    ("report", stage_report),
-]
-
-
 def run_pipeline(manifest_path: str | Path, force: bool = False,
                  workers: int | None = None) -> list[Path]:
     """Run the manifest's stages in order; the first failure aborts with a
@@ -576,10 +569,6 @@ def run_pipeline(manifest_path: str | Path, force: bool = False,
     reads or refits from the artifacts."""
     manifest = Manifest.load(manifest_path)
     enabled = manifest.doc.get("stages")
-    if enabled is not None:
-        unknown = set(enabled) - {name for name, _ in STAGES}
-        if unknown:
-            raise ManifestError(f"unknown stages in manifest: {sorted(unknown)}")
     artifacts, built = [], {}
     for name, fn in STAGES:
         if enabled is not None and name not in enabled:

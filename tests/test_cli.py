@@ -909,6 +909,85 @@ def test_unknown_manifest_key_exits_2(demo_run, tmp_path, edit, named):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
+def test_stages_are_declared_in_run_order_with_their_seeds(demo_run):
+    # a stage's place in STAGES keys its seed: declaring one elsewhere would
+    # reseed it and every artifact after it
+    from harvana.hyperspace import derive_rng
+    from harvana.pipeline import STAGES, Manifest
+    names = ["generate", "partition", "explore", "analyze", "dgp", "protocol", "report"]
+    assert [name for name, _ in STAGES] == names
+    assert [fn for _, fn in STAGES] == [getattr(pipeline, f"stage_{n}") for n in names]
+    manifest = Manifest.load(demo_run / "manifest.json")
+    for k, name in enumerate(names, 1):
+        assert manifest.stage_seed(name) == derive_rng(manifest.seed, k).integers(2 ** 31)
+
+
+@pytest.mark.parametrize("doc, named", [
+    ([], "expected an object"),
+    ({"stages": 5}, "stages must be null or a list of stage names"),
+    ({"stages": "report"}, "stages must be null or a list of stage names"),
+    ({"stages": ["report", "nosuch"]}, "stages must be null or a list of stage names"),
+    ({"analyze": 5}, "analyze must be an object"),
+    ({"paths": None}, "paths must be an object"),
+], ids=["list_document", "stages_number", "stages_string", "unknown_stage",
+        "section_number", "section_null"])
+def test_manifest_of_the_wrong_shape_exits_2_before_any_stage(demo_run, tmp_path, caplog,
+                                                              doc, named):
+    import logging
+    if isinstance(doc, dict):
+        doc = {**json.loads((demo_run / "manifest.json").read_text()), **doc}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("pipeline", "--manifest", manifest, "--force") == 2
+    assert any(r.getMessage().startswith(f"{manifest}: {named}") for r in caplog.records)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def broken_trial_log(demo_run, tmp_path, case: str):
+    """The demo's trial log broken as `case` says, written to
+    tmp_path/trials.jsonl, and what its error message names."""
+    lines = (demo_run / "trials.jsonl").read_text().splitlines()
+    n = len(lines)
+    no_nu, nu_above_1 = json.loads(lines[-1]), json.loads(lines[1])
+    del no_nu["nu"]
+    nu_above_1["nu"] = 1.5
+    body, named = {
+        "empty": ([], "trials.jsonl: no trials"),
+        "truncated_last_line": (lines[:-1] + [lines[-1][:40]], f"trials.jsonl:{n}: not a trial"),
+        "line_without_nu": (lines[:-1] + [json.dumps(no_nu)],
+                            f"trials.jsonl:{n}: not a trial: KeyError: 'nu'"),
+        "nu_above_1": ([lines[0], json.dumps(nu_above_1)] + lines[2:],
+                       "trials.jsonl:2: not a trial: SpaceError: trial"),
+    }[case]
+    path = tmp_path / "trials.jsonl"
+    path.write_text("".join(line + "\n" for line in body))
+    return path, named
+
+
+@pytest.mark.parametrize("case", ["empty", "truncated_last_line", "line_without_nu",
+                                  "nu_above_1"])
+def test_broken_trial_log_exits_2_naming_file_and_line(demo_run, tmp_path, caplog, case):
+    import logging
+    from harvana.hyperspace import SpaceError
+    from harvana.pipeline import StageError, run_pipeline
+    trials, named = broken_trial_log(demo_run, tmp_path, case)
+    with caplog.at_level(logging.ERROR):
+        assert run_cli("analyze", "--trials", trials, "--space", demo_run / "space.json",
+                       "--out", tmp_path / "r.json") == 2
+    assert any(named in r.getMessage() for r in caplog.records)
+    manifest = demo_stage_manifest(demo_run, tmp_path, "analyze", "reports", "reports", {})
+    doc = json.loads(manifest.read_text())
+    doc["paths"]["trials"] = str(trials)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=re.escape(named)) as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "analyze" and isinstance(exc.value.cause, SpaceError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert not (tmp_path / "r.json").exists()
+    assert not list((tmp_path / "reports").glob("report_*"))
+
+
 def test_unknown_strategy_setting_exits_2(demo_run, tmp_path):
     from harvana.explorer import StrategyError
     from harvana.pipeline import StageError, run_pipeline
