@@ -244,9 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["sphere"],
                    help="built-in synthetic objective instead of the learner")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes that evaluate trials, this one included (random "
-                        "and grid only; forked, so each holds the evaluator once); "
-                        "default: one per usable CPU")
+                   help="processes that evaluate each batch of trials, this one "
+                        "included (random and grid: every trial; hyperband and bohb: "
+                        "each rung; tpe and gp propose one trial at a time, which runs "
+                        "here); forked, so each holds the evaluator once; default: one "
+                        "per usable CPU")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("analyze", help="forest fANOVA over a trial log")
@@ -306,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.add_argument("--workers", type=int, default=None,
                    help="processes that evaluate the explore stage's trials, this "
-                        "one included (random and grid only); default: one per "
-                        "usable CPU")
+                        "one included (the stage runs random or grid, one batch of "
+                        "every trial); default: one per usable CPU")
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

@@ -6,19 +6,22 @@ validation loss nu; f1 is recorded but never optimized.
 `run` is a pure function of (space, strategy, evaluator, budget, seed): two
 runs with the same arguments produce byte-identical trial logs.
 
-Random and grid fix their configs up front, and their trials run on forked
+Every strategy yields batches of (config, budget) calls: random and grid one
+batch fixed up front, tpe and gp one call at a time, hyperband and BOHB one
+batch per successive-halving rung. `run` evaluates each batch on forked
 processes (hyperspace.fork_map), by default one per usable CPU: this one and
 each child take a contiguous range of trial ids, every child holds the
 evaluator once by fork inheritance, and the results are logged in id order,
-so the log does not depend on `workers`. Processes, not threads: the
-learner's many small numpy calls hold the GIL, and a thread pool was no
-faster than one thread.
+so the log does not depend on `workers`; a batch of one call runs here.
+Processes, not threads: the learner's many small numpy calls hold the GIL,
+and a thread pool was no faster than one thread.
 
-A run keeps its trials in one History, shared by every proposal rule (one
-per rung resource for hyperband and BOHB). It encodes each trial to the unit
-cube the first time a proposal reads its rows, and grows the rows' squared
-distances, bit-identical to a full rebuild, one row per trial when a GP
-reads them; a bare list given to a proposal is wrapped in a fresh History.
+A run's log is one History, which tpe and gp proposals read; BOHB's TPE
+reads one more per rung resource, filled from each rung's trials. A History
+encodes each trial to the unit cube the first time a proposal reads its
+rows, and grows the rows' squared distances, bit-identical to a full
+rebuild, one row per trial when a GP reads them; a bare list given to a
+proposal is wrapped in a fresh History.
 The GP's linear algebra stays on one BLAS library: numpy and scipy each load
 their own OpenBLAS with its own thread pool, so every LAPACK call is scipy's
 and the numpy work between them avoids BLAS GEMMs (the pool cross term is an
@@ -27,6 +30,7 @@ einsum), or numpy's still-spinning threads compete with scipy's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -56,6 +60,9 @@ from .hyperspace import (
 )
 
 STRATEGY_KINDS = ("random", "grid", "hyperband", "bohb", "tpe", "gp")
+# the kinds whose configs are fixed before the first trial: the only logs the
+# pipeline's analysis reads
+DESIGNS = ("random", "grid")
 
 DEFAULTS: dict[str, dict] = {
     "random": {},
@@ -321,51 +328,49 @@ def run(space: SearchSpace, strategy: Strategy, evaluator: Evaluator,
     resource in Trial.budget. Each trial is flushed to `<out_path>.partial`
     as it is recorded, renamed to `out_path` when the run completes
     (hyperspace.atomic_open); an evaluator exception aborts the run with the
-    ordered prefix in the partial and no `out_path`. Batch strategies (random,
-    grid) evaluate on `workers` processes, this one included, each taking a
-    contiguous range of trials (hyperspace.fork_map); None, the default, means
-    one per usable CPU. Trials are merged in id order, so the log is
-    byte-identical for any number of workers. Sequential strategies ignore
-    workers (their proposals depend on every previous result), but an int
-    must still be >= 1.
+    ordered prefix in the partial and no `out_path`. Every batch of calls the
+    strategy yields (_batches) runs on `workers` processes, this one
+    included, each taking a contiguous range of trials (hyperspace.fork_map);
+    None, the default, means one per usable CPU. Trials are merged in id
+    order, so the log is byte-identical for any number of workers. A batch of
+    one call (tpe, gp) runs in this process.
     """
     validate_space(space)
     if budget_B < 1:
         raise StrategyError("budget_B must be >= 1")
     if workers is not None and workers < 1:
         raise StrategyError(f"workers must be >= 1, got {workers}")
-    # a batch's configs are fixed, and a grid refused, before the log is opened
-    batch = (_batch_configs(space, strategy, budget_B, seed)
-             if strategy.kind in ("random", "grid") else None)
-    trials: list[Trial] = []
+    history = History(space)
+    # a design's calls are fixed, and a grid refused, before the log is opened
+    batches = _batches(space, strategy, history, budget_B, seed, full_budget)
     with atomic_open(out_path) if out_path is not None else nullcontext() as log:
-        def record(trial: Trial) -> Trial:
-            trial = replace(trial, trial_id=len(trials))
-            trials.append(trial)
-            if log is not None:
-                print(trial_to_line(trial), file=log, flush=True)
-            return trial
-
-        def evaluate(config: Configuration, budget: float) -> Trial:
-            return record(evaluator(config, budget, _trial_seed(seed, len(trials))))
-
-        if strategy.kind in ("hyperband", "bohb"):
-            _run_multifidelity(space, strategy, evaluate, budget_B, seed)
-        elif batch is not None:
-            calls = [(c, full_budget, _trial_seed(seed, i)) for i, c in enumerate(batch)]
+        for batch in batches:
+            calls = [(config, budget, _trial_seed(seed, len(history) + i))
+                     for i, (config, budget) in enumerate(batch)]
             # results come back in id order, so a failure leaves the ordered
             # prefix logged
             for trial in fork_map(lambda call: evaluator(*call), calls, workers):
-                record(trial)
-        else:
-            _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget)
-    return trials
+                trial = replace(trial, trial_id=len(history))
+                history.append(trial)
+                if log is not None:
+                    print(trial_to_line(trial), file=log, flush=True)
+    return history.trials
 
 
-def _batch_configs(space, strategy, budget_B, seed) -> list[Configuration]:
-    if strategy.kind == "random":
-        return [sample(space, proposal_rng(seed, t)) for t in range(budget_B)]
-    return _grid_configs(space, strategy, budget_B)
+def _batches(space, strategy, history, budget_B, seed, full_budget):
+    """The strategy's (config, budget) calls, batch by batch. Random and grid
+    are one batch, built here; tpe and gp propose one call at a time from
+    the run's history; hyperband and BOHB yield one batch per rung."""
+    kind, s = strategy.kind, strategy.settings
+    if kind == "random":
+        return [[(sample(space, proposal_rng(seed, t)), full_budget) for t in range(budget_B)]]
+    if kind == "grid":
+        return [[(c, full_budget) for c in _grid_configs(space, strategy, budget_B)]]
+    if kind in ("tpe", "gp"):
+        propose = tpe_propose if kind == "tpe" else gp_propose
+        return ([(propose(history, space, rng=proposal_rng(seed, t), **s), full_budget)]
+                for t in range(budget_B))
+    return _rungs(space, strategy, history, budget_B, seed)
 
 
 def _trial_seed(seed: int, trial_id: int) -> int:
@@ -400,58 +405,31 @@ def _grid_configs(space, strategy, budget_B) -> list[Configuration]:
     return grid(space, ppd)
 
 
-def _run_sequential(space, strategy, evaluate, budget_B, seed, full_budget):
+def _rungs(space, strategy, history, budget_B, seed):
+    """Successive-halving rungs, bracket by bracket, sweep after sweep, each
+    cut to the budget left; a rung's survivors are the best 1/eta of the
+    trials it recorded."""
     s = strategy.settings
-    history = History(space)
-    for t in range(budget_B):
-        rng = proposal_rng(seed, t)
-        if strategy.kind == "tpe":
-            config = tpe_propose(history, space, s["gamma"], s["n_candidates"],
-                                 rng, n_startup=s["n_startup"])
-        elif strategy.kind == "gp":
-            config = gp_propose(history, space, rng, length_scale=s["length_scale"],
-                                n_pool=s["n_pool"], jitter=s["jitter"],
-                                max_jitter=s["max_jitter"], n_startup=s["n_startup"])
-        else:  # pragma: no cover
-            raise StrategyError(strategy.kind)
-        history.append(evaluate(config, full_budget))
-
-
-def _run_multifidelity(space, strategy, evaluate, budget_B, seed):
-    s = strategy.settings
+    n_min = space.dim + 1 if s.get("n_min") is None else s["n_min"]
     schedule = hyperband_schedule(s["R"], s["eta"])
-    n_min = s.get("n_min")
-    if n_min is None:
-        n_min = space.dim + 1
-    by_resource: dict[float, History] = {}
-    calls = 0
-    sweep = 0
-    while calls < budget_B:
+    by_resource: dict[float, History] = {}  # BOHB's TPE reads one rung resource
+    for sweep in itertools.count():
         for bracket in schedule:
-            if calls >= budget_B:
-                return
-            survivors: list[tuple[Configuration, float]] | None = None
             for rung_idx, (n_i, r_i) in enumerate(bracket.rungs):
+                left = budget_B - len(history)
+                if left <= 0:
+                    return
                 if rung_idx == 0:
-                    configs = [
-                        _propose_mf(strategy, space, by_resource, n_min,
-                                    derive_rng(seed, 2, sweep, bracket.s, c), s)
-                        for c in range(n_i)
-                    ]
+                    configs = [_propose_mf(strategy, space, by_resource, n_min,
+                                           derive_rng(seed, 2, sweep, bracket.s, c), s)
+                               for c in range(min(n_i, left))]
                 else:
-                    configs = [c for c, _ in survivors[:n_i]]
-                results = []
-                for config in configs:
-                    if calls >= budget_B:
-                        return
-                    trial = evaluate(config, r_i)
-                    by_resource.setdefault(r_i, History(space)).append(trial)
-                    results.append((config, trial.nu))
-                    calls += 1
-                results.sort(key=lambda cn: cn[1])
-                keep = max(1, len(results) // s["eta"])
-                survivors = results[:keep]
-        sweep += 1
+                    configs = survivors[:min(n_i, left)]
+                yield [(c, r_i) for c in configs]
+                recorded = history[-len(configs):]
+                by_resource.setdefault(r_i, History(space)).trials.extend(recorded)
+                ranked = sorted(recorded, key=lambda t: t.nu)
+                survivors = [t.config for t in ranked[:max(1, len(ranked) // s["eta"])]]
 
 
 def _propose_mf(strategy, space, by_resource, n_min, rng, settings):

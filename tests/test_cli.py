@@ -929,8 +929,9 @@ def test_stages_are_declared_in_run_order_with_their_seeds(demo_run):
     ({"stages": ["report", "nosuch"]}, "stages must be null or a list of stage names"),
     ({"analyze": 5}, "analyze must be an object"),
     ({"paths": None}, "paths must be an object"),
+    ({"paths": {"data": 5}}, "paths.data must be a string, got 5"),
 ], ids=["list_document", "stages_number", "stages_string", "unknown_stage",
-        "section_number", "section_null"])
+        "section_number", "section_null", "path_number"])
 def test_manifest_of_the_wrong_shape_exits_2_before_any_stage(demo_run, tmp_path, caplog,
                                                               doc, named):
     import logging
@@ -1027,6 +1028,26 @@ def test_removed_strategy_exits_2(demo_run, tmp_path, kind, capsys):
     with pytest.raises(StageError, match=f"unknown strategy '{kind}'") as exc:
         run_pipeline(manifest)
     assert exc.value.stage == "explore" and isinstance(exc.value.cause, StrategyError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("kind", ["tpe", "gp", "hyperband", "bohb"])
+def test_model_based_manifest_strategy_exits_2(demo_run, tmp_path, kind):
+    from harvana.explorer import StrategyError
+    from harvana.pipeline import StageError, run_pipeline
+    # the CLI still runs every strategy
+    assert run_cli("explore", "--space", demo_run / "space.json", "--strategy", kind,
+                   "--budget", 4, "--out", tmp_path / "t.jsonl", "--objective", "sphere") == 0
+    (tmp_path / "t.jsonl").unlink()
+    manifest = demo_stage_manifest(demo_run, tmp_path, "explore", "trials", "trials.jsonl",
+                                   {"explore": {"strategy": kind}})
+    with pytest.raises(StageError, match=f"explore.strategy '{kind}' is not a design: "
+                                         "fANOVA reads the forest under the uniform measure"
+                       ) as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "explore" and isinstance(exc.value.cause, StrategyError)
+    assert "0.892 for random" in str(exc.value)
     assert run_cli("pipeline", "--manifest", manifest) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 

@@ -193,14 +193,24 @@ def test_run_deterministic_logs(unit_space_2d, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_run_parallel_workers_log_identical(unit_space_2d, tmp_path):
+@pytest.mark.parametrize("kind, settings, budget", [
+    ("random", {}, 20), ("grid", {"points_per_dim": 4}, 16), ("tpe", {}, 15), ("gp", {}, 12),
+    ("hyperband", {"R": 9, "eta": 3}, 30), ("bohb", {"R": 9, "eta": 3}, 30),
+], ids=["random", "grid", "tpe", "gp", "hyperband", "bohb"])
+def test_run_parallel_workers_log_identical(unit_space_2d, tmp_path, kind, settings, budget):
+    # every batch goes through fork_map: random and grid are one batch,
+    # hyperband and BOHB one per rung (a 30-call budget cuts the second sweep
+    # short), tpe and gp one call each
     ev = sphere_evaluator(unit_space_2d, [0.4, 0.2])
-    p1, p4 = tmp_path / "w1.jsonl", tmp_path / "w4.jsonl"
-    t1 = run(unit_space_2d, Strategy("random"), ev, budget_B=20, seed=3, out_path=p1)
-    t4 = run(unit_space_2d, Strategy("random"), ev, budget_B=20, seed=3, out_path=p4,
-             workers=4)
-    assert p1.read_bytes() == p4.read_bytes()
-    assert t1 == t4
+    logs, runs = [], []
+    for workers in (None, 1, 2, 4):
+        path = tmp_path / f"w{workers}.jsonl"
+        runs.append(run(unit_space_2d, Strategy(kind, settings), ev, budget_B=budget, seed=3,
+                        out_path=path, workers=workers))
+        logs.append(path.read_bytes())
+    assert len(runs[0]) == budget and [t.trial_id for t in runs[0]] == list(range(budget))
+    assert all(log == logs[0] for log in logs) and all(t == runs[0] for t in runs)
+    assert_no_children()
 
 
 def test_run_monotone_incumbent(unit_space_2d):
@@ -210,13 +220,18 @@ def test_run_monotone_incumbent(unit_space_2d):
     assert (np.diff(best) <= 0).all()
 
 
+@pytest.mark.parametrize("kind, settings", [("random", {}), ("hyperband", {"R": 9, "eta": 3})],
+                         ids=["random", "hyperband"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("k", [3, 7])
-def test_run_evaluator_failure_preserves_partial_log(unit_space_2d, tmp_path, workers, k):
+def test_run_evaluator_failure_preserves_partial_log(unit_space_2d, tmp_path, kind, settings,
+                                                     workers, k):
     from harvana.explorer import _trial_seed
     # fail on trial k's seed, not the k-th call: each process counts its own
-    # calls. With two workers this process evaluates trials 0-4 and a child
-    # 5-9, so k = 3 fails here and k = 7 in the child
+    # calls. With two workers this process evaluates trials 0-4 of random's
+    # one batch and a child 5-9, and trials 0-3 of hyperband's first rung
+    # (9 calls at resource 1) and a child 4-8: k = 3 fails here and k = 7 in
+    # the child
     failing = _trial_seed(0, k)
 
     def flaky(config, budget, seed):
@@ -226,7 +241,7 @@ def test_run_evaluator_failure_preserves_partial_log(unit_space_2d, tmp_path, wo
 
     path = tmp_path / "t.jsonl"
     with pytest.raises(RuntimeError, match=f"trial {k} failed"):
-        run(unit_space_2d, Strategy("random"), flaky, budget_B=10, seed=0,
+        run(unit_space_2d, Strategy(kind, settings), flaky, budget_B=10, seed=0,
             out_path=path, workers=workers)
     # the log streams to <path>.partial, renamed only on success
     assert not path.exists()
@@ -312,7 +327,13 @@ def test_batch_run_forks_at_most_one_process_per_trial(unit_space_2d, monkeypatc
     # three processes for three trials: this one and two children
     assert len(trials) == 3 and len(forks) == 2
     run(unit_space_2d, Strategy("tpe"), ev, budget_B=3, seed=0, workers=64)
-    assert len(forks) == 2  # sequential strategies evaluate here
+    assert len(forks) == 2  # one call per batch: tpe evaluates here
+    trials = run(unit_space_2d, Strategy("hyperband", {"R": 9, "eta": 3}), ev, budget_B=13,
+                 seed=0, workers=2)
+    # rungs of 9, 3 and 1 calls: one child for each of the first two, none
+    # for the last
+    assert [t.budget for t in trials] == [1.0] * 9 + [3.0] * 3 + [9.0]
+    assert len(forks) == 4
     assert_no_children()
 
 
