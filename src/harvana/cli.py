@@ -98,7 +98,7 @@ def cmd_explore(args) -> int:
             raise learner.ConfigError("explore needs --data and --folds "
                                       "(or --objective sphere)")
         ds = sensors.load_frames(args.data, args.window, args.stride, args.smooth_window)
-        folds = sensors.folds_from_json(json.loads(Path(args.folds).read_text()))
+        folds = sensors.load_folds(args.folds)
         base = (pipeline.model_config_from_json(json.loads(Path(args.model).read_text()))
                 if args.model else learner.ModelConfig())
         evaluator = pipeline.LearnerEvaluator(ds, folds, base, val_fold=args.val_fold)
@@ -158,7 +158,7 @@ def cmd_dgp(args) -> int:
 
 def cmd_train(args) -> int:
     ds = sensors.load_frames(args.data, args.window, args.stride, args.smooth_window)
-    folds = sensors.folds_from_json(json.loads(Path(args.folds).read_text()))
+    folds = sensors.load_folds(args.folds)
     cfg = (pipeline.model_config_from_json(json.loads(Path(args.config).read_text()))
            if args.config else learner.ModelConfig())
     model = dgp_mod.load_dgp(args.dgp) if args.dgp else None

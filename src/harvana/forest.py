@@ -11,7 +11,8 @@ leaves whose boxes hold them (:func:`marginal_predict` here, and
 :func:`harvana.fanova.pairwise_marginal_table` on a grid); a variance sums
 over pairs of leaves (:func:`harvana.fanova.decompose`). :func:`predict`, a
 walk of the node tables for all query points at once, is kept as the
-independent point reference.
+independent point reference. A forest is stored as its node tables
+(:func:`forest_to_json`), and :func:`load_forest` rebuilds the leaf arrays.
 
 Split search is presorted (SLIQ; Mehta, Agrawal & Rissanen, 1996): a tree
 sorts its sample once per numeric dim with a stable argsort, and children
@@ -24,9 +25,11 @@ scalars, gains are compared in the node's drawn dim order with a strict
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -370,3 +373,99 @@ def marginal_predict(forest: Forest, subset: Sequence[str], theta: Sequence[floa
         # zero-width box then weighs 0 instead of 0/0
         total += float(tree.predictions[inside] @ tree.extents[inside][:, free].prod(axis=1))
     return total / forest.n_trees
+
+
+# ---------------------------------------------------------------------------
+# JSON codec: the node tables are stored, and the leaf arrays rebuilt on load
+
+TABLE_KEYS = ("split_dim", "threshold", "subset", "left", "right", "value")
+
+
+def forest_to_json(forest: Forest) -> dict:
+    """`forest` as strict JSON: per tree, its node table as one list per
+    NodeTable field; a NaN threshold (a leaf or a categorical split) is null,
+    a categorical subset a sorted list of choice indices."""
+    trees = [{"split_dim": t.nodes.split_dim.tolist(),
+              "threshold": [None if math.isnan(x) else x for x in t.nodes.threshold.tolist()],
+              "subset": [None if s is None else sorted(s) for s in t.nodes.subset],
+              "left": t.nodes.left.tolist(), "right": t.nodes.right.tolist(),
+              "value": t.nodes.value.tolist()} for t in forest.trees]
+    return {"response": forest.response, "params": list(forest.space.names), "trees": trees}
+
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _table_from_json(tree, space: SearchSpace, where: str) -> NodeTable:
+    """The node table `tree` holds; ForestError naming `where` and the node
+    unless it is a preorder table over `space`."""
+    if not isinstance(tree, Mapping):
+        raise ForestError(f"{where}: expected an object, got {tree!r}")
+    if missing := [k for k in TABLE_KEYS if k not in tree]:
+        raise ForestError(f"{where}: missing keys {missing}")
+    columns = [tree[k] for k in TABLE_KEYS]
+    lengths = [len(c) if isinstance(c, list) else None for c in columns]
+    if None in lengths or len(set(lengths)) != 1 or not lengths[0]:
+        raise ForestError(f"{where}: {', '.join(TABLE_KEYS)} must be non-empty lists of one "
+                          f"length, got lengths {lengths}")
+    n = lengths[0]
+    for i, (dim, thr, sub, lt, rt, v) in enumerate(zip(*columns)):
+        node = f"{where} node {i}"
+        if not (all(type(x) is int for x in (dim, lt, rt)) and _finite(v)):
+            raise ForestError(f"{node}: split_dim, left and right must be integers and value "
+                              f"a finite number, got {dim!r}, {lt!r}, {rt!r}, {v!r}")
+        if not -1 <= dim < space.dim:
+            raise ForestError(f"{node}: split dim {dim} out of range [-1, {space.dim})")
+        if dim == -1:
+            if (lt, rt, thr, sub) != (-1, -1, None, None):
+                raise ForestError(f"{node}: a leaf has children -1 and no threshold or subset")
+            continue
+        # preorder: both children come after their parent, so a walk ends
+        if not (i < lt < n and i < rt < n):
+            raise ForestError(f"{node}: child index ({lt}, {rt}) out of range ({i}, {n})")
+        p = space.params[dim]
+        if p.kind != "categorical":
+            if not (_finite(thr) and sub is None):
+                raise ForestError(f"{node}: a split on {p.name!r} needs a finite threshold and "
+                                  f"no subset, got {thr!r} and {sub!r}")
+        elif not (thr is None and isinstance(sub, list) and sub
+                  and all(type(c) is int and 0 <= c < p.n_choices for c in sub)):
+            raise ForestError(f"{node}: a split on {p.name!r} needs a non-empty subset of "
+                              f"choices in [0, {p.n_choices}) and no threshold, got {sub!r} "
+                              f"and {thr!r}")
+    split_dim, threshold, subset, left, right, value = columns
+    return NodeTable(np.array(split_dim), np.array([math.nan if x is None else float(x)
+                                                     for x in threshold]),
+                     [None if s is None else frozenset(s) for s in subset],
+                     np.array(left), np.array(right), np.array(value, dtype=float))
+
+
+def forest_from_json(doc, space: SearchSpace, source: str = "forest") -> Forest:
+    """The forest `doc` holds over `space`, its leaf arrays rebuilt by
+    forest_from_tables. ForestError naming `source` unless every key is
+    there, the params are the space's names in order, and every tree is a
+    preorder node table over the space."""
+    keys = ("response", "params", "trees")
+    if not isinstance(doc, Mapping):
+        raise ForestError(f"{source}: a forest must be a JSON object")
+    if missing := [k for k in keys if k not in doc]:
+        raise ForestError(f"{source}: missing keys {missing}")
+    if doc["params"] != list(space.names):
+        raise ForestError(f"{source}: params {doc['params']!r} are not the space's "
+                          f"{list(space.names)}")
+    if not (isinstance(doc["trees"], list) and doc["trees"]):
+        raise ForestError(f"{source}: trees must be a non-empty list")
+    tables = [_table_from_json(tree, space, f"{source}: tree {t}")
+              for t, tree in enumerate(doc["trees"])]
+    return forest_from_tables(space, tables, str(doc["response"]))
+
+
+def load_forest(path: str | Path, space: SearchSpace) -> Forest:
+    """The forest the JSON file `path` holds (forest_from_json), naming
+    `path` in any ForestError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ForestError(f"{path}: not JSON: {e}") from None
+    return forest_from_json(doc, space, source=str(path))

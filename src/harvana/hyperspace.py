@@ -408,17 +408,23 @@ def space_to_json(space: SearchSpace) -> dict:
 
 
 def space_from_json(doc: Mapping) -> SearchSpace:
+    """The space `doc` holds. Every field is read by convert_key: names,
+    kinds, priors, tags and choices as strings, bounds as numbers (integers
+    for an integer param), so a field of the wrong type raises SpaceError
+    naming the param and the field; a field left out or null keeps its
+    ParamSpec default."""
     params = []
-    for d in doc["params"]:
-        params.append(ParamSpec(
-            name=d["name"],
-            kind=d["kind"],
-            lower=d.get("lower"),
-            upper=d.get("upper"),
-            choices=tuple(d["choices"]) if d.get("choices") else None,
-            prior=d.get("prior", "uniform"),
-            source_tag=d.get("source_tag", GLOBAL_TAG),
-        ))
+    for i, d in enumerate(doc["params"]):
+        name = convert_key(f"params[{i}].name", "", d["name"], SpaceError)
+        kind = convert_key(f"param {name!r}: kind", "", d.get("kind"), SpaceError)
+        bound = 0 if kind == "integer" else 0.0
+        given = {key: convert_key(f"param {name!r}: {key}", default, d[key], SpaceError)
+                 for key, default in (("lower", bound), ("upper", bound), ("choices", [""]),
+                                      ("prior", ""), ("source_tag", ""))
+                 if d.get(key) is not None}
+        if "choices" in given:
+            given["choices"] = tuple(given["choices"])
+        params.append(ParamSpec(name=name, kind=kind, **given))
     return SearchSpace(params=tuple(params))
 
 

@@ -1,15 +1,15 @@
 """End-to-end orchestration: generate -> partition -> explore -> analyze ->
 dgp -> protocol -> report, driven by a JSON manifest.
 
-Stages are idempotent: each one is skipped when its output already exists
-unless force=True. The rule lives in one place, the `_stage` declaration:
-each stage names the manifest path it writes and, if that is a directory,
-the file it writes last, and is done when that file exists. Every file is
-written through hyperspace.atomic_open, to a side file renamed on success,
-so a crashed stage never passes for done. Every JSON artifact embeds a
-provenance block (stage seed plus a hash of the manifest) and all outputs
-are byte-deterministic for a fixed manifest, so two runs produce identical
-trial logs, reports, and SVGs.
+Stages are idempotent: each one is skipped when it is done unless
+force=True. The rule lives in one place, the `_stage` declaration: each
+stage names the manifest path it writes and, if that is a directory, the
+file it writes last, and is done when that file exists and carries the
+stage's stamp (Manifest.config_hash). Every file is written through
+hyperspace.atomic_open, so a crashed stage never passes for done. Every
+artifact embeds a provenance block (stage seed plus stamp), stages hand
+over through files only, and all outputs are byte-deterministic for a
+fixed manifest.
 """
 
 from __future__ import annotations
@@ -235,9 +235,13 @@ class Manifest:
         k = [name for name, _ in STAGES].index(stage) + 1
         return int(hyperspace.derive_rng(self.seed, k).integers(2 ** 31))
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.doc, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+    def config_hash(self, stage: str) -> str:
+        """The stamp of `stage`: a hash of the seed and the sections of
+        `stage` and the stages before it, all its artifacts derive from (no
+        stage reads a later section); `paths` and `stages` stay out."""
+        names = [name for name, _ in STAGES]
+        doc = {key: self.doc[key] for key in ["seed", *names[:names.index(stage) + 1]]}
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # What a failing stage raises: harvana's own errors derive from ValueError or
@@ -339,22 +343,24 @@ STAGES: list[tuple[str, Callable[..., Path]]] = []
 def _stage(name: str, out_key: str, last: str | None = None):
     """Declare a stage that writes the manifest path `out_key`, next in
     STAGES. It is done when `last`, the file it writes last, exists under
-    that path (the path itself when `last` is None); a done stage is skipped
-    unless force=True. The body runs as body(manifest, out, built, seed,
-    prov, **kw), given the stage's seed and the provenance its artifacts
-    embed. `built` is the dict in which the stages of one run_pipeline call
-    leave what a later stage of that call reuses (see run_pipeline); a
-    stage called alone gets an empty one."""
+    that path (the path itself when `last` is None) and carries the stage's
+    stamp, Manifest.config_hash(name); a done stage is skipped unless
+    force=True. The body runs as body(manifest, out, built, seed, prov,
+    **kw), given the stage's seed and the provenance its artifacts embed,
+    which holds that stamp. `built` is the dict in which the stages of one
+    run_pipeline call share the parsed dataset (see run_pipeline); a stage
+    called alone gets an empty one."""
     def declare(body: Callable[..., None]) -> Callable[..., Path]:
         @functools.wraps(body)
         def stage(manifest: Manifest, force: bool = False, built: dict | None = None,
                   **kw) -> Path:
             out = manifest.path(out_key)
-            if (out / last if last else out).exists() and not force:
+            done = out / last if last else out
+            seed = manifest.stage_seed(name)
+            prov = {"seed": seed, "config_hash": manifest.config_hash(name)}
+            if not force and done.exists() and prov["config_hash"].encode() in done.read_bytes():
                 logger.info("%s: %s up-to-date", name, out)
                 return out
-            seed = manifest.stage_seed(name)
-            prov = {"seed": seed, "config_hash": manifest.config_hash()}
             body(manifest, out, {} if built is None else built, seed, prov, **kw)
             logger.info("%s: wrote %s", name, out)
             return out
@@ -376,13 +382,7 @@ def _dataset(manifest: Manifest, built: dict) -> sensors.Dataset:
 
 def _load_frames(manifest: Manifest,
                  built: dict) -> tuple[sensors.Dataset, sensors.FoldAssignment]:
-    folds = sensors.folds_from_json(json.loads(manifest.path("folds").read_text()))
-    return _dataset(manifest, built), folds
-
-
-def _tree_args(manifest: Manifest) -> dict:
-    """The manifest's analysis_forests tree settings."""
-    return {k: manifest.number(f"analyze.{k}") for k in ("n_trees", "max_depth", "min_leaf")}
+    return _dataset(manifest, built), sensors.load_folds(manifest.path("folds"))
 
 
 @_stage("generate", "data", last="provenance.json")
@@ -401,11 +401,12 @@ def stage_partition(manifest: Manifest, out: Path, built: dict, seed: int, prov:
     hyperspace.write_json(out, folds.to_json(), prov)
 
 
-@_stage("explore", "trials")
+@_stage("explore", "space")
 def stage_explore(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict,
                   workers: int | None = None) -> None:
-    """Explore the gain space of the deployment; space.json is rewritten after
-    each complete run, so a crashed run leaves it matching the old trial log."""
+    """Explore the gain space of the deployment. The trial log's format
+    stays pure, so the space, written after each complete run with the
+    provenance, marks the stage done."""
     exp = manifest.doc["explore"]
     # the manifest's settings are checked before anything is loaded or written
     lr_bounds = manifest.number("explore.lr_bounds")
@@ -421,9 +422,9 @@ def stage_explore(manifest: Manifest, out: Path, built: dict, seed: int, prov: d
     ds, folds = _load_frames(manifest, built)
     space = gain_space(ds.deployment, lr_bounds)
     evaluator = LearnerEvaluator(ds, folds, base, val_fold=val_fold)
-    explorer.run(space, strategy, evaluator, budget, seed, out_path=out,
+    explorer.run(space, strategy, evaluator, budget, seed, out_path=manifest.path("trials"),
                  full_budget=float(base.epochs), workers=workers)
-    hyperspace.save_space(space, manifest.path("space"))
+    hyperspace.write_json(out, hyperspace.space_to_json(space), prov)
 
 
 @_stage("analyze", "reports", last="report_nu.json")
@@ -434,14 +435,15 @@ def stage_analyze(manifest: Manifest, out: Path, built: dict, seed: int, prov: d
     # report_nu.json marks the stage done, so it is written last
     responses = [f"per_activity_nu[{a}]"
                  for a in sorted(trials[0].per_activity_nu)] + ["nu"]
-    forests = analysis_forests(trials, space, responses, **_tree_args(manifest), seed=seed)
+    forests = analysis_forests(trials, space, responses, seed=seed, **{
+        k: manifest.number(f"analyze.{k}") for k in ("n_trees", "max_depth", "min_leaf")})
     for resp, fr in zip(responses, forests):
         rep = fanova.decompose(fr)
         name = "nu" if resp == "nu" else forest.activity_of(resp)
+        if resp == "nu":  # the report stage draws its heat maps from this forest
+            hyperspace.write_json(out / "forest_nu.json", forest.forest_to_json(fr), prov)
         report.importance_csv(rep, out / f"report_{name}.csv", prov)
         hyperspace.write_json(out / f"report_{name}.json", fanova.report_to_json(rep), prov)
-    # the report stage of this run draws its heat maps from it
-    built["nu forest"] = forests[-1]
 
 
 @_stage("dgp", "dgp")
@@ -510,11 +512,11 @@ def stage_protocol(manifest: Manifest, out: Path, built: dict, seed: int, prov: 
 
 @_stage("report", "report", last="summary.md")
 def stage_report(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
-    """Render the report bundle from space.json, trials.jsonl, reports/ and
-    metrics.json; nothing here trains. The heat maps come from the nu forest
-    the analyze stage of the same run fitted, or from a refit of it."""
+    """Render the report bundle from space.json, reports/ and metrics.json;
+    nothing here trains or fits. The heat maps come from forest_nu.json, the
+    forest whose shares report_nu.json holds."""
     space = hyperspace.load_space(manifest.path("space"))
-    # the manifest's report settings are checked before any write or fit
+    # the manifest's report settings are checked before any write
     resolution = manifest.number("report.resolution")
     pairs = manifest.doc["report"].get("pairwise") or []
     check_pairs(space, pairs, resolution)
@@ -527,11 +529,7 @@ def stage_report(manifest: Manifest, out: Path, built: dict, seed: int, prov: di
         ranked = sorted(overall.pairwise.items(), key=lambda kv: -kv[1])
         pairs = [k for k, w in ranked[:2] if w > 0]
     if pairs:
-        fr = built.get("nu forest")
-        if fr is None:
-            fr, = analysis_forests(hyperspace.read_trials(manifest.path("trials")), space,
-                                   ["nu"], **_tree_args(manifest),
-                                   seed=manifest.stage_seed("analyze"))
+        fr = forest.load_forest(manifest.path("reports") / "forest_nu.json", space)
         for u, v in pairs:
             write_marginal(fr, u, v, resolution, out / f"marginal_{u}_{v}.svg",
                            out / f"marginal_{u}_{v}.csv", prov)
@@ -573,11 +571,9 @@ def run_pipeline(manifest_path: str | Path, force: bool = False,
     (random or a whole grid) as one batch on that many processes; None means
     one per usable CPU.
 
-    The stages of one call share one `built` dict: the data CSVs are parsed
-    once for partition, explore and protocol, and the report draws its heat
-    maps from the nu forest analyze fitted. Nothing in it outlives the
-    call, and a stage that is skipped leaves nothing there, so a later stage
-    reads or refits from the artifacts."""
+    The stages of one call share one `built` dict, in which the data CSVs
+    are parsed once for partition, explore and protocol. Nothing in it
+    outlives the call; every other handover is a file."""
     manifest = Manifest.load(manifest_path)
     enabled = manifest.doc.get("stages")
     artifacts, built = [], {}

@@ -226,10 +226,26 @@ class FoldAssignment:
                 "assignment": {str(i): f for i, f in sorted(self.assignment.items())}}
 
 
-def folds_from_json(doc: Mapping) -> FoldAssignment:
-    return FoldAssignment(k=int(doc["k"]), meta_len=int(doc["meta_len"]),
-                          seed=int(doc["seed"]),
-                          assignment={int(i): int(f) for i, f in doc["assignment"].items()})
+def folds_from_json(doc: Mapping, source: str = "folds") -> FoldAssignment:
+    """The fold assignment `doc` holds. Every number is read by convert_key,
+    so none is truncated, and each frame's fold must lie in [0, k); a bad
+    value raises SensorError naming `source` and the key or frame id."""
+    k, meta_len, seed = (convert_key(f"{source}: {key}", 0, doc[key], SensorError)
+                         for key in ("k", "meta_len", "seed"))
+    assignment = {}
+    for frame, fold in doc["assignment"].items():
+        if not frame.isdecimal():
+            raise SensorError(f"{source}: frame id {frame!r} is not an integer >= 0")
+        fold = convert_key(f"{source}: frame {frame}", 0, fold, SensorError)
+        if not 0 <= fold < k:
+            raise SensorError(f"{source}: frame {frame}: fold {fold} is not in [0, {k})")
+        assignment[int(frame)] = fold
+    return FoldAssignment(k=k, meta_len=meta_len, seed=seed, assignment=assignment)
+
+
+def load_folds(path: str | Path) -> FoldAssignment:
+    """The fold assignment the JSON file `path` holds (folds_from_json)."""
+    return folds_from_json(json.loads(Path(path).read_text()), source=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_manifest_stage_toggles(demo_run, tmp_path):
     doc["stages"] = ["report"]
     manifest = demo_run / "manifest_report_only.json"
     manifest.write_text(json.dumps(doc))
-    # config hash differs from the full run, only the report stage executes
+    # forced, only the report stage executes
     artifacts = run_pipeline(manifest, force=True)
     assert [p.name for p in artifacts] == ["report"]
 
@@ -196,9 +196,10 @@ def test_pipeline_rerun_skips_stages(demo_run, caplog):
     assert sum("up-to-date" in r.message for r in caplog.records) == 7
 
 
-# the file each stage writes last: it alone marks the stage done
+# the file each stage writes last: it alone marks the stage done, with the
+# stage's stamp (the trial log's format stays pure, so explore's is the space)
 DONE_FILES = {"generate": "data/provenance.json", "partition": "folds.json",
-              "explore": "trials.jsonl", "analyze": "reports/report_nu.json",
+              "explore": "space.json", "analyze": "reports/report_nu.json",
               "dgp": "dgp.json", "protocol": "metrics.json", "report": "report/summary.md"}
 
 
@@ -333,7 +334,8 @@ def test_supplement_trains_the_all_sources_family_as_w_dgp(demo_run, tmp_path,
 
 
 def test_artifacts_embed_provenance(demo_run):
-    for rel in ["folds.json", "dgp.json", "metrics.json", "reports/report_nu.json"]:
+    for rel in ["folds.json", "space.json", "dgp.json", "metrics.json",
+                "reports/report_nu.json", "reports/forest_nu.json"]:
         doc = json.loads((demo_run / rel).read_text())
         assert set(doc["provenance"]) == {"seed", "config_hash"}, rel
     for rel in ["report/importance.csv", "report/tau_sweep.csv"]:
@@ -584,7 +586,7 @@ def test_demo_default_workers_write_what_one_worker_writes(tmp_path, monkeypatch
     assert run_cli("pipeline", "--demo", default) == 0
     assert run_cli("pipeline", "--demo", one, "--workers", 1) == 0
     assert sha256_list(default) == sha256_list(one)
-    assert len(sha256_list(one)) == 35 and not list(tmp_path.rglob("*.partial"))
+    assert len(sha256_list(one)) == 36 and not list(tmp_path.rglob("*.partial"))
     assert_no_children()
 
 
@@ -1424,37 +1426,24 @@ def test_one_run_parses_the_data_once_and_fits_each_forest_once(tmp_path, monkey
     assert len(trees) == responses * manifest.number("analyze.n_trees")
 
 
-def test_report_split_from_analyze_refits_the_same_bytes(pristine_demo, tmp_path, monkeypatch):
+def test_report_split_from_analyze_loads_the_forest_and_writes_the_same_bytes(
+        pristine_demo, tmp_path, monkeypatch):
     # the same manifest split in two calls by its "stages" toggle: the second
-    # call's report refits the nu forest. Each call's manifest differs by its
-    # stage list, and so does the manifest hash provenance embeds; the bytes
-    # match once that hash is masked. (A report rerun under the very same
-    # manifest refits too: see the rerun tests above, which compare bytes
-    # unmasked.)
-    from harvana.pipeline import STAGES, Manifest, demo_manifest, run_pipeline
+    # call's report loads the nu forest analyze saved and fits none. The
+    # stamps leave the stage list out, so the bytes match unmasked
+    from harvana.pipeline import STAGES, demo_manifest, run_pipeline
     path = demo_manifest(tmp_path / "demo")
     doc = json.loads(path.read_text())
-    hashes = [Manifest.load(pristine_demo / "manifest.json").config_hash()]
     _, trees = count_parses_and_trees(monkeypatch)
     for stages in ([name for name, _ in STAGES if name != "report"], ["report"]):
         doc["stages"] = stages
         path.write_text(json.dumps(doc))
-        hashes.append(Manifest.load(path).config_hash())
         before = len(trees)
         run_pipeline(path)
-    assert len(trees) - before == doc["analyze"]["n_trees"]  # the report's refit
-
-    def masked(root):
-        out = {}
-        for rel, blob in files_under(root).items():
-            for h in hashes:
-                blob = blob.replace(h.encode(), b"<hash>")
-            out[rel] = blob
-        return out
-
-    split, whole = masked(tmp_path / "demo"), masked(pristine_demo)
+    assert len(trees) == before  # the report fitted no tree
+    split, whole = files_under(tmp_path / "demo"), files_under(pristine_demo)
     del split["manifest.json"], whole["manifest.json"]  # the stage lists differ
-    assert len(split) == 34 and any(rel.startswith("report/marginal_") for rel in split)
+    assert len(split) == 35 and any(rel.startswith("report/marginal_") for rel in split)
     for rel in sorted(set(split) | set(whole)):
         assert split.get(rel) == whole.get(rel), rel
 
@@ -1482,7 +1471,200 @@ def test_second_run_in_one_process_writes_what_a_fresh_process_writes(pristine_d
                     "run_pipeline; run_pipeline(sys.argv[1])", roots[1] / "manifest.json"],
                    env=env, check=True)
     here, fresh = files_under(roots[0]), files_under(roots[1])
-    assert len(here) == 35 and here.keys() == fresh.keys()
+    assert len(here) == 36 and here.keys() == fresh.keys()
     for rel in here:
         assert here[rel] == fresh[rel], rel
     assert here["trials.jsonl"] != (pristine_demo / "trials.jsonl").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# stamps: a stage is done only when its done-file carries its own stamp
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The small demo with every stage run; no test writes into it."""
+    return small_demo(tmp_path_factory.mktemp("small"), None).root
+
+
+def rerun(root, caplog) -> list[str]:
+    """Run the manifest under root; the stages that wrote, in order."""
+    import logging
+    from harvana.pipeline import run_pipeline
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        run_pipeline(root / "manifest.json")
+    return [r.getMessage().split(":")[0] for r in caplog.records if ": wrote " in r.getMessage()]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("generate", "sensor", {"noise_sigma": 0.35}),
+    ("partition", "meta_len", 2),
+    ("explore", "val_fold", 1),
+    ("analyze", "n_trees", 16),
+    ("dgp", "tau_imp", 0.6),
+    ("protocol", "tau_sweep", [0.0, 0.5]),
+    ("report", "resolution", 10),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_manifest_edit_reruns_its_stage_and_the_later_ones(small_run, tmp_path, caplog,
+                                                           section, key, value):
+    import shutil
+    from harvana.pipeline import STAGES
+    names = [name for name, _ in STAGES]
+    root, fresh = tmp_path / "edited", tmp_path / "fresh"
+    shutil.copytree(small_run, root)
+    doc = json.loads((root / "manifest.json").read_text())
+    doc[section][key] = value
+    (root / "manifest.json").write_text(json.dumps(doc))
+    assert rerun(root, caplog) == names[names.index(section):]
+    # the rerun leaves what a fresh run of the edited manifest writes
+    fresh.mkdir()
+    shutil.copy(root / "manifest.json", fresh)
+    assert rerun(fresh, caplog) == names
+    assert files_under(root) == files_under(fresh)
+    if section == "dgp":
+        assert json.loads((root / "dgp.json").read_text())["tau_imp"] == 0.6
+
+
+def test_unchanged_manifest_reruns_nothing(small_run, tmp_path, caplog):
+    import shutil
+    root = tmp_path / "demo"
+    shutil.copytree(small_run, root)
+    assert rerun(root, caplog) == []
+    assert files_under(root) == files_under(small_run)
+
+
+@pytest.mark.parametrize("stage", list(DONE_FILES))
+def test_done_file_with_another_stamp_reruns_only_that_stage(small_run, tmp_path, caplog,
+                                                             stage):
+    # an output directory of an older manifest: its done-file exists, but
+    # carries another stamp
+    import shutil
+    root = tmp_path / "demo"
+    shutil.copytree(small_run, root)
+    done = root / DONE_FILES[stage]
+    stamp = re.search(r"config_hash\W+([0-9a-f]{16})", done.read_text()).group(1)
+    done.write_text(done.read_text().replace(stamp, "0" * 16))
+    assert rerun(root, caplog) == [stage]
+    assert files_under(root) == files_under(small_run)
+
+
+def test_each_stage_reads_only_the_sections_its_stamp_covers(small_run, tmp_path):
+    # a stage's stamp covers the seed and the sections of that stage and the
+    # ones before it; each stage runs, forced, on a manifest holding only
+    # those and the paths, and writes what it wrote from the whole manifest
+    import shutil
+    from harvana.pipeline import STAGES, Manifest
+    root = tmp_path / "demo"
+    shutil.copytree(small_run, root)
+    whole = Manifest.load(root / "manifest.json")
+    names = [name for name, _ in STAGES]
+    for i, (name, stage) in enumerate(STAGES):
+        doc = {key: whole.doc[key] for key in ["seed", "paths", *names[:i + 1]]}
+        stage(Manifest(doc=doc, root=root), force=True)
+    assert files_under(root) == files_under(small_run)
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda doc: doc.pop("trees"), "missing keys ['trees']"),
+    (lambda doc: doc["params"].reverse(), "are not the space's"),
+    (lambda doc: doc["trees"][0]["value"].pop(), "must be non-empty lists of one length"),
+    (lambda doc: doc["trees"][0]["right"].__setitem__(0, 10 ** 6), "child index"),
+    (lambda doc: doc["trees"][0]["split_dim"].__setitem__(0, 7), "split dim 7 out of range"),
+    (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0), "child index"),
+    (lambda doc: doc["trees"][0]["threshold"].__setitem__(0, None), "finite threshold"),
+    (lambda doc: doc.__setitem__("trees", "x"), "non-empty list"),
+], ids=["missing_key", "params", "unequal_lengths", "child_out_of_range", "split_dim",
+        "child_not_after_parent", "null_threshold", "trees_not_a_list"])
+def test_malformed_forest_file_exits_2_naming_it(pristine_demo, tmp_path, caplog, corrupt,
+                                                 named):
+    import shutil
+    from harvana.forest import ForestError
+    from harvana.pipeline import Manifest, StageError, run_pipeline
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    path = root / "reports" / "forest_nu.json"
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    assert run_cli("report", "--manifest", root / "manifest.json", "--force") == 2
+    assert f"{path}" in caplog.text and named in caplog.text
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["stages"] = ["report"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StageError, match="forest_nu.json") as exc:
+        run_pipeline(root / "manifest.json", force=True)
+    assert exc.value.stage == "report" and isinstance(exc.value.cause, ForestError)
+    assert Manifest.load(root / "manifest.json").doc["stages"] == ["report"]
+
+
+def test_report_loads_the_forest_analyze_saved(pristine_demo, tmp_path, monkeypatch):
+    # the report reads no trial log and no analyze setting: after an edit to
+    # analyze.n_trees that analyze has not run under, the heat maps still
+    # come from the saved forest, whose shares report_nu.json holds
+    import shutil
+    from harvana.pipeline import Manifest, stage_report
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    (root / "trials.jsonl").unlink()
+    _, trees = count_parses_and_trees(monkeypatch)
+    manifest = Manifest.load(root / "manifest.json")
+    old = manifest.config_hash("report").encode()
+    manifest.doc["analyze"]["n_trees"] = 4
+    stage_report(manifest, force=True)
+    assert trees == []
+    # the edit moved the report's stamp, and nothing else
+    new = manifest.config_hash("report").encode()
+    marginals = sorted((root / "report").glob("marginal_*"))
+    assert marginals and all(
+        p.read_bytes() == (pristine_demo / "report" / p.name).read_bytes().replace(old, new)
+        for p in marginals)
+
+
+def bad_space(tmp_path, demo_run):
+    """The demo's space.json with a string upper bound on its first gain."""
+    doc = json.loads((demo_run / "space.json").read_text())
+    doc["params"][1]["upper"] = "1.0"
+    path = tmp_path / "bad_space.json"
+    path.write_text(json.dumps(doc))
+    return path, doc["params"][1]["name"]
+
+
+def test_space_bound_of_the_wrong_type_exits_2_naming_the_param(demo_run, tmp_path, caplog):
+    from harvana.hyperspace import SpaceError
+    from harvana.pipeline import StageError, run_pipeline
+    path, name = bad_space(tmp_path, demo_run)
+    assert run_cli("analyze", "--trials", demo_run / "trials.jsonl", "--space", path,
+                   "--out", tmp_path / "r.json") == 2
+    assert f"param '{name}': upper" in caplog.text and not (tmp_path / "r.json").exists()
+    manifest = demo_stage_manifest(demo_run, tmp_path, "analyze", "reports", "reports", {})
+    doc = json.loads(manifest.read_text())
+    doc["paths"]["space"] = str(path)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=f"param '{name}': upper") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "analyze" and isinstance(exc.value.cause, SpaceError)
+    assert run_cli("pipeline", "--manifest", manifest) == 2
+
+
+@pytest.mark.parametrize("fold", [1.7, 9, -1, "1"])
+def test_bad_fold_index_exits_2_naming_file_and_frame(demo_run, tmp_path, caplog, fold):
+    # a fold of 1.7 is not read as 1, and a fold outside [0, k) is refused,
+    # where that frame would otherwise never be validated on
+    from harvana.pipeline import StageError, run_pipeline
+    from harvana.sensors import SensorError
+    doc = json.loads((demo_run / "folds.json").read_text())
+    frame = sorted(doc["assignment"], key=int)[3]
+    doc["assignment"][frame] = fold
+    folds = tmp_path / "bad_folds.json"
+    folds.write_text(json.dumps(doc))
+    assert run_cli("train", "--data", demo_run / "data", "--folds", folds, "--window", 80,
+                   "--out", tmp_path / "m.json") == 2
+    assert str(folds) in caplog.text and f"frame {frame}" in caplog.text
+    manifest = demo_stage_manifest(demo_run, tmp_path, "protocol", "metrics", "metrics.json", {})
+    doc = json.loads(manifest.read_text())
+    doc["paths"]["folds"] = str(folds)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match=f"frame {frame}") as exc:
+        run_pipeline(manifest)
+    assert exc.value.stage == "protocol" and isinstance(exc.value.cause, SensorError)
+    assert not (tmp_path / "metrics.json").exists()

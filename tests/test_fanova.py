@@ -11,8 +11,9 @@ from harvana.fanova import (
     report_to_json,
     save_report,
 )
-from harvana.forest import Forest, TreeData, fit_forest, forest_from_tables, marginal_predict
-from harvana.hyperspace import ParamSpec, SearchSpace, sample, to_unit
+from harvana.forest import (Forest, TreeData, encode_config, fit_forest, forest_from_tables,
+                            forest_to_json, load_forest, marginal_predict, predict)
+from harvana.hyperspace import ParamSpec, SearchSpace, sample, to_unit, write_json
 
 from conftest import make_trial, trials_from_function, unit_space
 from test_forest import grid_points, leaf, random_planted_root, split
@@ -295,6 +296,35 @@ def cat_cat_forest() -> Forest:
     trials = trials_from_function(
         space, lambda u: 0.4 * u[0] * u[1] + 0.3 * (u[1] > 0.5) + 0.2 * u[2], 80, seed=5)
     return fit_forest(trials, space, n_trees=8, seed=5, min_leaf=1)
+
+
+def numeric_forest() -> Forest:
+    """Fitted forest over two continuous params, one of them log-scaled."""
+    space = SearchSpace(params=(ParamSpec("a", "continuous", 0.0, 1.0),
+                                ParamSpec("lr", "continuous", 1e-4, 1e-1, prior="log")))
+    trials = trials_from_function(space, lambda u: 0.5 * u[0] * u[1] + 0.2 * u[1], 60, seed=2)
+    return fit_forest(trials, space, n_trees=8, seed=2, min_leaf=1)
+
+
+@pytest.mark.parametrize("make", [numeric_forest, cat_cat_forest, mixed_forest],
+                         ids=["numeric", "categorical", "mixed"])
+def test_forest_json_round_trip(make, tmp_path):
+    # the node tables are stored as strict JSON and the leaf arrays rebuilt:
+    # every point prediction, share and table comes back bit for bit
+    fr = make()
+    write_json(tmp_path / "forest.json", forest_to_json(fr))
+    assert "NaN" not in (tmp_path / "forest.json").read_text()
+    back = load_forest(tmp_path / "forest.json", fr.space)
+    assert back.response == fr.response
+    rng = np.random.default_rng(0)
+    Z = np.stack([encode_config(fr.space, sample(fr.space, rng)) for _ in range(50)])
+    assert np.array_equal(predict(back, Z), predict(fr, Z))
+    assert decompose(back) == decompose(fr)
+    names = fr.space.names
+    for u, v in [(names[0], names[1]), (names[-1], names[0])]:
+        for a, b in zip(pairwise_marginal_table(back, u, v, 16),
+                        pairwise_marginal_table(fr, u, v, 16)):
+            assert np.array_equal(a, b)
 
 
 def segments(tree: TreeData, space: SearchSpace, dim: int):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from harvana.forest import (
     encode_config,
     fit_forest,
     fit_forests,
+    forest_from_json,
     forest_from_tables,
+    forest_to_json,
     marginal_predict,
     predict,
     response_value,
@@ -600,3 +603,41 @@ def test_fit_forests_worker_that_dies_raises_runtime_error(monkeypatch):
 def test_fit_forests_needs_a_response():
     with pytest.raises(ForestError, match="at least one response"):
         fit_forests(mixed_trials(20), mixed_space(), [])
+
+
+# ---------------------------------------------------------------------------
+# the JSON codec refuses a malformed node table
+
+def categorical_tree_doc() -> dict:
+    """A one-tree forest over mixed_space that splits on 'mode' (dim 3)
+    and then on 'a' (dim 0), as JSON."""
+    table = split(3, {0, 2}, split(0, 0.5, leaf(0.1), leaf(0.2)), leaf(0.3))
+    table.value = np.nan_to_num(table.value)  # a fitted inner node holds its mean
+    return forest_to_json(forest_from_tables(mixed_space(), [table]))
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda doc: doc.pop("params"), "missing keys ['params']"),
+    (lambda doc: doc["trees"][0].pop("subset"), "tree 0: missing keys ['subset']"),
+    (lambda doc: doc["params"].pop(), "are not the space's"),
+    (lambda doc: doc["trees"][0]["left"].append(-1), "of one length"),
+    (lambda doc: doc["trees"][0]["right"].__setitem__(0, 5), "child index (1, 5) out of range"),
+    (lambda doc: doc["trees"][0]["split_dim"].__setitem__(0, 6), "split dim 6 out of range"),
+    (lambda doc: doc["trees"][0]["subset"].__setitem__(0, [0, 3]), "choices in [0, 3)"),
+    (lambda doc: doc["trees"][0]["subset"].__setitem__(0, None), "choices in [0, 3)"),
+    (lambda doc: doc["trees"][0]["threshold"].__setitem__(0, 0.5), "choices in [0, 3)"),
+    (lambda doc: doc["trees"][0]["subset"].__setitem__(1, [0]), "finite threshold"),
+    (lambda doc: doc["trees"][0]["left"].__setitem__(2, 3), "a leaf has children -1"),
+    (lambda doc: doc["trees"][0]["split_dim"].__setitem__(0, 3.0), "must be integers"),
+    (lambda doc: doc["trees"][0]["value"].__setitem__(2, "x"), "must be integers"),
+], ids=["missing_key", "missing_table_key", "params", "unequal_lengths", "child_out_of_range",
+        "split_dim_out_of_range", "choice_out_of_range", "categorical_without_subset",
+        "categorical_with_threshold", "numeric_with_subset", "leaf_with_child", "float_dim",
+        "string_value"])
+def test_forest_from_json_refuses_a_malformed_table(corrupt, named):
+    doc = categorical_tree_doc()
+    assert forest_from_json(doc, mixed_space()).trees[0].nodes.subset[0] == frozenset({0, 2})
+    corrupt(doc)
+    with pytest.raises(ForestError, match=re.escape(f"here: ")) as exc:
+        forest_from_json(doc, mixed_space(), source="here")
+    assert named in str(exc.value)

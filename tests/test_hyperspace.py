@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -193,6 +194,20 @@ def test_space_json_round_trip(tmp_path):
     save_space(space, tmp_path / "space.json")
     assert load_space(tmp_path / "space.json") == space
     assert space_from_json(space_to_json(MIXED)) == MIXED
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("upper", "1.0", "param 'ks1': upper"),
+    ("lower", 9.5, "param 'ks1': lower"),  # an integer param's bound is not truncated
+    ("lower", True, "param 'ks1': lower"),
+    ("kind", 3, "param 'ks1': kind"),
+    ("name", None, "params[1].name"),
+])
+def test_space_field_of_the_wrong_type_names_the_param(field, value, named):
+    doc = space_to_json(table1_space())
+    doc["params"][1][field] = value
+    with pytest.raises(SpaceError, match=re.escape(named)):
+        space_from_json(doc)
 
 
 def test_trial_bounds_enforced():
