@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .fanova import ImportanceReport
 from .forest import activity_of
-from .hyperspace import GLOBAL_TAG, SearchSpace, write_json
+from .hyperspace import GLOBAL_TAG, SearchSpace, convert_key, write_json
 
 MU_CEILING = 1.0 - 1e-9
 
@@ -209,10 +209,11 @@ def dgp_to_json(model: DgpModel) -> dict:
 def dgp_from_json(doc: Mapping) -> DgpModel:
     """Parse a derived or hand-authored (human-expertise) model; subsets are
     required, importances/interactions optional and flagged degenerate when
-    absent."""
+    absent. Every value is read by convert_key, and a subset must be a list
+    of the model's sources: a value of the wrong type raises DgpError."""
     if "activities" not in doc or "per_activity" not in doc:
         raise DgpError("dgp document needs 'activities' and 'per_activity'")
-    activities = tuple(doc["activities"])
+    activities = tuple(convert_key("activities", [""], doc["activities"], DgpError))
     importances = {}
     interactions = {}
     subsets = {}
@@ -220,20 +221,30 @@ def dgp_from_json(doc: Mapping) -> DgpModel:
         entry = doc["per_activity"].get(y)
         if entry is None or "subset" not in entry:
             raise DgpError(f"activity {y!r}: missing required 'subset'")
-        subsets[y] = frozenset(entry["subset"])
+        if not isinstance(entry["subset"], list):  # which may be empty
+            raise DgpError(f"activity {y!r}: subset must be a list of sources, "
+                           f"got {entry['subset']!r}")
+        subsets[y] = frozenset(convert_key(f"activity {y!r}: subset", "", s, DgpError)
+                               for s in entry["subset"])
         mu = entry.get("mu") or {}
-        importances[y] = SourceImportance(activity=y,
-                                          mu={k: float(v) for k, v in mu.items()},
-                                          degenerate=not mu)
-        degree = {_pair_key(a, b): float(d) for a, b, d in entry.get("interactions", [])}
+        importances[y] = SourceImportance(
+            activity=y, degenerate=not mu,
+            mu={k: convert_key(f"activity {y!r}: mu[{k!r}]", 0.0, v, DgpError)
+                for k, v in mu.items()})
+        degree = {_pair_key(a, b): convert_key(f"activity {y!r}: interaction {a}-{b}", 0.0,
+                                               d, DgpError)
+                  for a, b, d in entry.get("interactions", [])}
         interactions[y] = InteractionDegrees(activity=y, degree=degree,
                                              degenerate=not degree)
-    sources = tuple(doc["sources"]) if doc.get("sources") else tuple(
-        sorted({s for sub in subsets.values() for s in sub}))
+    named = sorted(set().union(*subsets.values()))
+    sources = tuple(convert_key("sources", [""], doc["sources"], DgpError)
+                    if doc.get("sources") else named)
+    if outside := [s for s in named if s not in sources]:
+        raise DgpError(f"subsets name {outside}, which are not among the sources {list(sources)}")
     return DgpModel(activities=activities, sources=sources,
-                    importances=importances, interactions=interactions,
-                    subsets=subsets, tau_imp=float(doc.get("tau_imp", 0.0)),
-                    tau_int=float(doc.get("tau_int", 0.0)))
+                    importances=importances, interactions=interactions, subsets=subsets,
+                    tau_imp=convert_key("tau_imp", 0.0, doc.get("tau_imp", 0.0), DgpError),
+                    tau_int=convert_key("tau_int", 0.0, doc.get("tau_int", 0.0), DgpError))
 
 
 def save_dgp(model: DgpModel, path: str | Path) -> None:

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .forest import Forest, ForestError, TreeData, _leaves_containing
-from .hyperspace import SearchSpace, write_json
+from .hyperspace import SearchSpace, convert_key, write_json
 
 
 @dataclass
@@ -175,10 +175,7 @@ def report_to_json(report: ImportanceReport) -> dict:
 
 def _share(source: str, field: str, value) -> float:
     """A share in [0, 1]; ForestError naming source and field otherwise."""
-    try:
-        share = float(value)
-    except (TypeError, ValueError):
-        raise ForestError(f"{source}: {field} is not a number: {value!r}") from None
+    share = convert_key(f"{source}: {field}", 0.0, value, ForestError)
     if not 0.0 <= share <= 1.0:  # NaN fails the comparison too
         raise ForestError(f"{source}: {field} = {share} is not a share in [0, 1]")
     return share
@@ -194,7 +191,7 @@ def report_from_json(doc: Mapping, source: str = "report") -> ImportanceReport:
     keys = ("response", "params", "total_variance", "individual", "pairwise", "degenerate")
     if missing := [k for k in keys if k not in doc]:
         raise ForestError(f"{source}: missing keys {missing}")
-    params = tuple(doc["params"])
+    params = tuple(convert_key(f"{source}: params", [""], doc["params"], ForestError))
     if set(doc["individual"]) != set(params):
         raise ForestError(f"{source}: individual keys {sorted(doc['individual'])} are not "
                           f"the params {sorted(params)}")
@@ -214,16 +211,16 @@ def report_from_json(doc: Mapping, source: str = "report") -> ImportanceReport:
     if missing := [k for k in pair_keys if k not in pairs]:
         raise ForestError(f"{source}: pairwise lacks {len(missing)} of {len(pair_keys)} "
                           f"param pairs, first {missing[0]}")
-    total = doc["total_variance"]
-    if not (isinstance(total, (int, float)) and math.isfinite(total) and total >= 0.0):
+    total = convert_key(f"{source}: total_variance", 0.0, doc["total_variance"], ForestError)
+    if not (math.isfinite(total) and total >= 0.0):
         raise ForestError(f"{source}: total_variance {total!r} is not a finite number >= 0")
     return ImportanceReport(
-        response=doc["response"],
+        response=convert_key(f"{source}: response", "", doc["response"], ForestError),
         params=params,
-        total_variance=float(total),
+        total_variance=total,
         individual=individual,
         pairwise={k: pairs[k] for k in pair_keys},
-        degenerate=bool(doc["degenerate"]),
+        degenerate=convert_key(f"{source}: degenerate", False, doc["degenerate"], ForestError),
     )
 
 

@@ -386,12 +386,16 @@ def convert(default, value):
 
 
 def convert_key(key: str, default, value, error: type[Exception]):
-    """convert(default, value), or `error` naming `key` if it does not convert."""
+    """convert(default, value), or `error` saying what `key` must be."""
     try:
         return convert(default, value)
     except (TypeError, ValueError):
-        raise error(f"{key}={value!r} does not convert to the type of its default "
-                    f"{default!r}") from None
+        kind = (f"a list of {len(default)} numbers" if isinstance(default, tuple) else
+                "a non-empty list" if isinstance(default, list) else
+                "null or a number (int)" if default is None else
+                {bool: "a boolean", str: "a string", dict: "an object"}.get(
+                    type(default), f"a number ({type(default).__name__})"))
+        raise error(f"{key} must be {kind}, got {value!r}") from None
 
 
 def space_to_json(space: SearchSpace) -> dict:
@@ -493,14 +497,20 @@ class Trial:
 
 
 def trial_from_json(doc: Mapping) -> Trial:
+    """The trial `doc` holds, every number read by convert_key: a value of
+    the wrong type raises SpaceError naming its key."""
+    def number(key: str, default):
+        return convert_key(key, default, doc[key], SpaceError)
+
     return Trial(
-        trial_id=int(doc["trial_id"]),
+        trial_id=number("trial_id", 0),
         config=Configuration(doc["config"]),
-        budget=float(doc["budget"]),
-        nu=float(doc["nu"]),
-        per_activity_nu={k: float(v) for k, v in doc["per_activity_nu"].items()},
-        f1=float(doc["f1"]),
-        seed=int(doc["seed"]),
+        budget=number("budget", 0.0),
+        nu=number("nu", 0.0),
+        per_activity_nu={k: convert_key(f"per_activity_nu[{k!r}]", 0.0, v, SpaceError)
+                         for k, v in doc["per_activity_nu"].items()},
+        f1=number("f1", 0.0),
+        seed=number("seed", 0),
     )
 
 

@@ -69,6 +69,20 @@ class ModelConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not (0 <= self.n_conv_blocks <= 3):
             raise ConfigError("n_conv_blocks must be 0..3")
+        # values training cannot use: dropout 1.0 scales by 1 / (1 - p), so
+        # every trial would record a divergence (nu 1.0) instead of failing
+        if not (0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (math.isfinite(self.mask_sigma) and self.mask_sigma >= 0.0):
+            raise ConfigError(f"mask_sigma must be finite and >= 0, got {self.mask_sigma!r}")
+        for name in ("n_filters", "dense_units", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if min(self.kernel_sizes) < 1 or self.epochs < 0:
+            raise ConfigError(f"kernel sizes must be >= 1 and epochs >= 0, got "
+                              f"{self.kernel_sizes} and {self.epochs}")
         if self.classifier_head not in HEADS:
             raise ConfigError(
                 f"classifier head {self.classifier_head!r} is not supported: recurrent/"

@@ -5,7 +5,9 @@ Stages are idempotent: each one is skipped when it is done unless
 force=True. The rule lives in one place, the `_stage` declaration: each
 stage names the manifest path it writes and, if that is a directory, the
 file it writes last, and is done when that file exists and carries the
-stage's stamp (Manifest.config_hash). Every file is written through
+stage's stamp (Manifest.config_hash); it refuses to run on what an
+earlier stage wrote under another manifest. Manifest.load checks every
+section before any stage runs. Every file is written through
 hyperspace.atomic_open, so a crashed stage never passes for done. Every
 artifact embeds a provenance block (stage seed plus stamp), stages hand
 over through files only, and all outputs are byte-deterministic for a
@@ -14,6 +16,7 @@ fixed manifest.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import dgp as dgp_mod
 from . import explorer, fanova, forest, hyperspace, learner, report, sensors
+from .hyperspace import convert_key
 from .sensors import deployment_from_json
 
 logger = logging.getLogger(__name__)
@@ -54,7 +58,7 @@ def _fields(cls, doc: Mapping, where: str, **given):
             continue
         f = known[key]
         default = f.default if f.default is not MISSING else f.default_factory()
-        given[key] = hyperspace.convert_key(f"{where}.{key}", default, value, ManifestError)
+        given[key] = convert_key(f"{where}.{key}", default, value, ManifestError)
     return cls(**given)
 
 
@@ -167,6 +171,38 @@ def _merge(base: Mapping, override: Mapping) -> dict:
     return out
 
 
+def _check_section(name: str, section: dict) -> None:
+    """Convert each key of manifest section `name` to the type of its default,
+    in place, and build each codec it holds once, raising what its stage would."""
+    for key, default in DEFAULT_MANIFEST[name].items():
+        # null and object defaults are left to their codec or check below,
+        # and report.pairwise to the report stage, which needs the space
+        if default not in (None, []) and not isinstance(default, dict):
+            section[key] = convert_key(f"{name}.{key}", default, section[key], ManifestError)
+    if name == "generate":
+        _fields(sensors.SensorModel, section["sensor"] or {}, "sensor")
+        for key, codec in (("deployment", deployment_from_json), ("planted", planted_from_json)):
+            if section[key]:
+                codec(section[key])
+        sensors._resolve_stride(section["stride"], section["window_len"])
+    if name in ("explore", "protocol"):
+        model_config_from_json(section["model"] or {})
+    if name == "explore":
+        settings = convert_key("explore.settings", {}, section["settings"], ManifestError)
+        kind = explorer.Strategy(section["strategy"], settings).kind
+        if kind not in explorer.DESIGNS:
+            raise explorer.StrategyError(
+                f"explore.strategy {kind!r} is not a design: fANOVA reads the forest under "
+                "the uniform measure, and tpe, gp, hyperband and bohb logs crowd where the "
+                "search went (mean Jaccard 0.15-0.75 against 0.892 for random); use "
+                f"{' or '.join(explorer.DESIGNS)}, or `harvana explore --strategy {kind}`")
+    if name == "protocol":
+        if unknown := [mode for mode in section["modes"] if mode not in learner.MODES]:
+            raise ManifestError(f"protocol.modes: unknown modes {unknown}")
+        if "w-HExp" in section["modes"] and not section["hexp"]:
+            raise ManifestError("w-HExp mode needs a 'hexp' path")
+
+
 @dataclass
 class Manifest:
     doc: dict
@@ -200,40 +236,24 @@ class Manifest:
         if unknown:
             raise ManifestError(f"{path}: unknown manifest keys {unknown}")
         for key, value in doc.get("paths", {}).items():
-            if not isinstance(value, str):
-                raise ManifestError(f"{path}: paths.{key} must be a string, got {value!r}")
-        return cls(doc=_merge(DEFAULT_MANIFEST, doc), root=path.parent)
+            convert_key(f"{path}: paths.{key}", "", value, ManifestError)
+        # then every value, a bad one raising StageError naming its section
+        doc = copy.deepcopy(_merge(DEFAULT_MANIFEST, doc))
+        doc["seed"] = convert_key(f"{path}: seed", 0, doc["seed"], ManifestError)
+        for name in names:
+            try:
+                _check_section(name, doc[name])
+            except STAGE_FAILURES as e:
+                raise StageError(name, e) from e
+        return cls(doc=doc, root=path.parent)
 
     def path(self, key: str) -> Path:
         return self.root / self.doc["paths"][key]
 
-    def number(self, key: str):
-        """The value at dotted `key` (e.g. "analyze.n_trees") read by
-        hyperspace.convert as the type of its DEFAULT_MANIFEST default; a
-        value that does not convert raises ManifestError naming the key."""
-        *sections, name = key.split(".")
-        doc, default = self.doc, DEFAULT_MANIFEST
-        for section in sections:
-            doc, default = doc[section], default[section]
-        value, default = doc.get(name), default[name]
-        try:
-            return hyperspace.convert(default, value)
-        except (TypeError, ValueError):
-            kind = (f"a list of {len(default)} numbers" if isinstance(default, tuple) else
-                    "a non-empty list" if isinstance(default, list) else
-                    "a boolean" if isinstance(default, bool) else
-                    "an object" if isinstance(default, dict) else
-                    f"a number ({type(default).__name__})")
-            raise ManifestError(f"{key} must be {kind}, got {value!r}") from None
-
-    @property
-    def seed(self) -> int:
-        return self.number("seed")
-
     def stage_seed(self, stage: str) -> int:
         """The seed of `stage`, keyed by its place in STAGES (generate 1)."""
         k = [name for name, _ in STAGES].index(stage) + 1
-        return int(hyperspace.derive_rng(self.seed, k).integers(2 ** 31))
+        return int(hyperspace.derive_rng(self.doc["seed"], k).integers(2 ** 31))
 
     def config_hash(self, stage: str) -> str:
         """The stamp of `stage`: a hash of the seed and the sections of
@@ -338,6 +358,16 @@ def activity_reports(patterns: list[str | Path]) -> dict[str, fanova.ImportanceR
 
 # (name, stage) in run order, one entry per _stage declaration
 STAGES: list[tuple[str, Callable[..., Path]]] = []
+# each stage's (manifest path key, file it writes last or None), in run order
+_DONE: dict[str, tuple[str, str | None]] = {}
+
+
+def _stamped(manifest: Manifest, name: str) -> bool | None:
+    """None when stage `name` has no done-file, else whether its done-file
+    carries the stage's current stamp, Manifest.config_hash(name)."""
+    out_key, last = _DONE[name]
+    done = manifest.path(out_key) / last if last else manifest.path(out_key)
+    return manifest.config_hash(name).encode() in done.read_bytes() if done.exists() else None
 
 
 def _stage(name: str, out_key: str, last: str | None = None):
@@ -345,26 +375,35 @@ def _stage(name: str, out_key: str, last: str | None = None):
     STAGES. It is done when `last`, the file it writes last, exists under
     that path (the path itself when `last` is None) and carries the stage's
     stamp, Manifest.config_hash(name); a done stage is skipped unless
-    force=True. The body runs as body(manifest, out, built, seed, prov,
-    **kw), given the stage's seed and the provenance its artifacts embed,
-    which holds that stamp. `built` is the dict in which the stages of one
-    run_pipeline call share the parsed dataset (see run_pipeline); a stage
-    called alone gets an empty one."""
+    force=True. Before the body runs, each earlier stage's done-file, where
+    there is one, must carry that stage's current stamp: else the body would
+    read what an older manifest made, and ManifestError names that stage.
+    The body runs as body(manifest, out, built, seed, prov, **kw), given
+    the stage's seed and the provenance its artifacts embed, which holds
+    that stamp. `built` is the dict in which the stages of one run_pipeline
+    call share the parsed dataset (see run_pipeline); a stage called alone
+    gets an empty one."""
     def declare(body: Callable[..., None]) -> Callable[..., Path]:
         @functools.wraps(body)
         def stage(manifest: Manifest, force: bool = False, built: dict | None = None,
                   **kw) -> Path:
             out = manifest.path(out_key)
-            done = out / last if last else out
-            seed = manifest.stage_seed(name)
-            prov = {"seed": seed, "config_hash": manifest.config_hash(name)}
-            if not force and done.exists() and prov["config_hash"].encode() in done.read_bytes():
+            if not force and _stamped(manifest, name):
                 logger.info("%s: %s up-to-date", name, out)
                 return out
-            body(manifest, out, {} if built is None else built, seed, prov, **kw)
+            earlier = list(_DONE)[:list(_DONE).index(name)]
+            if stale := [up for up in earlier if _stamped(manifest, up) is False]:
+                raise ManifestError(
+                    f"{name} reads what {stale[0]} wrote, and {stale[0]} is stale: its "
+                    f"done-file carries another stamp than this manifest's; run {stale[0]} "
+                    "again first (add it to \"stages\", or run every stage)")
+            seed = manifest.stage_seed(name)
+            body(manifest, out, {} if built is None else built, seed,
+                 {"seed": seed, "config_hash": manifest.config_hash(name)}, **kw)
             logger.info("%s: wrote %s", name, out)
             return out
         STAGES.append((name, stage))
+        _DONE[name] = (out_key, last)
         return stage
     return declare
 
@@ -374,9 +413,8 @@ def _dataset(manifest: Manifest, built: dict) -> sensors.Dataset:
     later stages of the run share that parse."""
     if "dataset" not in built:
         gen = manifest.doc["generate"]
-        built["dataset"] = sensors.load_frames(
-            manifest.path("data"), manifest.number("generate.window_len"), gen.get("stride"),
-            manifest.number("generate.smooth_window"))
+        built["dataset"] = sensors.load_frames(manifest.path("data"), gen["window_len"],
+                                               gen["stride"], gen["smooth_window"])
     return built["dataset"]
 
 
@@ -388,16 +426,14 @@ def _load_frames(manifest: Manifest,
 @_stage("generate", "data", last="provenance.json")
 def stage_generate(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     gen = manifest.doc["generate"]
-    generate_dataset(gen, out, manifest.number("generate.frames_per_activity"),
-                     manifest.number("generate.window_len"), seed, gen.get("stride"),
-                     manifest.number("generate.recordings_per_activity"), prov)
+    generate_dataset(gen, out, gen["frames_per_activity"], gen["window_len"], seed,
+                     gen["stride"], gen["recordings_per_activity"], prov)
 
 
 @_stage("partition", "folds")
 def stage_partition(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
-    frames = _dataset(manifest, built).frames
-    folds = sensors.meta_segment_partition(frames, manifest.number("partition.k"),
-                                           manifest.number("partition.meta_len"), seed)
+    folds = sensors.meta_segment_partition(_dataset(manifest, built).frames, seed=seed,
+                                           **manifest.doc["partition"])
     hyperspace.write_json(out, folds.to_json(), prov)
 
 
@@ -408,21 +444,12 @@ def stage_explore(manifest: Manifest, out: Path, built: dict, seed: int, prov: d
     stays pure, so the space, written after each complete run with the
     provenance, marks the stage done."""
     exp = manifest.doc["explore"]
-    # the manifest's settings are checked before anything is loaded or written
-    lr_bounds = manifest.number("explore.lr_bounds")
-    strategy = explorer.Strategy(exp["strategy"], manifest.number("explore.settings"))
-    if strategy.kind not in explorer.DESIGNS:
-        raise explorer.StrategyError(
-            f"explore.strategy {strategy.kind!r} is not a design: fANOVA reads the forest "
-            "under the uniform measure, and tpe, gp, hyperband and bohb logs crowd where "
-            "the search went (mean Jaccard 0.15-0.75 against 0.892 for random); use "
-            f"{' or '.join(explorer.DESIGNS)}, or `harvana explore --strategy {strategy.kind}`")
-    base = model_config_from_json(exp.get("model") or {})
-    budget, val_fold = manifest.number("explore.budget"), manifest.number("explore.val_fold")
+    base = model_config_from_json(exp["model"] or {})
     ds, folds = _load_frames(manifest, built)
-    space = gain_space(ds.deployment, lr_bounds)
-    evaluator = LearnerEvaluator(ds, folds, base, val_fold=val_fold)
-    explorer.run(space, strategy, evaluator, budget, seed, out_path=manifest.path("trials"),
+    space = gain_space(ds.deployment, exp["lr_bounds"])
+    evaluator = LearnerEvaluator(ds, folds, base, val_fold=exp["val_fold"])
+    explorer.run(space, explorer.Strategy(exp["strategy"], exp["settings"]), evaluator,
+                 exp["budget"], seed, out_path=manifest.path("trials"),
                  full_budget=float(base.epochs), workers=workers)
     hyperspace.write_json(out, hyperspace.space_to_json(space), prov)
 
@@ -435,8 +462,7 @@ def stage_analyze(manifest: Manifest, out: Path, built: dict, seed: int, prov: d
     # report_nu.json marks the stage done, so it is written last
     responses = [f"per_activity_nu[{a}]"
                  for a in sorted(trials[0].per_activity_nu)] + ["nu"]
-    forests = analysis_forests(trials, space, responses, seed=seed, **{
-        k: manifest.number(f"analyze.{k}") for k in ("n_trees", "max_depth", "min_leaf")})
+    forests = analysis_forests(trials, space, responses, seed=seed, **manifest.doc["analyze"])
     for resp, fr in zip(responses, forests):
         rep = fanova.decompose(fr)
         name = "nu" if resp == "nu" else forest.activity_of(resp)
@@ -450,46 +476,36 @@ def stage_analyze(manifest: Manifest, out: Path, built: dict, seed: int, prov: d
 def stage_dgp(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
-    model = dgp_mod.derive_dgp(reports, space, manifest.number("dgp.tau_imp"),
-                               manifest.number("dgp.tau_int"))
+    model = dgp_mod.derive_dgp(reports, space, **manifest.doc["dgp"])
     hyperspace.write_json(out, dgp_mod.dgp_to_json(model), prov)
 
 
 @_stage("protocol", "metrics")
 def stage_protocol(manifest: Manifest, out: Path, built: dict, seed: int, prov: dict) -> None:
     proto = manifest.doc["protocol"]
-    # the manifest's modes, thresholds and switches are checked before any fit or write
-    modes = manifest.number("protocol.modes")
-    if unknown := [mode for mode in modes if mode not in learner.MODES]:
-        raise ManifestError(f"protocol.modes: unknown modes {unknown}")
-    taus, tau_int = manifest.number("protocol.tau_sweep"), manifest.number("dgp.tau_int")
-    include_null = manifest.number("protocol.include_null")
-    supplement = manifest.number("protocol.supplement")
     ds, folds = _load_frames(manifest, built)
     space = hyperspace.load_space(manifest.path("space"))
     reports = activity_reports([manifest.path("reports") / "report_*.json"])
-    config = model_config_from_json(proto.get("model") or {})
+    config = model_config_from_json(proto["model"] or {})
     # seed and config are fixed, so runs on the same training frames train the
     # same model: each distinct set trains once, for every mode and threshold
     runs: dict[frozenset | None, learner.ProtocolResult] = {}
 
     def run(model: dgp_mod.DgpModel | None, mode: str) -> learner.ProtocolResult:
-        subsets = learner.training_subsets(model, ds, supplement)
+        subsets = learner.training_subsets(model, ds, proto["supplement"])
         key = None if subsets is None else frozenset(subsets.items())
         if key not in runs:
             runs[key] = learner.run_protocol(
                 ds, folds, config, dgp=model, mode=mode, seed=seed,
-                include_null=include_null, supplement=supplement)
+                include_null=proto["include_null"], supplement=proto["supplement"])
         return replace(runs[key], mode=mode)
 
     results = {}
-    for mode in modes:
+    for mode in proto["modes"]:
         model = None
         if mode == "w-DGP":
             model = dgp_mod.load_dgp(manifest.path("dgp"))
         elif mode == "w-HExp":
-            if not proto.get("hexp"):
-                raise ManifestError("w-HExp mode needs a 'hexp' path")
             model = dgp_mod.load_dgp(manifest.root / proto["hexp"])
         res = run(model, mode)
         results[mode] = res.to_json()
@@ -500,8 +516,8 @@ def stage_protocol(manifest: Manifest, out: Path, built: dict, seed: int, prov: 
     # of activities that fell back to all sources, per threshold; each runs
     # as w-DGP, so the row at dgp.tau_imp is the w-DGP result
     sweep = []
-    for tau in taus:
-        model = dgp_mod.derive_dgp(reports, space, tau, tau_int)
+    for tau in proto["tau_sweep"]:
+        model = dgp_mod.derive_dgp(reports, space, tau, manifest.doc["dgp"]["tau_int"])
         res = run(model, "w-DGP")
         subsets = learner.training_subsets(model, ds, supplement=True)
         sweep.append([tau, res.mean_f1, res.std_f1,
@@ -516,9 +532,9 @@ def stage_report(manifest: Manifest, out: Path, built: dict, seed: int, prov: di
     nothing here trains or fits. The heat maps come from forest_nu.json, the
     forest whose shares report_nu.json holds."""
     space = hyperspace.load_space(manifest.path("space"))
-    # the manifest's report settings are checked before any write
-    resolution = manifest.number("report.resolution")
-    pairs = manifest.doc["report"].get("pairwise") or []
+    # the pairs' names need the space: they are checked here, before any write
+    resolution = manifest.doc["report"]["resolution"]
+    pairs = manifest.doc["report"]["pairwise"] or []
     check_pairs(space, pairs, resolution)
     out.mkdir(parents=True, exist_ok=True)
     overall = fanova.load_report(manifest.path("reports") / "report_nu.json")

@@ -752,10 +752,13 @@ def test_manifest_bad_report_pairwise_exits_2_naming_report(
 def demo_stage_manifest(demo_run, tmp_path, stage: str, out_key: str, out_name: str,
                         edit: dict):
     """A manifest that reads the shared demo's artifacts, runs one stage and
-    writes its output under tmp_path; edit maps a section to its overrides."""
+    writes its output under tmp_path (explore writes the space beside its
+    trial log); edit maps a section to its overrides."""
     doc = json.loads((demo_run / "manifest.json").read_text())
     doc["paths"] = {k: str(demo_run / v) for k, v in doc["paths"].items()}
     doc["paths"][out_key] = str(tmp_path / out_name)
+    if stage == "explore":
+        doc["paths"]["space"] = str(tmp_path / "space.json")
     doc["stages"] = [stage]
     for section, values in edit.items():
         doc[section].update(values)
@@ -783,7 +786,7 @@ def test_manifest_bad_report_pairs_exit_2_and_write_nothing(demo_run, tmp_path, 
     assert not (tmp_path / "report").exists()
 
 
-@pytest.mark.parametrize("stage, out_key, section, key, value", [
+NON_NUMERIC = [
     ("report", "report", "report", "resolution", "abc"),
     ("analyze", "reports", "analyze", "n_trees", "many"),
     ("explore", "trials", "explore", "budget", "ten"),
@@ -793,7 +796,10 @@ def test_manifest_bad_report_pairs_exit_2_and_write_nothing(demo_run, tmp_path, 
     # a string is read only for a string default
     ("analyze", "reports", "analyze", "n_trees", "20"),
     ("explore", "trials", "explore", "val_fold", "0"),
-])
+]
+
+
+@pytest.mark.parametrize("stage, out_key, section, key, value", NON_NUMERIC)
 def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
         demo_run, tmp_path, stage, out_key, section, key, value):
     from harvana.pipeline import ManifestError, StageError, run_pipeline
@@ -806,7 +812,7 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["manifest.json"]
 
 
-@pytest.mark.parametrize("stage, out_key, key, value, named", [
+NESTED = [
     ("protocol", "metrics", "protocol.tau_sweep", [0.0, "x"], "protocol.tau_sweep"),
     ("protocol", "metrics", "protocol.tau_sweep", [], "protocol.tau_sweep"),
     ("protocol", "metrics", "protocol.tau_sweep", 0.2, "protocol.tau_sweep"),
@@ -844,17 +850,24 @@ def test_manifest_non_numeric_value_exits_2_naming_stage_and_key(
     ("explore", "trials", "explore.settings", "x", "explore.settings must be an object"),
     ("protocol", "metrics", "protocol.modes", "wo-DGP",
      "protocol.modes must be a non-empty list"),
-])
+]
+
+
+def set_key(doc: dict, key: str, value) -> None:
+    """Set dotted `key` of `doc` ("generate.deployment.sources.0.id") to value."""
+    *parents, name = key.split(".")
+    for part in parents:
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    doc[name] = value
+
+
+@pytest.mark.parametrize("stage, out_key, key, value, named", NESTED)
 def test_manifest_non_numeric_nested_value_exits_2_naming_stage_and_key(
         demo_run, tmp_path, stage, out_key, key, value, named):
     from harvana.pipeline import ManifestError, StageError, run_pipeline
     manifest = demo_stage_manifest(demo_run, tmp_path, stage, out_key, out_key, {})
     doc = json.loads(manifest.read_text())
-    *sections, name = key.split(".")
-    target = doc
-    for section in sections:
-        target = target[section]
-    target[name] = value
+    set_key(doc, key, value)
     manifest.write_text(json.dumps(doc))
     with pytest.raises(StageError, match=re.escape(named)) as exc:
         run_pipeline(manifest)
@@ -921,7 +934,7 @@ def test_stages_are_declared_in_run_order_with_their_seeds(demo_run):
     assert [fn for _, fn in STAGES] == [getattr(pipeline, f"stage_{n}") for n in names]
     manifest = Manifest.load(demo_run / "manifest.json")
     for k, name in enumerate(names, 1):
-        assert manifest.stage_seed(name) == derive_rng(manifest.seed, k).integers(2 ** 31)
+        assert manifest.stage_seed(name) == derive_rng(manifest.doc["seed"], k).integers(2 ** 31)
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -932,8 +945,9 @@ def test_stages_are_declared_in_run_order_with_their_seeds(demo_run):
     ({"analyze": 5}, "analyze must be an object"),
     ({"paths": None}, "paths must be an object"),
     ({"paths": {"data": 5}}, "paths.data must be a string, got 5"),
+    ({"seed": "7"}, "seed must be a number (int), got '7'"),
 ], ids=["list_document", "stages_number", "stages_string", "unknown_stage",
-        "section_number", "section_null", "path_number"])
+        "section_number", "section_null", "path_number", "seed_string"])
 def test_manifest_of_the_wrong_shape_exits_2_before_any_stage(demo_run, tmp_path, caplog,
                                                               doc, named):
     import logging
@@ -1017,7 +1031,10 @@ def test_bad_strategy_setting_value_exits_2_naming_it(tmp_path, setting):
     assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
 
 
-@pytest.mark.parametrize("kind", ["anneal", "evolution"])
+REMOVED_STRATEGIES = ["anneal", "evolution"]
+
+
+@pytest.mark.parametrize("kind", REMOVED_STRATEGIES)
 def test_removed_strategy_exits_2(demo_run, tmp_path, kind, capsys):
     from harvana.explorer import StrategyError
     from harvana.pipeline import StageError, run_pipeline
@@ -1034,7 +1051,10 @@ def test_removed_strategy_exits_2(demo_run, tmp_path, kind, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
-@pytest.mark.parametrize("kind", ["tpe", "gp", "hyperband", "bohb"])
+MODEL_BASED_STRATEGIES = ["tpe", "gp", "hyperband", "bohb"]
+
+
+@pytest.mark.parametrize("kind", MODEL_BASED_STRATEGIES)
 def test_model_based_manifest_strategy_exits_2(demo_run, tmp_path, kind):
     from harvana.explorer import StrategyError
     from harvana.pipeline import StageError, run_pipeline
@@ -1108,13 +1128,16 @@ def test_malformed_report_exits_2_naming_file_and_field(demo_run, tmp_path, capl
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "reports"]
 
 
-@pytest.mark.parametrize("edit, named", [
+BAD_DEPLOYMENT = [
     ({"channels": 1.5}, "deployment.sources[0].channels"),
     ({"id": 7}, "deployment.sources[0].id"),
     ({"sampling_rate": "50"}, "deployment.sampling_rate"),
     ({"channels": 0}, "needs channels >= 1"),
     ({"sampling_rate": float("nan")}, "sampling_rate must be finite and > 0"),
-])
+]
+
+
+@pytest.mark.parametrize("edit, named", BAD_DEPLOYMENT)
 def test_bad_deployment_value_exits_2_naming_it(demo_run, tmp_path, edit, named):
     from harvana.pipeline import StageError, run_pipeline
     from harvana.sensors import SensorError
@@ -1134,7 +1157,10 @@ def test_bad_deployment_value_exits_2_naming_it(demo_run, tmp_path, edit, named)
         ["manifest.json", "planted.json"]
 
 
-@pytest.mark.parametrize("name", ["gain", "offset", "noise_sigma", "drift_per_second"])
+SENSOR_FIELDS = ["gain", "offset", "noise_sigma", "drift_per_second"]
+
+
+@pytest.mark.parametrize("name", SENSOR_FIELDS)
 def test_non_finite_sensor_value_exits_2_naming_it(demo_run, tmp_path, name):
     from harvana.pipeline import StageError, run_pipeline
     from harvana.sensors import SensorError
@@ -1157,7 +1183,8 @@ def test_explore_space_param_the_learner_cannot_take_exits_2_naming_it(demo_run,
     out = tmp_path / "t.jsonl"
     assert run_cli("explore", "--data", demo_run / "data", "--folds", demo_run / "folds.json",
                    "--window", 80, "--space", space, "--budget", 2, "--out", out) == 2
-    assert any("hyperparameter n_f=" in r.getMessage() for r in caplog.records)
+    assert any("hyperparameter n_f must be a number (int)" in r.getMessage()
+               for r in caplog.records)
     assert not out.exists()
 
 
@@ -1219,7 +1246,10 @@ def test_source_added_to_the_deployment_gets_a_gain_dim(tmp_path):
     assert len(trials) == 8 and all("gain_bag_acc" in t.config.values for t in trials)
 
 
-@pytest.mark.parametrize("stride", ["20", True, "abc"])
+BAD_STRIDES = ["20", True, "abc"]
+
+
+@pytest.mark.parametrize("stride", BAD_STRIDES)
 def test_manifest_bad_stride_exits_2_naming_generate(demo_run, tmp_path, stride):
     from harvana.pipeline import StageError, run_pipeline
     from harvana.sensors import SensorError
@@ -1229,6 +1259,41 @@ def test_manifest_bad_stride_exits_2_naming_generate(demo_run, tmp_path, stride)
         run_pipeline(manifest)
     assert exc.value.stage == "generate" and isinstance(exc.value.cause, SensorError)
     assert run_cli("pipeline", "--manifest", manifest) == 2
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["manifest.json"]
+
+
+# every bad value of the manifest tests above, as (stage, {dotted key: value})
+WHOLE_RUN_CASES = (
+    [(stage, {f"{section}.{key}": value}) for stage, _, section, key, value in NON_NUMERIC]
+    + [(stage, {key: value}) for stage, _, key, value, _ in NESTED]
+    + [("explore", {"explore.strategy": "tpe", "explore.settings": {"gama": 0.3}})]
+    + [("explore", {"explore.strategy": kind})
+       for kind in REMOVED_STRATEGIES + MODEL_BASED_STRATEGIES]
+    + [("generate", {f"generate.deployment.{'' if key == 'sampling_rate' else 'sources.0.'}{key}":
+                     value})
+       for edit, _ in BAD_DEPLOYMENT for key, value in edit.items()]
+    + [("generate", {f"generate.sensor.{name}": float("nan")}) for name in SENSOR_FIELDS]
+    + [("generate", {"generate.stride": stride}) for stride in BAD_STRIDES]
+    # and model values ModelConfig refuses
+    + [("explore", {"explore.model.dropout": 1.0}), ("protocol", {"protocol.model.batch_size": 0})])
+
+
+@pytest.mark.parametrize("stage, edit", WHOLE_RUN_CASES,
+                         ids=[",".join(f"{k}={v!r}" for k, v in edit.items())
+                              for _, edit in WHOLE_RUN_CASES])
+def test_bad_manifest_value_exits_2_before_any_stage_writes(tmp_path, stage, edit):
+    # the whole manifest is checked at load: on an empty directory with every
+    # stage enabled, a bad value names its section's stage and no stage runs
+    from harvana.pipeline import StageError, demo_manifest, run_pipeline
+    path = demo_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    for key, value in edit.items():
+        set_key(doc, key, value)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StageError) as exc:
+        run_pipeline(path)
+    assert exc.value.stage == stage
+    assert run_cli("pipeline", "--manifest", path) == 2
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["manifest.json"]
 
 
@@ -1423,7 +1488,7 @@ def test_one_run_parses_the_data_once_and_fits_each_forest_once(tmp_path, monkey
     # its heat maps from analyze's nu forest: no sixth forest
     responses = len(list(manifest.path("reports").glob("report_*.json")))
     assert len(parses) == 1
-    assert len(trees) == responses * manifest.number("analyze.n_trees")
+    assert len(trees) == responses * manifest.doc["analyze"]["n_trees"]
 
 
 def test_report_split_from_analyze_loads_the_forest_and_writes_the_same_bytes(
@@ -1597,27 +1662,59 @@ def test_malformed_forest_file_exits_2_naming_it(pristine_demo, tmp_path, caplog
     assert Manifest.load(root / "manifest.json").doc["stages"] == ["report"]
 
 
-def test_report_loads_the_forest_analyze_saved(pristine_demo, tmp_path, monkeypatch):
-    # the report reads no trial log and no analyze setting: after an edit to
-    # analyze.n_trees that analyze has not run under, the heat maps still
-    # come from the saved forest, whose shares report_nu.json holds
+def test_report_refuses_a_forest_analyze_saved_under_another_manifest(pristine_demo,
+                                                                      tmp_path):
+    # after an edit to analyze.n_trees that analyze has not run under, the
+    # saved forest and report_nu.json are stale: a report run alone exits 2
+    # naming analyze and writes nothing, forced or not
     import shutil
-    from harvana.pipeline import Manifest, stage_report
+    from harvana.pipeline import Manifest, ManifestError, StageError, run_pipeline, stage_report
     root = tmp_path / "demo"
     shutil.copytree(pristine_demo, root)
-    (root / "trials.jsonl").unlink()
-    _, trees = count_parses_and_trees(monkeypatch)
-    manifest = Manifest.load(root / "manifest.json")
-    old = manifest.config_hash("report").encode()
-    manifest.doc["analyze"]["n_trees"] = 4
-    stage_report(manifest, force=True)
-    assert trees == []
-    # the edit moved the report's stamp, and nothing else
-    new = manifest.config_hash("report").encode()
-    marginals = sorted((root / "report").glob("marginal_*"))
-    assert marginals and all(
-        p.read_bytes() == (pristine_demo / "report" / p.name).read_bytes().replace(old, new)
-        for p in marginals)
+    path = root / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["analyze"]["n_trees"] = 4
+    doc["stages"] = ["report"]
+    path.write_text(json.dumps(doc))
+    for force in (False, True):
+        with pytest.raises(StageError, match="analyze is stale") as exc:
+            run_pipeline(path, force=force)
+        assert exc.value.stage == "report" and isinstance(exc.value.cause, ManifestError)
+    assert run_cli("pipeline", "--manifest", path) == 2
+    assert run_cli("report", "--manifest", path, "--force") == 2
+    with pytest.raises(ManifestError, match="analyze is stale"):
+        stage_report(Manifest.load(path))
+    assert files_under(root).keys() == files_under(pristine_demo).keys()
+    for rel, data in files_under(root).items():
+        assert rel == "manifest.json" or data == (pristine_demo / rel).read_bytes(), rel
+    # once analyze runs under the edit, the report runs on its forest
+    doc["stages"] = ["analyze", "dgp", "protocol", "report"]
+    path.write_text(json.dumps(doc))
+    run_pipeline(path)
+    assert len(json.loads((root / "reports" / "forest_nu.json").read_text())["trees"]) == 4
+
+
+def test_missing_upstream_done_file_is_not_stale(pristine_demo, tmp_path):
+    # recorded data has no data/provenance.json, and a report rendered from
+    # artifacts alone needs no data or folds: only a done-file that exists
+    # and carries another stamp refuses the run
+    import shutil
+    root = tmp_path / "demo"
+    shutil.copytree(pristine_demo, root)
+    (root / "data" / "provenance.json").unlink()
+    (root / "folds.json").unlink()
+    assert run_cli("report", "--manifest", root / "manifest.json", "--force") == 0
+    assert (root / "report" / "summary.md").read_bytes() == \
+        (pristine_demo / "report" / "summary.md").read_bytes()
+
+
+def test_dgp_agree_on_a_string_subset_exits_2(demo_run, tmp_path):
+    doc = json.loads((demo_run / "dgp.json").read_text())
+    entry = doc["per_activity"][doc["activities"][0]]
+    entry["subset"] = "".join(entry["subset"][:1]) or "hips_acc"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("dgp", "agree", "--a", bad, "--b", demo_run / "dgp.json") == 2
 
 
 def bad_space(tmp_path, demo_run):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -311,3 +312,32 @@ def test_dgp_json_round_trip():
     for y in model.activities:
         assert back.importances[y].mu == model.importances[y].mu
         assert back.interactions[y].degree == model.interactions[y].degree
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"subset": "hips_acc"}, "activity 'walking': subset must be a list of sources"),
+    ({"subset": ["hips_acc", 7]}, "activity 'walking': subset must be a string, got 7"),
+    ({"subset": ["hips_acc", "bag_acc"]}, "subsets name ['bag_acc']"),
+    ({"subset": ["hips_acc"], "mu": {"hips_acc": "0.5"}},
+     "activity 'walking': mu['hips_acc'] must be a number (float)"),
+    ({"subset": ["hips_acc"], "interactions": [["hips_acc", "torso_acc", True]]},
+     "activity 'walking': interaction hips_acc-torso_acc must be a number (float)"),
+])
+def test_dgp_value_of_the_wrong_type_is_rejected_not_guessed_at(edit, named):
+    # a string subset was read as the set of its characters, and agreement
+    # then printed 0.0
+    doc = {"activities": ["walking", "still"],
+           "sources": ["hips_acc", "torso_acc"],
+           "per_activity": {"walking": edit, "still": {"subset": []}}}
+    with pytest.raises(DgpError, match=re.escape(named)):
+        dgp_from_json(doc)
+
+
+def test_dgp_thresholds_and_activities_are_read_by_their_type():
+    doc = {"activities": ["walking"], "per_activity": {"walking": {"subset": []}},
+           "tau_imp": 1}
+    model = dgp_from_json(doc)
+    assert model.tau_imp == 1.0 and model.subsets == {"walking": frozenset()}
+    for key, value in (("tau_int", "0.2"), ("activities", "walking")):
+        with pytest.raises(DgpError, match=re.escape(f"{key} must be ")):
+            dgp_from_json({**doc, key: value})

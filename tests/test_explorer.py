@@ -58,11 +58,11 @@ def test_strategy_validation():
 
 
 @pytest.mark.parametrize("kind, settings, named", [
-    ("tpe", {"gamma": "abc"}, "gamma='abc' does not convert"),
-    ("tpe", {"gamma": True}, "gamma=True does not convert"),
-    ("tpe", {"n_candidates": 2.5}, "n_candidates=2.5 does not convert"),
-    ("bohb", {"n_min": 2.5}, "n_min=2.5 does not convert"),
-    ("grid", {"points_per_dim": "x"}, "points_per_dim='x' does not convert"),
+    ("tpe", {"gamma": "abc"}, "tpe setting gamma must be a number (float), got 'abc'"),
+    ("tpe", {"gamma": True}, "tpe setting gamma must be a number (float), got True"),
+    ("tpe", {"n_candidates": 2.5}, "n_candidates must be a number (int), got 2.5"),
+    ("bohb", {"n_min": 2.5}, "n_min must be null or a number (int), got 2.5"),
+    ("grid", {"points_per_dim": "x"}, "points_per_dim must be null or a number (int), got 'x'"),
     ("gp", {"n_pool": 0}, "n_pool must be >= 1"),
     ("tpe", {"n_candidates": 0}, "n_candidates must be >= 1"),
 ])

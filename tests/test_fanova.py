@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -430,3 +431,21 @@ def test_decompose_peak_memory_is_per_tree():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("degenerate", "false", "degenerate must be a boolean, got 'false'"),
+    ("total_variance", True, "total_variance must be a number (float), got True"),
+    ("individual", {"x0": True, "x1": 0.0}, "individual['x0'] must be a number (float)"),
+    ("params", "x0", "params must be a non-empty list, got 'x0'"),
+    ("response", 3, "response must be a string, got 3"),
+])
+def test_report_value_of_the_wrong_type_is_rejected_not_guessed_at(field, value, named):
+    # a share of true was read as 1.0 and degenerate "false" as True
+    from harvana.forest import ForestError
+    space = unit_space(2)
+    doc = report_to_json(decompose(forest_from_tables(space, [split(0, 0.25, leaf(0.0),
+                                                                     leaf(1.0))])))
+    doc[field] = value
+    with pytest.raises(ForestError, match=re.escape(f"r.json: {named}")):
+        report_from_json(doc, source="r.json")

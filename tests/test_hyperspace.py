@@ -355,8 +355,9 @@ def test_fork_map_runs_inline_beside_other_threads():
 
 
 def test_fork_map_children_never_flush_the_parents_buffered_output():
-    # stdout is a pipe here, so the first line sits in the buffer at the fork;
-    # a child that flushed it again would print it twice
+    # stdout is a pipe here and, with PYTHONUNBUFFERED dropped from the
+    # child's environment, block-buffered, so the first line sits in the
+    # buffer at the fork; a child that flushed it again would print it twice
     script = (
         "from harvana.hyperspace import fork_map\n"
         "print('buffered before the fork')\n"
@@ -366,8 +367,27 @@ def test_fork_map_children_never_flush_the_parents_buffered_output():
         "assert list(fork_map(show, range(4), 2)) == [0, 1, 2, 3]\n"
         "print('after')\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120, check=True).stdout
     assert Counter(out.splitlines()) == Counter(
         ["buffered before the fork", "item 0", "item 1", "item 2", "item 3", "after"])
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("trial_id", 1.7, "trial_id must be a number (int), got 1.7"),
+    ("nu", "0.5", "nu must be a number (float), got '0.5'"),
+    ("f1", True, "f1 must be a number (float), got True"),
+    ("seed", "3", "seed must be a number (int), got '3'"),
+    ("per_activity_nu", {"walk": False}, "per_activity_nu['walk'] must be a number (float)"),
+])
+def test_trial_log_value_of_the_wrong_type_is_rejected_not_guessed_at(tmp_path, key, value,
+                                                                       named):
+    # trial_id 1.7 was read as 1, "0.5" as 0.5 and f1 true as 1.0
+    trial = Trial(trial_id=0, config=Configuration({"x0": 0.5}), budget=1.0, nu=0.5,
+                  per_activity_nu={"walk": 0.5}, f1=0.5, seed=3)
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps({**trial.to_json(), key: value}) + "\n")
+    with pytest.raises(SpaceError, match=re.escape(f"{path}:1: not a trial: SpaceError: {named}")):
+        read_trials(path)

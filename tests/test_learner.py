@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -95,8 +96,9 @@ def test_config_from_values_source_gains():
     ("lr", "0.1"), ("gain_hips_acc", "1"), ("activation", 1),
 ])
 def test_config_from_values_rejects_values_it_would_have_to_guess_at(name, value):
-    with pytest.raises(ConfigError, match=f"hyperparameter {name}={value!r} does not convert"):
+    with pytest.raises(ConfigError, match=re.escape(f"hyperparameter {name} must be ")) as exc:
         config_from_values({name: value})
+    assert str(exc.value).endswith(f", got {value!r}")
 
 
 def test_config_from_values_converts_whole_numbers_and_ints():
@@ -110,6 +112,26 @@ def test_config_from_values_converts_whole_numbers_and_ints():
 def test_config_unknown_param_rejected():
     with pytest.raises(ConfigError, match="unknown hyperparameter"):
         config_from_values({"bogus": 1})
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("dropout", 1.0, "dropout must be in [0, 1)"),
+    ("dropout", -0.1, "dropout must be in [0, 1)"),
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("learning_rate", float("nan"), "learning_rate must be finite and > 0"),
+    ("learning_rate", 0.0, "learning_rate must be finite and > 0"),
+    ("n_filters", 0, "n_filters must be >= 1"),
+    ("dense_units", 0, "dense_units must be >= 1"),
+    ("mask_sigma", -1.0, "mask_sigma must be finite and >= 0"),
+    ("kernel_sizes", (9, 0, 9), "kernel sizes must be >= 1"),
+    ("epochs", -1, "epochs >= 0"),
+])
+def test_model_config_refuses_values_training_cannot_use(field, value, named):
+    # dropout 1.0 recorded every trial as diverged, and batch_size 0 ended in
+    # a bare ValueError
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        ModelConfig(**{field: value})
+    assert ModelConfig(epochs=0).epochs == 0
 
 
 def test_hybrid_head_is_config_error():
