@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .dgp import DgpModel
 from .hyperspace import Configuration, convert_key, derive_rng
-from .sensors import Dataset, Deployment, FoldAssignment, Frame
+from .sensors import NULL_LABEL, Dataset, Deployment, FoldAssignment, Frame
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +62,9 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "source_gains", dict(self.source_gains))
-        object.__setattr__(self, "kernel_sizes", tuple(int(k) for k in self.kernel_sizes))
+        # three integers, never truncated: (9.5, 9, 9) is an error, not (9, 9, 9)
+        object.__setattr__(self, "kernel_sizes",
+                           convert_key("kernel_sizes", (0, 0, 0), self.kernel_sizes, ConfigError))
         if self.conv_mode not in CONV_MODES:
             raise ConfigError(f"unknown conv_mode {self.conv_mode!r}")
         if self.activation not in ("relu", "tanh"):
@@ -211,9 +213,7 @@ class _Conv1d:
 
     def _cols(self, x: np.ndarray) -> np.ndarray:
         """(N, K, O) patch view of a single-channel input; copies nothing."""
-        sn, _, sl = x.strides
-        return as_strided(x, (len(x), self.kernel, self.out_len(x.shape[2])),
-                          (sn, sl, sl * self.stride), writeable=False)
+        return self._windows(x)[:, 0].transpose(0, 2, 1)
 
     def _windows(self, x: np.ndarray) -> np.ndarray:
         """(N, C, O, K) window view of x; copies nothing."""
@@ -300,12 +300,6 @@ class _Conv1d:
         self.dW = dW.reshape(self.W.shape)
         return dx
 
-    def params(self):
-        return [self.W, self.b]
-
-    def grads(self):
-        return [self.dW, self.db]
-
 
 class _Activation:
     def __init__(self, kind: str):
@@ -324,12 +318,6 @@ class _Activation:
         if self.kind == "relu":
             return dy * self._mask
         return dy * (1.0 - self._out ** 2)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class _MaxPool2:
@@ -387,12 +375,6 @@ class _MaxPool2:
         dx[:, :, 2 * n:] = 0.0
         return dx
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class _Dense:
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
@@ -416,12 +398,6 @@ class _Dense:
         self.dW = self._x.T @ dy
         self.db = dy.sum(axis=0)
         return dy @ self.W.T
-
-    def params(self):
-        return [self.W, self.b]
-
-    def grads(self):
-        return [self.dW, self.db]
 
 
 def stat_features(X: np.ndarray) -> np.ndarray:
@@ -582,41 +558,25 @@ class Network:
                     gg = layer.backward(gg)
         return loss
 
+    def weighted(self) -> list[_Conv1d | _Dense]:
+        """The layers that hold weights (W, b and their gradients dW, db), in
+        update order: each stack's in turn, then the head's."""
+        return [layer for layers in (*self.stacks, self.head) for layer in layers
+                if isinstance(layer, (_Conv1d, _Dense))]
+
+    def parameters(self) -> list[np.ndarray]:
+        return [p for layer in self.weighted() for p in (layer.W, layer.b)]
+
     def gradients(self) -> list[np.ndarray]:
-        out = []
-        for stack in self.stacks:
-            for layer in stack:
-                out.extend(layer.grads())
-        for layer in self.head:
-            out.extend(layer.grads())
-        return out
+        return [g for layer in self.weighted() for g in (layer.dW, layer.db)]
 
     def sgd_step(self, lr: float) -> None:
-        for p, g in zip(self.parameters(), self.gradients()):
-            p -= lr * g
+        for layer in self.weighted():
+            layer.W -= lr * layer.dW
+            layer.b -= lr * layer.db
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.logits(X))
-
-    def weight_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes = {}
-        for gi, stack in enumerate(self.stacks):
-            for li, layer in enumerate(stack):
-                for pi, p in enumerate(layer.params()):
-                    shapes[f"stack{gi}.layer{li}.p{pi}"] = p.shape
-        for li, layer in enumerate(self.head):
-            for pi, p in enumerate(layer.params()):
-                shapes[f"head.layer{li}.p{pi}"] = p.shape
-        return shapes
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for stack in self.stacks:
-            for layer in stack:
-                out.extend(layer.params())
-        for layer in self.head:
-            out.extend(layer.params())
-        return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -654,11 +614,13 @@ class TrainedModel:
     loss_trace: list[float]
 
 
-def _frames_to_arrays(frames: Sequence[Frame], activities: Sequence[str]):
-    usable = [f for f in frames if f.activity in activities]
-    X = np.stack([f.samples for f in usable]) if usable else np.zeros((0, 1, 1))
-    y = np.array([activities.index(f.activity) for f in usable], dtype=int)
-    return usable, X, y
+def _frames_to_arrays(frames: Sequence[Frame], labels: Sequence[str]):
+    """(X, y): the stacked samples of the frames whose label (the activity,
+    or "null" for a null frame) is among `labels`, and that label's index."""
+    usable = [(f.samples, labels.index(label)) for f in frames
+              if (label := NULL_LABEL if f.is_null else f.activity) in labels]
+    X = np.stack([x for x, _ in usable]) if usable else np.zeros((0, 1, 1))
+    return X, np.array([i for _, i in usable], dtype=int)
 
 
 def train(network: Network, frames: Sequence[Frame], config: ModelConfig | None = None,
@@ -673,7 +635,7 @@ def train(network: Network, frames: Sequence[Frame], config: ModelConfig | None 
     """
     config = config or network.config
     activities = network.activities
-    usable, X, y = _frames_to_arrays(frames, activities)
+    X, y = _frames_to_arrays(frames, activities)
     present = {activities[i] for i in y}
     missing = set(activities) - present
     if missing:
@@ -682,7 +644,7 @@ def train(network: Network, frames: Sequence[Frame], config: ModelConfig | None 
         X = network.resident(X)
     rng = derive_rng(seed, 7)
     trace: list[float] = []
-    n = len(usable)
+    n = len(y)
     bs = min(config.batch_size, n)
     for epoch in range(int(config.epochs)):
         order = rng.permutation(n)
@@ -743,15 +705,11 @@ def evaluate(model: TrainedModel | Network, frames: Sequence[Frame],
     network = model.network if isinstance(model, TrainedModel) else model
     activities = list(network.activities)
     labels = list(activities)
-    if include_null and "null" not in labels:
-        labels = labels + ["null"]
-    eval_frames = [f for f in frames
-                   if (f.activity in activities) or (include_null and f.is_null)]
-    if not eval_frames:
+    if include_null and NULL_LABEL not in labels:
+        labels = labels + [NULL_LABEL]
+    X, true_idx = _frames_to_arrays(frames, labels)
+    if not len(true_idx):
         raise ConfigError("no frames to evaluate")
-    X = np.stack([f.samples for f in eval_frames])
-    true_idx = np.array([labels.index(f.activity if f.activity is not None else "null")
-                         for f in eval_frames])
     pred_idx = network.predict_proba(X).argmax(axis=1)
     K = len(labels)
     confusion = np.zeros((K, K), dtype=int)
@@ -799,15 +757,10 @@ def mask_augment(frames: Sequence[Frame], subsets: Mapping[str, frozenset[str] |
                 shape = samples[sl].shape
                 samples[sl] = rng.normal(0.0, noise_sigma, shape) if noise_sigma > 0 else 0.0
         if supplement:
-            out.append(f)
-            out.append(Frame(frame_id=next_id, activity=f.activity, samples=samples,
-                             time_index=f.time_index, recording=f.recording,
-                             gap_fraction=f.gap_fraction))
+            out += [f, replace(f, frame_id=next_id, samples=samples)]
             next_id += 1
         else:
-            out.append(Frame(frame_id=f.frame_id, activity=f.activity, samples=samples,
-                             time_index=f.time_index, recording=f.recording,
-                             gap_fraction=f.gap_fraction))
+            out.append(replace(f, samples=samples))
     return out
 
 

@@ -63,15 +63,20 @@ def _fields(cls, doc: Mapping, where: str, **given):
 
 
 def planted_from_json(doc: Mapping) -> sensors.PlantedDgp:
+    """The planted ground truth `doc` holds; activities are read by
+    convert_key as a list of strings and each base_freq as a number."""
+    def signal(where: str, spec: Mapping) -> sensors.SignalSpec:
+        base_freq = convert_key(f"{where}.base_freq", 0.0, spec["base_freq"], ManifestError)
+        return _fields(sensors.SignalSpec, spec, where, base_freq=base_freq)
+
     informative = {
-        activity: {src: _fields(sensors.SignalSpec, spec,
-                                f"planted.informative.{activity}.{src}",
-                                base_freq=float(spec["base_freq"]))
+        activity: {src: signal(f"planted.informative.{activity}.{src}", spec)
                    for src, spec in srcs.items()}
         for activity, srcs in doc["informative"].items()
     }
+    activities = convert_key("planted.activities", [""], doc["activities"], ManifestError)
     return _fields(sensors.PlantedDgp, doc, "planted",
-                   activities=tuple(doc["activities"]), informative=informative)
+                   activities=tuple(activities), informative=informative)
 
 
 def model_config_from_json(doc: Mapping) -> learner.ModelConfig:
@@ -175,8 +180,9 @@ def _check_section(name: str, section: dict) -> None:
     """Convert each key of manifest section `name` to the type of its default,
     in place, and build each codec it holds once, raising what its stage would."""
     for key, default in DEFAULT_MANIFEST[name].items():
-        # null and object defaults are left to their codec or check below,
-        # and report.pairwise to the report stage, which needs the space
+        # null and object defaults, and report.pairwise, are left to their
+        # codec or check below; the pairs' names are checked by the report
+        # stage, which needs the space
         if default not in (None, []) and not isinstance(default, dict):
             section[key] = convert_key(f"{name}.{key}", default, section[key], ManifestError)
     if name == "generate":
@@ -201,6 +207,13 @@ def _check_section(name: str, section: dict) -> None:
             raise ManifestError(f"protocol.modes: unknown modes {unknown}")
         if "w-HExp" in section["modes"] and not section["hexp"]:
             raise ManifestError("w-HExp mode needs a 'hexp' path")
+    if name == "report":
+        pairs = section["pairwise"]
+        if not (pairs is None or isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(n, str) for n in p)
+                for p in pairs)):
+            raise ManifestError(f"report.pairwise must be a list of [u, v] name pairs,"
+                                f" got {pairs!r}")
 
 
 @dataclass

@@ -211,10 +211,6 @@ class FoldAssignment:
             raise SensorError(f"fold assignment does not cover {len(missing)} frame(s): "
                               f"frame ids {missing[:10]}{' ...' if len(missing) > 10 else ''}")
 
-    def fold_of(self, frame: Frame) -> int:
-        self._check_covers([frame])
-        return self.assignment[frame.frame_id]
-
     def split(self, frames: Sequence[Frame], fold: int) -> tuple[list[Frame], list[Frame]]:
         self._check_covers(frames)
         train = [f for f in frames if self.assignment[f.frame_id] != fold]

@@ -522,6 +522,30 @@ def test_crashed_analyze_is_not_done(tmp_path, monkeypatch):
 
 
 
+def test_diverged_trial_is_recorded_as_the_worst_case(caplog):
+    import logging
+    from dataclasses import replace
+    import numpy as np
+    from harvana import explorer, learner, sensors
+    dep = pipeline.deployment_from_json(PLANTED_SPEC["deployment"])
+    ds = sensors.generate(dep, pipeline.planted_from_json(PLANTED_SPEC["planted"]), 12, 40,
+                          seed=1)
+    folds = sensors.meta_segment_partition(ds.frames, k=4, meta_len=1, seed=1)
+    # a NaN in one training frame makes every trial's loss NaN at epoch 0
+    i = next(i for i, f in enumerate(ds.frames) if folds.assignment[f.frame_id] != 0)
+    samples = ds.frames[i].samples.copy()
+    samples[0, 0] = np.nan
+    ds.frames[i] = replace(ds.frames[i], samples=samples)
+    base = learner.ModelConfig(n_filters=3, dropout=0.0, epochs=2)
+    evaluator = pipeline.LearnerEvaluator(ds, folds, base, val_fold=0)
+    with caplog.at_level(logging.WARNING):
+        trials = explorer.run(pipeline.gain_space(dep), explorer.Strategy("random"),
+                              evaluator, 3, seed=0, full_budget=2.0, workers=1)
+    assert [(t.nu, t.f1, t.per_activity_nu) for t in trials] == \
+        [(1.0, 0.0, {"walk": 1.0, "still": 1.0})] * 3
+    assert sum("trial diverged at epoch 0" in r.getMessage() for r in caplog.records) == 3
+
+
 def explore_only(tmp_path):
     """The small demo with generate and partition done and only explore left."""
     small_demo(tmp_path, ["generate", "partition"])
@@ -767,6 +791,28 @@ def demo_stage_manifest(demo_run, tmp_path, stage: str, out_key: str, out_name: 
     return manifest
 
 
+@pytest.mark.parametrize("hexp, same_as", [("dgp", "w-DGP"), ("all_sources", "wo-DGP")])
+def test_protocol_w_hexp_masks_with_the_model_it_names(demo_run, tmp_path, hexp, same_as):
+    # w-HExp trains on the subsets of the model at protocol.hexp: the demo's
+    # own dgp.json gives its w-DGP result, a model keeping every source its
+    # wo-DGP result
+    from harvana.pipeline import run_pipeline
+    model = json.loads((demo_run / "dgp.json").read_text())
+    if hexp == "all_sources":
+        for entry in model["per_activity"].values():
+            entry["subset"] = model["sources"]
+    (tmp_path / "hexp.json").write_text(json.dumps(model))
+    manifest = demo_stage_manifest(
+        demo_run, tmp_path, "protocol", "metrics", "metrics.json",
+        {"protocol": {"modes": ["w-HExp"], "hexp": "hexp.json", "tau_sweep": [0.2]}})
+    run_pipeline(manifest)
+    got = json.loads((tmp_path / "metrics.json").read_text())["results"]
+    want = json.loads((demo_run / "metrics.json").read_text())["results"][same_as]
+    assert list(got) == ["w-HExp"]
+    assert {**got["w-HExp"], "mode": same_as} == want
+    assert len(list(tmp_path.glob("confusion_w-HExp_fold*.csv"))) == 4
+
+
 @pytest.mark.parametrize("edit", [
     {"pairwise": [["lr"]]},
     {"pairwise": [["lr", "gain_hips_acc", "gain_torso_acc"]]},
@@ -850,6 +896,15 @@ NESTED = [
     ("explore", "trials", "explore.settings", "x", "explore.settings must be an object"),
     ("protocol", "metrics", "protocol.modes", "wo-DGP",
      "protocol.modes must be a non-empty list"),
+    # a string is not read as its letters, nor a boolean as a number
+    ("generate", "data", "generate.planted.activities", "walk",
+     "planted.activities must be a non-empty list"),
+    ("generate", "data", "generate.planted.informative.walk.hips_acc.base_freq", True,
+     "planted.informative.walk.hips_acc.base_freq must be a number"),
+    # the pairs' shape is checked at load, their names by the report stage
+    ("report", "report", "report.pairwise", 7, "report.pairwise must be a list of [u, v]"),
+    ("report", "report", "report.pairwise", [["lr", 3]],
+     "report.pairwise must be a list of [u, v]"),
 ]
 
 

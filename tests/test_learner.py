@@ -124,6 +124,8 @@ def test_config_unknown_param_rejected():
     ("dense_units", 0, "dense_units must be >= 1"),
     ("mask_sigma", -1.0, "mask_sigma must be finite and >= 0"),
     ("kernel_sizes", (9, 0, 9), "kernel sizes must be >= 1"),
+    # a fractional kernel size is refused, not truncated to (9, 9, 9)
+    ("kernel_sizes", (9.5, 9, 9), "kernel_sizes must be a list of 3 numbers"),
     ("epochs", -1, "epochs >= 0"),
 ])
 def test_model_config_refuses_values_training_cannot_use(field, value, named):
@@ -145,8 +147,7 @@ def test_split_channels_builds_per_channel_stacks():
                       kernel_sizes=(5, 5, 5), n_filters=4)
     net = build(cfg, dep, ("a", "b"), window_len=40)
     assert len(net.stacks) == 6
-    shapes = net.weight_shapes()
-    assert shapes["stack0.layer0.p0"] == (4, 1, 5)
+    assert net.stacks[0][0].W.shape == (4, 1, 5)
 
 
 def test_grouped_vs_split_modalities_shapes_differ():
@@ -157,9 +158,8 @@ def test_grouped_vs_split_modalities_shapes_differ():
                         kernel_sizes=(5, 5, 5), n_filters=4)
     net_g = build(cfg_g, dep, ("a", "b"), 40, seed=1)
     net_s = build(cfg_s, dep, ("a", "b"), 40, seed=1)
-    assert net_g.weight_shapes() != net_s.weight_shapes()
-    assert net_g.weight_shapes()["stack0.layer0.p0"] == (4, 6, 5)
-    assert net_s.weight_shapes()["stack0.layer0.p0"] == (4, 3, 5)
+    assert net_g.stacks[0][0].W.shape == (4, 6, 5)
+    assert net_s.stacks[0][0].W.shape == (4, 3, 5)
 
 
 def test_zero_blocks_feature_dimension():
@@ -186,6 +186,18 @@ def test_separable_toy_reaches_full_accuracy():
     m = evaluate(trained, frames)
     assert m.nu == 0.0
     assert len(trained.loss_trace) == 200
+
+
+def test_weights_are_walked_stacks_first_then_head():
+    dep = deployment(2, channels=3)
+    cfg = ModelConfig(conv_mode="split_modalities", n_conv_blocks=2, kernel_sizes=(5, 3, 3),
+                      n_filters=3, classifier_head="mlp", dense_units=4)
+    net = build(cfg, dep, ("a", "b"), 40, seed=1)
+    # each block is a conv then a pool; the mlp head is dense, activation, dense
+    layers = [layer for stack in net.stacks for layer in stack[::2]] + net.head[::2]
+    assert net.weighted() == layers
+    assert [id(p) for p in net.parameters()] == [id(a) for x in layers for a in (x.W, x.b)]
+    assert [id(g) for g in net.gradients()] == [id(a) for x in layers for a in (x.dW, x.db)]
 
 
 def test_zero_epochs_keeps_init_weights():
@@ -810,7 +822,7 @@ def resident_case(conv_mode, blocks, epochs=3):
 
 def per_batch_train(net, frames, cfg, seed):
     """train's loop written out on the stacked frames: loss_and_grads(X[idx])."""
-    _, X, y = learner._frames_to_arrays(frames, net.activities)
+    X, y = learner._frames_to_arrays(frames, net.activities)
     rng = derive_rng(seed, 7)
     trace = []
     for _ in range(cfg.epochs):

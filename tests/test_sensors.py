@@ -153,6 +153,48 @@ def test_sensor_model_gain_offset_drift():
     np.testing.assert_allclose(sig, 1.0 + 0.5 * t, atol=1e-12)  # amplitude 0 signal
 
 
+def test_crosstalk_bursts_are_pooled_activity_sinusoids():
+    # with no distractor noise a non-informative channel is the cross-talk
+    # alone: per window block, one sinusoid at a pooled activity frequency
+    dep = simple_deployment(3)
+    planted = simple_planted(dep, distractor_sigma=0.0, crosstalk_amp=0.7)
+    ds = generate(dep, planted, 6, 100, seed=2)
+    assert planted.pooled_freqs() == (2.0, 3.0)
+    torso = dep.channel_slice("torso_acc").start
+    for rec in ds.recordings:
+        blocks = rec.signals[torso].reshape(6, 100)  # 1 s blocks: bin k is k Hz
+        spec = np.abs(np.fft.rfft(blocks, axis=1))
+        peak = spec.argmax(axis=1)
+        assert set(peak) <= {2, 3}
+        np.testing.assert_allclose(spec[np.arange(6), peak], 0.7 * 100 / 2)
+        spec[np.arange(6), peak] = 0.0
+        np.testing.assert_allclose(spec, 0.0, atol=1e-9)
+    quiet = generate(dep, simple_planted(dep, distractor_sigma=0.0), 6, 100, seed=2)
+    assert not quiet.recordings[0].signals[torso].any()
+
+
+def test_generate_applies_the_thermocouple_transfer_per_source():
+    # a thermocouple reads degC in [0, 1820]; with no distractor noise the
+    # non-informative hand channel is its recording's calibration offset
+    dep = simple_deployment(2)
+    planted = simple_planted(dep, activities=("walk",), distractor_sigma=0.0,
+                             distractor_offset_sigma=300.0)
+    thermo = {"hips_acc": SensorModel(), "hand_acc": SensorModel(transfer="thermocouple")}
+    hand = dep.channel_slice("hand_acc").start
+    warm = generate(dep, planted, 3, 50, seed=2)
+    assert warm.recordings[0].signals[hand, 0] > 0.0
+    got = generate(dep, planted, 3, 50, thermo, seed=2)
+    np.testing.assert_array_equal(got.recordings[0].signals[hand],
+                                  thermocouple_transfer(warm.recordings[0].signals[hand]))
+    np.testing.assert_array_equal(np.delete(got.recordings[0].signals, hand, axis=0),
+                                  np.delete(warm.recordings[0].signals, hand, axis=0))
+    # below 0 degC the transfer is undefined, and generate says so
+    cold = generate(dep, planted, 3, 50, seed=0)
+    assert cold.recordings[0].signals[hand, 0] < 0.0
+    with pytest.raises(SensorError, match="outside the 0-1820 degC range"):
+        generate(dep, planted, 3, 50, thermo, seed=0)
+
+
 @pytest.mark.parametrize("amplitude,noise,seed", [
     (1.0, 0.4, 5), (0.9, 0.4, 6), (2.0, 0.9, 7), (0.5, 0.2, 8),
 ])
